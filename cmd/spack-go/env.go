@@ -10,163 +10,125 @@ import (
 	"repro/internal/env"
 )
 
-// cmdEnv dispatches the environment verbs: named manifests of abstract
-// specs that concretize as one unit and install or update the store as a
-// single journaled transaction.
-func cmdEnv(w io.Writer, s *core.Spack, args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("env needs a subcommand: create, add, rm, install, status, uninstall, or list")
+func cmdEnvList(w io.Writer, s *core.Spack, _ []string) error {
+	for _, name := range env.List(s.FS, core.EnvRoot) {
+		fmt.Fprintln(w, name)
 	}
-	sub, rest := args[0], args[1:]
-	switch sub {
-	case "create":
-		return cmdEnvCreate(w, s, rest)
-	case "add":
-		return cmdEnvAdd(w, s, rest, true)
-	case "rm":
-		return cmdEnvAdd(w, s, rest, false)
-	case "install":
-		return cmdEnvInstall(w, s, rest)
-	case "status":
-		return cmdEnvStatus(w, s, rest)
-	case "uninstall":
-		return cmdEnvUninstall(w, s, rest)
-	case "list":
-		for _, name := range env.List(s.FS, core.EnvRoot) {
-			fmt.Fprintln(w, name)
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown env subcommand %q (want create, add, rm, install, status, uninstall, or list)", sub)
-	}
-}
-
-func cmdEnvCreate(w io.Writer, s *core.Spack, args []string) error {
-	fs := flag.NewFlagSet("env create", flag.ContinueOnError)
-	viewPath := fs.String("view", "", "maintain a link forest for the environment at this path")
-	projection := fs.String("projection", "", "view link-name template (default ${PACKAGE}-${VERSION})")
-	conflict := fs.String("conflict", "", "view conflict policy: user or site")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() == 0 {
-		return fmt.Errorf("env create needs a name")
-	}
-	name, specs := fs.Arg(0), fs.Args()[1:]
-	e, err := env.Create(s.FS, core.EnvRoot, name, specs)
-	if err != nil {
-		return err
-	}
-	if *viewPath != "" {
-		e.Manifest.View = &env.View{Path: *viewPath, Projection: *projection, Conflict: *conflict}
-		if err := e.SaveManifest(); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(w, "==> created environment %s in %s\n", name, e.Dir)
 	return nil
 }
 
-func cmdEnvAdd(w io.Writer, s *core.Spack, args []string, add bool) error {
-	if len(args) < 2 {
-		return fmt.Errorf("env %s needs a name and at least one spec", map[bool]string{true: "add", false: "rm"}[add])
+func cmdEnvCreate(fs *flag.FlagSet) runFunc {
+	viewPath := fs.String("view", "", "maintain a link forest for the environment at this path")
+	projection := fs.String("projection", "", "view link-name template (default ${PACKAGE}-${VERSION})")
+	conflict := fs.String("conflict", "", "view conflict policy: user or site")
+	return func(w io.Writer, s *core.Spack, args []string) error {
+		name, specs := args[0], args[1:]
+		e, err := env.Create(s.FS, core.EnvRoot, name, specs)
+		if err != nil {
+			return err
+		}
+		if *viewPath != "" {
+			e.Manifest.View = &env.View{Path: *viewPath, Projection: *projection, Conflict: *conflict}
+			if err := e.SaveManifest(); err != nil {
+				return err
+			}
+		}
+		fmt.Fprintf(w, "==> created environment %s in %s\n", name, e.Dir)
+		return nil
 	}
-	e, err := env.Open(s.FS, core.EnvRoot, args[0])
-	if err != nil {
-		return err
+}
+
+// cmdEnvEdit is `env add` when add is set, else `env rm`.
+func cmdEnvEdit(add bool) runFunc {
+	return func(w io.Writer, s *core.Spack, args []string) error {
+		e, err := env.Open(s.FS, core.EnvRoot, args[0])
+		if err != nil {
+			return err
+		}
+		for _, expr := range args[1:] {
+			if add {
+				err = e.AddSpec(expr)
+			} else {
+				err = e.RemoveSpec(expr)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		if err := e.SaveManifest(); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "==> %s now has %d specs\n", e.Name, len(e.Manifest.Specs))
+		return nil
 	}
-	for _, expr := range args[1:] {
-		if add {
-			err = e.AddSpec(expr)
-		} else {
-			err = e.RemoveSpec(expr)
+}
+
+func cmdEnvInstall(fs *flag.FlagSet) runFunc {
+	jobs := fs.Int("jobs", 0, "parallel build jobs for this environment install")
+	reuse := fs.Bool("reuse", false, "concretize against the lockfile and store, preferring installed hashes")
+	return func(w io.Writer, s *core.Spack, args []string) error {
+		name, specs := args[0], args[1:]
+		e, err := env.Open(s.FS, core.EnvRoot, name)
+		if err != nil && len(specs) > 0 {
+			// One-shot convenience: create the environment on the fly when
+			// specs are given, so a single invocation demos the full workflow.
+			e, err = env.Create(s.FS, core.EnvRoot, name, nil)
 		}
 		if err != nil {
 			return err
 		}
-	}
-	if err := e.SaveManifest(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "==> %s now has %d specs\n", e.Name, len(e.Manifest.Specs))
-	return nil
-}
-
-func cmdEnvInstall(w io.Writer, s *core.Spack, args []string) error {
-	fs := flag.NewFlagSet("env install", flag.ContinueOnError)
-	jobs := fs.Int("jobs", 0, "parallel build jobs for this environment install")
-	reuse := fs.Bool("reuse", false, "concretize against the lockfile and store, preferring installed hashes")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() == 0 {
-		return fmt.Errorf("env install needs an environment name")
-	}
-	name, specs := fs.Arg(0), fs.Args()[1:]
-	e, err := env.Open(s.FS, core.EnvRoot, name)
-	if err != nil && len(specs) > 0 {
-		// One-shot convenience: create the environment on the fly when
-		// specs are given, so a single invocation demos the full workflow.
-		e, err = env.Create(s.FS, core.EnvRoot, name, nil)
-	}
-	if err != nil {
-		return err
-	}
-	for _, expr := range specs {
-		if err := e.AddSpec(expr); err != nil {
+		for _, expr := range specs {
+			if err := e.AddSpec(expr); err != nil {
+				return err
+			}
+		}
+		if len(specs) > 0 {
+			if err := e.SaveManifest(); err != nil {
+				return err
+			}
+		}
+		h := s.EnvHost()
+		if *jobs > 0 {
+			h.Builder.Jobs = *jobs
+		}
+		h.Reuse = *reuse
+		res, err := e.Apply(h)
+		if err != nil {
 			return err
 		}
-	}
-	if len(specs) > 0 {
-		if err := e.SaveManifest(); err != nil {
-			return err
+		p := res.Plan
+		if p.NoOp() {
+			fmt.Fprintf(w, "==> %s: lockfile up to date, nothing to do (%d roots installed)\n", e.Name, len(p.Keep))
+			return nil
 		}
-	}
-	h := s.EnvHost()
-	if *jobs > 0 {
-		h.Builder.Jobs = *jobs
-	}
-	h.Reuse = *reuse
-	res, err := e.Apply(h)
-	if err != nil {
-		return err
-	}
-	p := res.Plan
-	if p.NoOp() {
-		fmt.Fprintf(w, "==> %s: lockfile up to date, nothing to do (%d roots installed)\n", e.Name, len(p.Keep))
+		fmt.Fprintf(w, "==> %s: %d added, %d kept, %d removed (one transaction)\n",
+			e.Name, len(p.Add), len(p.Keep), len(p.Remove))
+		for i, ch := range p.Add {
+			packages := 0
+			if i < len(res.Builds) {
+				packages = len(res.Builds[i].Reports)
+			}
+			fmt.Fprintf(w, "    add  %-24s %s (%d packages)\n", ch.Expr, short(ch.Hash), packages)
+		}
+		for _, ch := range p.Remove {
+			if reason, skipped := res.SkippedRemove[ch.Hash]; skipped {
+				fmt.Fprintf(w, "    keep %-24s %s (%s)\n", ch.Expr, short(ch.Hash), reason)
+			} else {
+				fmt.Fprintf(w, "    rm   %-24s %s\n", ch.Expr, short(ch.Hash))
+			}
+		}
+		if len(res.Modules) > 0 {
+			fmt.Fprintf(w, "    %d module files\n", len(res.Modules))
+		}
+		if e.Manifest.View != nil {
+			fmt.Fprintf(w, "    %d view links under %s\n", len(res.Links), e.Manifest.View.Path)
+		}
 		return nil
 	}
-	fmt.Fprintf(w, "==> %s: %d added, %d kept, %d removed (one transaction)\n",
-		e.Name, len(p.Add), len(p.Keep), len(p.Remove))
-	for i, ch := range p.Add {
-		packages := 0
-		if i < len(res.Builds) {
-			packages = len(res.Builds[i].Reports)
-		}
-		fmt.Fprintf(w, "    add  %-24s %s (%d packages)\n", ch.Expr, ch.Hash[:8], packages)
-	}
-	for _, ch := range p.Remove {
-		if reason, skipped := res.SkippedRemove[ch.Hash]; skipped {
-			fmt.Fprintf(w, "    keep %-24s %s (%s)\n", ch.Expr, ch.Hash[:8], reason)
-		} else {
-			fmt.Fprintf(w, "    rm   %-24s %s\n", ch.Expr, ch.Hash[:8])
-		}
-	}
-	if len(res.Modules) > 0 {
-		fmt.Fprintf(w, "    %d module files\n", len(res.Modules))
-	}
-	if e.Manifest.View != nil {
-		fmt.Fprintf(w, "    %d view links under %s\n", len(res.Links), e.Manifest.View.Path)
-	}
-	return nil
 }
 
 func cmdEnvStatus(w io.Writer, s *core.Spack, args []string) error {
-	name, err := one(args, "environment name")
-	if err != nil {
-		return err
-	}
-	e, err := env.Open(s.FS, core.EnvRoot, name)
+	e, err := env.Open(s.FS, core.EnvRoot, args[0])
 	if err != nil {
 		return err
 	}
@@ -191,11 +153,7 @@ func cmdEnvStatus(w io.Writer, s *core.Spack, args []string) error {
 }
 
 func cmdEnvUninstall(w io.Writer, s *core.Spack, args []string) error {
-	name, err := one(args, "environment name")
-	if err != nil {
-		return err
-	}
-	e, err := env.Open(s.FS, core.EnvRoot, name)
+	e, err := env.Open(s.FS, core.EnvRoot, args[0])
 	if err != nil {
 		return err
 	}
@@ -210,7 +168,7 @@ func cmdEnvUninstall(w io.Writer, s *core.Spack, args []string) error {
 	sort.Strings(kept)
 	fmt.Fprintf(w, "==> uninstalled %s: %d roots removed, %d kept\n", e.Name, len(res.Removed), len(kept))
 	for _, h := range kept {
-		fmt.Fprintf(w, "    kept %s (%s)\n", h[:8], res.SkippedRemove[h])
+		fmt.Fprintf(w, "    kept %s (%s)\n", short(h), res.SkippedRemove[h])
 	}
 	return nil
 }

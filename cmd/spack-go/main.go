@@ -29,59 +29,6 @@ import (
 	"repro/internal/store"
 )
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `spack-go: a Go reproduction of the Spack package manager (SC'15)
-
-usage: spack-go [flags] <command> [args]
-
-commands:
-  spec [-why-not] <spec> concretize a spec and print the full DAG
-  install <spec>...      concretize and build specs into the store
-  find [spec]            list installed packages matching a query
-  uninstall <spec>       remove an installed package
-  providers <virtual>    list providers of a virtual interface
-  list [substring]       list known packages
-  info <package>         show a package's directives
-  compilers              list registered compiler toolchains
-  activate <spec>        link an extension into its extendee
-  deactivate <spec>      unlink an extension
-  view <rule> <spec>...  install specs and project them through a link rule
-  graph <spec>           concretize and emit a Graphviz DOT graph
-  versions <package>     list known and mirror-available versions
-  checksum <package>     fetch and checksum new mirror releases
-  diff <specA> <specB>   compare two concretized configurations
-  lmod <spec>...         install specs and generate an Lmod hierarchy
-  table1 <spec>          render a concretized spec under each site layout
-  splice [-dry-run] [-replace DEP] <root> <replacement>
-                         rewire an installed root onto an installed replacement
-                         dependency without rebuilding (relocation only)
-  serve                  run the buildcache/concretize/install HTTP daemon
-  work -url <daemon>     run this machine as a remote build worker (lease loop)
-  gc [-dry-run]          reclaim installs unreachable from any root or env lockfile
-  buildcache push <spec>...   install specs and pack them as binary archives
-  buildcache pull <spec>...   install specs from binary archives only
-  buildcache list             list cached binary archives (origin + signature status)
-  buildcache prune -max-size N | -max-age D   evict cold archives (LRU) until bounds fit
-  buildcache keys             print archive SHA-256 checksums
-  buildcache keys generate <name>        mint a trusted Ed25519 signing key
-  buildcache keys add <name> <hex-pub>   import another site's public key (untrusted)
-  buildcache keys trust <name>           mark an imported key trusted
-  buildcache keys list                   list registered keys
-  buildcache keys policy [off|warn|enforce]  show or set the trust policy
-  buildcache keys fetch [-trust] <url>   import a serve daemon's public keys
-  env create <name> [spec...]      create a named environment (-view PATH)
-  env add <name> <spec>...         add specs to an environment manifest
-  env rm <name> <spec>...          remove specs from an environment manifest
-  env install [-jobs N] [-reuse] <name>  concretize, lock, and apply as one transaction
-  env status <name>                show manifest, lockfile, and pending delta
-  env uninstall <name>             remove an environment's installs and view
-  env list                         list environments
-
-flags:
-`)
-	flag.PrintDefaults()
-}
-
 func main() {
 	var (
 		flagNFS       = flag.Bool("nfs-stage", false, "stage builds on the NFS latency profile")
@@ -96,10 +43,10 @@ func main() {
 		flagCacheURL  = flag.String("cache-url", "", "push/pull binary archives via a remote spack-go serve daemon at this URL")
 		flagReuse     = flag.Bool("reuse", false, "concretize against installed and cached packages, preferring existing hashes over newest versions")
 	)
-	flag.Usage = usage
+	flag.Usage = func() { usage(os.Stderr) }
 	flag.Parse()
 	if flag.NArg() == 0 {
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
 
@@ -173,96 +120,112 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func run(w io.Writer, s *core.Spack, cmd string, args []string) error {
-	switch cmd {
-	case "spec":
-		return cmdSpec(w, s, args)
-	case "install":
-		return cmdInstall(w, s, args)
-	case "find":
-		return cmdFind(w, s, args)
-	case "uninstall":
-		return cmdUninstall(w, s, args)
-	case "providers":
-		return cmdProviders(w, s, args)
-	case "list":
-		return cmdList(w, s, args)
-	case "info":
-		return cmdInfo(w, s, args)
-	case "compilers":
-		return cmdCompilers(w, s)
-	case "activate":
-		return cmdActivate(w, s, args, true)
-	case "deactivate":
-		return cmdActivate(w, s, args, false)
-	case "view":
-		return cmdView(w, s, args)
-	case "graph":
-		return cmdGraph(w, s, args)
-	case "versions":
-		return cmdVersions(w, s, args)
-	case "checksum":
-		return cmdChecksum(w, s, args)
-	case "diff":
-		return cmdDiff(w, s, args)
-	case "lmod":
-		return cmdLmod(w, s, args)
-	case "table1":
-		return cmdTable1(w, s, args)
-	case "work":
-		return cmdWork(w, s, args)
-	case "serve":
-		return cmdServe(w, s, args)
-	case "splice":
-		return cmdSplice(w, s, args)
-	case "gc":
-		return cmdGC(w, s, args)
-	case "buildcache":
-		return cmdBuildcache(w, s, args)
-	case "env":
-		return cmdEnv(w, s, args)
-	default:
-		usage()
-		return fmt.Errorf("unknown command %q", cmd)
-	}
+// root is the command table, the CLI's one description of its verbs. It
+// is built in init because the help verb walks it.
+var root *verb
+
+func init() {
+	root = &verb{args: "[flags] <command> [args]", help: "a Go reproduction of the Spack package manager (SC'15)", children: []*verb{
+		{name: "spec", args: "[-why-not] <spec>", help: "concretize a spec and print the full DAG",
+			min: 1, max: 1, argErr: "expected exactly one spec argument", flags: cmdSpec},
+		{name: "install", args: "<spec>...", help: "concretize and build specs into the store",
+			min: 1, max: many, argErr: "install needs at least one spec", run: cmdInstall},
+		{name: "find", args: "[spec]", help: "list installed packages matching a query", max: 1, run: cmdFind},
+		{name: "uninstall", args: "<spec>", help: "remove an installed package",
+			min: 1, max: 1, argErr: "expected exactly one spec argument", run: cmdUninstall},
+		{name: "providers", args: "<virtual>", help: "list providers of a virtual interface",
+			min: 1, max: 1, argErr: "expected exactly one virtual argument", run: cmdProviders},
+		{name: "list", args: "[substring]", help: "list known packages", max: 1, run: cmdList},
+		{name: "info", args: "<package>", help: "show a package's directives",
+			min: 1, max: 1, argErr: "expected exactly one package argument", run: cmdInfo},
+		{name: "compilers", help: "list registered compiler toolchains", run: cmdCompilers},
+		{name: "activate", args: "<spec>", help: "link an extension into its extendee",
+			min: 1, max: 1, argErr: "expected exactly one extension spec argument", run: cmdActivate},
+		{name: "deactivate", args: "<spec>", help: "unlink an extension",
+			min: 1, max: 1, argErr: "expected exactly one extension spec argument", run: cmdDeactivate},
+		{name: "view", args: "<rule> <spec>...", help: "install specs and project them through a link rule",
+			min: 2, max: many, argErr: "view needs a link template and at least one spec", run: cmdView},
+		{name: "graph", args: "<spec>", help: "concretize and emit a Graphviz DOT graph",
+			min: 1, max: 1, argErr: "expected exactly one spec argument", run: cmdGraph},
+		{name: "versions", args: "<package>", help: "list known and mirror-available versions",
+			min: 1, max: 1, argErr: "expected exactly one package argument", run: cmdVersions},
+		{name: "checksum", args: "<package>", help: "fetch and checksum new mirror releases",
+			min: 1, max: 1, argErr: "expected exactly one package argument", run: cmdChecksum},
+		{name: "diff", args: "<specA> <specB>", help: "compare two concretized configurations",
+			min: 2, max: 2, argErr: "diff needs exactly two specs", run: cmdDiff},
+		{name: "lmod", args: "<spec>...", help: "install specs and generate an Lmod hierarchy",
+			min: 1, max: many, argErr: "lmod needs at least one spec", run: cmdLmod},
+		{name: "table1", args: "<spec>", help: "render a concretized spec under each site layout",
+			min: 1, max: 1, argErr: "expected exactly one spec argument", run: cmdTable1},
+		{name: "splice", args: "[-dry-run] [-replace DEP] <root> <replacement>",
+			help: "rewire an installed root onto a replacement dependency without rebuilding", min: 2, max: 2,
+			argErr: "splice needs <root-spec> <replacement-spec>", flags: cmdSplice},
+		{name: "serve", args: "[flags]", help: "run the buildcache/concretize/install HTTP daemon", flags: cmdServe},
+		{name: "work", args: "-url <daemon> [flags]", help: "run this machine as a remote build worker (lease loop)", flags: cmdWork},
+		{name: "gc", args: "[-dry-run]", help: "reclaim installs unreachable from any root or env lockfile",
+			argErr: "gc takes no arguments", flags: cmdGC},
+		{name: "buildcache", args: "<subcommand> [args]", help: "pack, pull, list, prune, and sign binary archives", children: []*verb{
+			{name: "push", args: "<spec>...", help: "install specs and pack them as binary archives",
+				min: 1, max: many, argErr: "buildcache push needs at least one spec", run: cmdBuildcachePush},
+			{name: "pull", args: "<spec>...", help: "install specs from binary archives only",
+				min: 1, max: many, argErr: "buildcache pull needs at least one spec", run: cmdBuildcachePull},
+			{name: "list", help: "list cached binary archives (origin + signature status)", run: cmdBuildcacheList},
+			{name: "prune", args: "-max-size N | -max-age D [-dry-run]", help: "evict cold archives (LRU) until bounds fit",
+				flags: cmdBuildcachePrune},
+			{name: "keys", args: "[<subcommand> [args]]", help: "print archive SHA-256 checksums, or manage signing keys",
+				run: cmdKeysChecksums, children: []*verb{
+					{name: "generate", args: "<name>", help: "mint a trusted Ed25519 signing key",
+						min: 1, max: 1, argErr: "expected exactly one key name argument", run: cmdKeysGenerate},
+					{name: "add", args: "<name> <hex-pub>", help: "import another site's public key (untrusted)",
+						min: 2, max: 2, argErr: "buildcache keys add needs <name> <hex-public-key>", run: cmdKeysAdd},
+					{name: "trust", args: "<name>", help: "mark an imported key trusted",
+						min: 1, max: 1, argErr: "expected exactly one key name argument", run: cmdKeysTrust},
+					{name: "list", help: "list registered keys", run: cmdKeysList},
+					{name: "policy", args: "[off|warn|enforce]", help: "show or set the trust policy", max: 1, run: cmdKeysPolicy},
+					{name: "fetch", args: "[-trust] <url>", help: "import a serve daemon's public keys",
+						min: 1, max: 1, argErr: "expected exactly one daemon URL argument", flags: cmdKeysFetch},
+				}},
+		}},
+		{name: "env", args: "<subcommand> [args]", help: "manage named environments: spec manifests installed as one transaction", children: []*verb{
+			{name: "create", args: "[-view PATH] <name> [spec...]", help: "create a named environment",
+				min: 1, max: many, argErr: "env create needs a name", flags: cmdEnvCreate},
+			{name: "add", args: "<name> <spec>...", help: "add specs to an environment manifest",
+				min: 2, max: many, argErr: "env add needs a name and at least one spec", run: cmdEnvEdit(true)},
+			{name: "rm", args: "<name> <spec>...", help: "remove specs from an environment manifest",
+				min: 2, max: many, argErr: "env rm needs a name and at least one spec", run: cmdEnvEdit(false)},
+			{name: "install", args: "[-jobs N] [-reuse] <name> [spec...]", help: "concretize, lock, and apply as one transaction",
+				min: 1, max: many, argErr: "env install needs an environment name", flags: cmdEnvInstall},
+			{name: "status", args: "<name>", help: "show manifest, lockfile, and pending delta",
+				min: 1, max: 1, argErr: "expected exactly one environment name argument", run: cmdEnvStatus},
+			{name: "uninstall", args: "<name>", help: "remove an environment's installs and view",
+				min: 1, max: 1, argErr: "expected exactly one environment name argument", run: cmdEnvUninstall},
+			{name: "list", help: "list environments", run: cmdEnvList},
+		}},
+		{name: "help", args: "[command...]", help: "print the full command reference, or one command's", max: many, run: cmdHelp},
+	}}
 }
 
-func one(args []string, what string) (string, error) {
-	if len(args) != 1 {
-		return "", fmt.Errorf("expected exactly one %s argument", what)
-	}
-	return args[0], nil
-}
-
-func cmdSpec(w io.Writer, s *core.Spack, args []string) error {
-	fs := flag.NewFlagSet("spec", flag.ContinueOnError)
+func cmdSpec(fs *flag.FlagSet) runFunc {
 	whyNot := fs.Bool("why-not", false, "on unsatisfiable input, explain the minimal set of conflicting constraints")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	expr, err := one(fs.Args(), "spec")
-	if err != nil {
-		return err
-	}
-	concrete, err := s.Spec(expr)
-	if err != nil {
-		var unsat *concretize.UnsatError
-		if *whyNot && errors.As(err, &unsat) {
-			fmt.Fprintln(w, unsat.WhyNot())
-			return nil
+	return func(w io.Writer, s *core.Spack, args []string) error {
+		expr := args[0]
+		concrete, err := s.Spec(expr)
+		if err != nil {
+			var unsat *concretize.UnsatError
+			if *whyNot && errors.As(err, &unsat) {
+				fmt.Fprintln(w, unsat.WhyNot())
+				return nil
+			}
+			return err
 		}
-		return err
+		fmt.Fprintf(w, "Input spec\n------------------\n%s\n\n", expr)
+		fmt.Fprintf(w, "Concretized (%d packages, hash %s)\n------------------\n%s",
+			concrete.Size(), concrete.DAGHash(), concrete.TreeString())
+		return nil
 	}
-	fmt.Fprintf(w, "Input spec\n------------------\n%s\n\n", expr)
-	fmt.Fprintf(w, "Concretized (%d packages, hash %s)\n------------------\n%s",
-		concrete.Size(), concrete.DAGHash(), concrete.TreeString())
-	return nil
 }
 
 func cmdInstall(w io.Writer, s *core.Spack, args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("install needs at least one spec")
-	}
 	for _, expr := range args {
 		res, err := s.Install(expr)
 		if err != nil {
@@ -337,63 +300,50 @@ func short(h string) string {
 // replacement dependency without rebuilding — the cone of packages
 // between them is re-materialized from cached archives (or installed
 // prefixes) with every store path rewritten, in one transaction.
-func cmdSplice(w io.Writer, s *core.Spack, args []string) error {
-	fs := flag.NewFlagSet("splice", flag.ContinueOnError)
-	fs.SetOutput(w)
+func cmdSplice(fs *flag.FlagSet) runFunc {
 	dryRun := fs.Bool("dry-run", false, "print the plan without touching anything")
 	replace := fs.String("replace", "", "dependency name to replace (default: the replacement's package name)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("splice needs <root-spec> <replacement-spec>")
-	}
-	res, err := s.Splice(fs.Arg(0), *replace, fs.Arg(1), *dryRun)
-	if err != nil {
-		return err
-	}
-	p := res.Plan
-	verb := "splicing"
-	if *dryRun {
-		verb = "would splice"
-	}
-	fmt.Fprintf(w, "==> %s %s: %s -> %s\n", verb, p.OldRoot.Name, p.Target, p.Replacement)
-	fmt.Fprintf(w, "    root %s -> %s\n", short(p.OldRootHash), short(p.NewRootHash))
-	for _, ch := range p.Cone {
-		src := "prefix"
-		if ch.FromArchive {
-			src = "archive"
+	return func(w io.Writer, s *core.Spack, args []string) error {
+		res, err := s.Splice(args[0], *replace, args[1], *dryRun)
+		if err != nil {
+			return err
 		}
-		fmt.Fprintf(w, "    %-14s %s -> %s  (from %s)\n", ch.Name, short(ch.OldHash), short(ch.NewHash), src)
-	}
-	for _, path := range p.Envs {
-		fmt.Fprintf(w, "    retargets lockfile %s\n", path)
-	}
-	if *dryRun {
+		p := res.Plan
+		verb := "splicing"
+		if *dryRun {
+			verb = "would splice"
+		}
+		fmt.Fprintf(w, "==> %s %s: %s -> %s\n", verb, p.OldRoot.Name, p.Target, p.Replacement)
+		fmt.Fprintf(w, "    root %s -> %s\n", short(p.OldRootHash), short(p.NewRootHash))
+		for _, ch := range p.Cone {
+			src := "prefix"
+			if ch.FromArchive {
+				src = "archive"
+			}
+			fmt.Fprintf(w, "    %-14s %s -> %s  (from %s)\n", ch.Name, short(ch.OldHash), short(ch.NewHash), src)
+		}
+		for _, path := range p.Envs {
+			fmt.Fprintf(w, "    retargets lockfile %s\n", path)
+		}
+		if *dryRun {
+			return nil
+		}
+		fmt.Fprintf(w, "==> spliced %d packages (%d from archive, %d from prefix, %d reused) in %v\n",
+			res.Installed, res.FromArchive, res.FromPrefix, res.Reused, res.Time)
+		fmt.Fprintf(w, "    %d module files, %d lockfiles updated\n", res.ModuleFiles, res.Envs)
+		for _, warn := range res.Warnings {
+			fmt.Fprintf(w, "    warning: %s\n", warn)
+		}
 		return nil
 	}
-	fmt.Fprintf(w, "==> spliced %d packages (%d from archive, %d from prefix, %d reused) in %v\n",
-		res.Installed, res.FromArchive, res.FromPrefix, res.Reused, res.Time)
-	fmt.Fprintf(w, "    %d module files, %d lockfiles updated\n", res.ModuleFiles, res.Envs)
-	for _, warn := range res.Warnings {
-		fmt.Fprintf(w, "    warning: %s\n", warn)
-	}
-	return nil
 }
 
 func cmdUninstall(w io.Writer, s *core.Spack, args []string) error {
-	expr, err := one(args, "spec")
-	if err != nil {
-		return err
-	}
-	return s.Uninstall(expr, false)
+	return s.Uninstall(args[0], false)
 }
 
 func cmdProviders(w io.Writer, s *core.Spack, args []string) error {
-	expr, err := one(args, "virtual")
-	if err != nil {
-		return err
-	}
+	expr := args[0]
 	names, err := s.Providers(expr)
 	if err != nil {
 		return err
@@ -423,10 +373,7 @@ func cmdList(w io.Writer, s *core.Spack, args []string) error {
 }
 
 func cmdInfo(w io.Writer, s *core.Spack, args []string) error {
-	name, err := one(args, "package")
-	if err != nil {
-		return err
-	}
+	name := args[0]
 	def, ns, ok := s.Repos.Get(name)
 	if !ok {
 		return fmt.Errorf("unknown package %q", name)
@@ -469,7 +416,7 @@ func cmdInfo(w io.Writer, s *core.Spack, args []string) error {
 	return nil
 }
 
-func cmdCompilers(w io.Writer, s *core.Spack) error {
+func cmdCompilers(w io.Writer, s *core.Spack, _ []string) error {
 	fmt.Fprintln(w, "==> Available compilers")
 	for _, tc := range s.Compilers.All() {
 		targets := strings.Join(tc.Targets, ",")
@@ -481,29 +428,23 @@ func cmdCompilers(w io.Writer, s *core.Spack) error {
 	return nil
 }
 
-func cmdActivate(w io.Writer, s *core.Spack, args []string, on bool) error {
-	expr, err := one(args, "extension spec")
-	if err != nil {
+func cmdActivate(w io.Writer, s *core.Spack, args []string) error {
+	if err := s.Activate(args[0]); err != nil {
 		return err
 	}
-	if on {
-		if err := s.Activate(expr); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "==> activated %s\n", expr)
-		return nil
-	}
-	if err := s.Deactivate(expr); err != nil {
+	fmt.Fprintf(w, "==> activated %s\n", args[0])
+	return nil
+}
+
+func cmdDeactivate(w io.Writer, s *core.Spack, args []string) error {
+	if err := s.Deactivate(args[0]); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "==> deactivated %s\n", expr)
+	fmt.Fprintf(w, "==> deactivated %s\n", args[0])
 	return nil
 }
 
 func cmdView(w io.Writer, s *core.Spack, args []string) error {
-	if len(args) < 2 {
-		return fmt.Errorf("view needs a link template and at least one spec")
-	}
 	rule, specs := args[0], args[1:]
 	if err := s.Config.Site.AddLinkRule("", rule); err != nil {
 		return err
@@ -525,10 +466,7 @@ func cmdView(w io.Writer, s *core.Spack, args []string) error {
 }
 
 func cmdGraph(w io.Writer, s *core.Spack, args []string) error {
-	expr, err := one(args, "spec")
-	if err != nil {
-		return err
-	}
+	expr := args[0]
 	concrete, err := s.Spec(expr)
 	if err != nil {
 		return err
@@ -538,10 +476,7 @@ func cmdGraph(w io.Writer, s *core.Spack, args []string) error {
 }
 
 func cmdVersions(w io.Writer, s *core.Spack, args []string) error {
-	name, err := one(args, "package")
-	if err != nil {
-		return err
-	}
+	name := args[0]
 	def, _, ok := s.Repos.Get(name)
 	if !ok {
 		return fmt.Errorf("unknown package %q", name)
@@ -561,10 +496,7 @@ func cmdVersions(w io.Writer, s *core.Spack, args []string) error {
 }
 
 func cmdChecksum(w io.Writer, s *core.Spack, args []string) error {
-	name, err := one(args, "package")
-	if err != nil {
-		return err
-	}
+	name := args[0]
 	added, err := s.ChecksumNewVersions(name)
 	if err != nil {
 		return err
@@ -583,9 +515,6 @@ func cmdChecksum(w io.Writer, s *core.Spack, args []string) error {
 }
 
 func cmdDiff(w io.Writer, s *core.Spack, args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("diff needs exactly two specs")
-	}
 	diffs, err := s.Diff(args[0], args[1])
 	if err != nil {
 		return err
@@ -612,9 +541,6 @@ func cmdDiff(w io.Writer, s *core.Spack, args []string) error {
 }
 
 func cmdLmod(w io.Writer, s *core.Spack, args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("lmod needs at least one spec")
-	}
 	for _, expr := range args {
 		if _, err := s.Install(expr); err != nil {
 			return err
@@ -632,41 +558,36 @@ func cmdLmod(w io.Writer, s *core.Spack, args []string) error {
 	return nil
 }
 
-func cmdGC(w io.Writer, s *core.Spack, args []string) error {
-	fs := flag.NewFlagSet("gc", flag.ContinueOnError)
+func cmdGC(fs *flag.FlagSet) runFunc {
 	dryRun := fs.Bool("dry-run", false, "report what a sweep would reclaim without deleting anything")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("gc takes no arguments")
-	}
-	res, err := s.GC().Run(*dryRun)
-	if err != nil {
-		return err
-	}
-	p := res.Plan
-	verb := "reclaimed"
-	if *dryRun {
-		verb = "would reclaim"
-	}
-	fmt.Fprintf(w, "==> gc: %d roots anchor %d live installs; %s %d installs (%dB)\n",
-		p.Roots, len(p.Live), verb, len(p.Dead), p.DeadBytes)
-	for _, d := range p.Dead {
-		extras := ""
-		if d.Module != "" {
-			extras += " +module"
+	return func(w io.Writer, s *core.Spack, _ []string) error {
+		res, err := s.GC().Run(*dryRun)
+		if err != nil {
+			return err
 		}
-		if d.Archive {
-			extras += " +archive"
+		p := res.Plan
+		verb := "reclaimed"
+		if *dryRun {
+			verb = "would reclaim"
 		}
-		fmt.Fprintf(w, "    %-40s %8dB  %s%s\n", d.Spec, d.Bytes, d.Prefix, extras)
+		fmt.Fprintf(w, "==> gc: %d roots anchor %d live installs; %s %d installs (%dB)\n",
+			p.Roots, len(p.Live), verb, len(p.Dead), p.DeadBytes)
+		for _, d := range p.Dead {
+			extras := ""
+			if d.Module != "" {
+				extras += " +module"
+			}
+			if d.Archive {
+				extras += " +archive"
+			}
+			fmt.Fprintf(w, "    %-40s %8dB  %s%s\n", d.Spec, d.Bytes, d.Prefix, extras)
+		}
+		if !*dryRun {
+			fmt.Fprintf(w, "==> removed %d records, %d module files, %d archives\n",
+				res.Records, res.ModuleFiles, res.Archives)
+		}
+		return nil
 	}
-	if !*dryRun {
-		fmt.Fprintf(w, "==> removed %d records, %d module files, %d archives\n",
-			res.Records, res.ModuleFiles, res.Archives)
-	}
-	return nil
 }
 
 // parseSize parses a byte count with an optional K/M/G suffix (powers of
@@ -688,92 +609,83 @@ func parseSize(s string) (int64, error) {
 	return n * mult, nil
 }
 
-func cmdBuildcache(w io.Writer, s *core.Spack, args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("buildcache needs a subcommand: push, pull, list, prune, or keys")
-	}
-	sub, rest := args[0], args[1:]
-	switch sub {
-	case "push":
-		if len(rest) == 0 {
-			return fmt.Errorf("buildcache push needs at least one spec")
-		}
-		for _, expr := range rest {
-			res, err := s.Install(expr)
-			if err != nil {
-				return err
-			}
-			entries, err := s.BuildCache.PushDAG(s.Store, res.Root)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "==> pushed %d archives for %s\n", len(entries), expr)
-			for _, e := range entries {
-				fmt.Fprintf(w, "    %-14s @%-8s %s  sha256=%s (%d files)\n",
-					e.Package, e.Version, e.FullHash[:8], e.Checksum[:8], e.Files)
-			}
-		}
-		return nil
-	case "pull":
-		if len(rest) == 0 {
-			return fmt.Errorf("buildcache pull needs at least one spec")
-		}
-		for _, expr := range rest {
-			concrete, err := s.Spec(expr)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "==> pulling %s (%d packages)\n", expr, concrete.Size())
-			for _, n := range concrete.TopoOrder() {
-				if n.External {
-					fmt.Fprintf(w, "    external %-14s %s\n", n.Name, n.Path)
-					continue
-				}
-				pr, err := s.BuildCache.Pull(s.Store, n, n == concrete)
-				if err != nil {
-					return err
-				}
-				status := "pulled"
-				if !pr.Ran {
-					status = "present"
-				}
-				fmt.Fprintf(w, "    %-8s %-14s %s\n", status, n.Name, pr.Record.Prefix)
-			}
-		}
-		return nil
-	case "list":
-		entries, err := s.BuildCache.List()
+func cmdBuildcachePush(w io.Writer, s *core.Spack, args []string) error {
+	for _, expr := range args {
+		res, err := s.Install(expr)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "==> %d cached archives\n", len(entries))
-		for _, e := range entries {
-			sig := "unsigned"
-			switch {
-			case e.Signed && e.Trusted:
-				sig = "signed:" + e.SignedBy + " (trusted)"
-			case e.Signed:
-				sig = "signed:" + e.SignedBy
-			}
-			fmt.Fprintf(w, "    %-14s @%-8s %s (%d files)  %s\n",
-				e.Package, e.Version, e.FullHash[:8], e.Files, sig)
-			if e.Origin != "" {
-				fmt.Fprintf(w, "        origin: %s\n", e.Origin)
-			}
-			if e.SplicedFrom != "" {
-				fmt.Fprintf(w, "        spliced from %s (lineage %d deep)\n",
-					short(e.SplicedFrom), len(e.Lineage))
-			}
-		}
-		return nil
-	case "prune":
-		fs := flag.NewFlagSet("buildcache prune", flag.ContinueOnError)
-		maxSize := fs.String("max-size", "", "size budget (bytes, or with K/M/G suffix)")
-		maxAge := fs.Duration("max-age", 0, "evict archives last accessed longer ago than this")
-		dryRun := fs.Bool("dry-run", false, "report the eviction set without deleting anything")
-		if err := fs.Parse(rest); err != nil {
+		entries, err := s.BuildCache.PushDAG(s.Store, res.Root)
+		if err != nil {
 			return err
 		}
+		fmt.Fprintf(w, "==> pushed %d archives for %s\n", len(entries), expr)
+		for _, e := range entries {
+			fmt.Fprintf(w, "    %-14s @%-8s %s  sha256=%s (%d files)\n",
+				e.Package, e.Version, short(e.FullHash), short(e.Checksum), e.Files)
+		}
+	}
+	return nil
+}
+
+func cmdBuildcachePull(w io.Writer, s *core.Spack, args []string) error {
+	for _, expr := range args {
+		concrete, err := s.Spec(expr)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "==> pulling %s (%d packages)\n", expr, concrete.Size())
+		for _, n := range concrete.TopoOrder() {
+			if n.External {
+				fmt.Fprintf(w, "    external %-14s %s\n", n.Name, n.Path)
+				continue
+			}
+			pr, err := s.BuildCache.Pull(s.Store, n, n == concrete)
+			if err != nil {
+				return err
+			}
+			status := "pulled"
+			if !pr.Ran {
+				status = "present"
+			}
+			fmt.Fprintf(w, "    %-8s %-14s %s\n", status, n.Name, pr.Record.Prefix)
+		}
+	}
+	return nil
+}
+
+func cmdBuildcacheList(w io.Writer, s *core.Spack, _ []string) error {
+	entries, err := s.BuildCache.List()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "==> %d cached archives\n", len(entries))
+	for _, e := range entries {
+		sig := "unsigned"
+		switch {
+		case e.Signed && e.Trusted:
+			sig = "signed:" + e.SignedBy + " (trusted)"
+		case e.Signed:
+			sig = "signed:" + e.SignedBy
+		}
+		fmt.Fprintf(w, "    %-14s @%-8s %s (%d files)  %s\n",
+			e.Package, e.Version, short(e.FullHash), e.Files, sig)
+		if e.Origin != "" {
+			fmt.Fprintf(w, "        origin: %s\n", e.Origin)
+		}
+		if e.SplicedFrom != "" {
+			fmt.Fprintf(w, "        spliced from %s (lineage %d deep)\n",
+				short(e.SplicedFrom), len(e.Lineage))
+		}
+	}
+	return nil
+}
+
+func cmdBuildcachePrune(fs *flag.FlagSet) runFunc {
+	maxSize := fs.String("max-size", "", "size budget (bytes, or with K/M/G suffix)")
+	maxAge := fs.Duration("max-age", 0, "evict archives last accessed longer ago than this")
+	dryRun := fs.Bool("dry-run", false, "report the eviction set without deleting anything")
+	return func(w io.Writer, s *core.Spack, _ []string) error {
 		var maxBytes int64
 		if *maxSize != "" {
 			var err error
@@ -794,158 +706,139 @@ func cmdBuildcache(w io.Writer, s *core.Spack, args []string) error {
 		fmt.Fprintf(w, "==> prune: %d archives (%dB total); %s %d (%dB)\n",
 			res.Examined, res.TotalBytes, verb, len(res.Evicted), res.Reclaimed)
 		for _, u := range res.Evicted {
-			fmt.Fprintf(w, "    %s  %8dB\n", u.FullHash[:8], u.Bytes)
+			fmt.Fprintf(w, "    %s  %8dB\n", short(u.FullHash), u.Bytes)
 		}
 		return nil
-	case "keys":
-		return cmdBuildcacheKeys(w, s, rest)
-	default:
-		return fmt.Errorf("unknown buildcache subcommand %q (want push, pull, list, prune, or keys)", sub)
 	}
 }
 
-// cmdBuildcacheKeys drives the signing-key registry. Bare `keys` keeps
-// the historical behaviour of printing archive checksums.
-func cmdBuildcacheKeys(w io.Writer, s *core.Spack, args []string) error {
+// cmdKeysChecksums is bare `buildcache keys`, which keeps the historical
+// behaviour of printing archive checksums; its subcommands drive the
+// signing-key registry.
+func cmdKeysChecksums(w io.Writer, s *core.Spack, _ []string) error {
+	keys, err := s.BuildCache.Keys()
+	if err != nil {
+		return err
+	}
+	hashes := make([]string, 0, len(keys))
+	for h := range keys {
+		hashes = append(hashes, h)
+	}
+	sort.Strings(hashes)
+	fmt.Fprintf(w, "==> %d archive checksums\n", len(hashes))
+	for _, h := range hashes {
+		fmt.Fprintf(w, "    %s  sha256=%s\n", short(h), keys[h])
+	}
+	return nil
+}
+
+func cmdKeysGenerate(w io.Writer, s *core.Spack, args []string) error {
+	pub, err := s.Keyring.Generate(args[0])
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "==> generated trusted signing key %q\n    public: %x\n", args[0], pub)
+	return nil
+}
+
+func cmdKeysAdd(w io.Writer, s *core.Spack, args []string) error {
+	pub, err := hex.DecodeString(args[1])
+	if err != nil {
+		return fmt.Errorf("bad public key hex: %w", err)
+	}
+	if err := s.Keyring.Add(args[0], pub); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "==> added key %q (untrusted; run `buildcache keys trust %s` to trust it)\n",
+		args[0], args[0])
+	return nil
+}
+
+func cmdKeysTrust(w io.Writer, s *core.Spack, args []string) error {
+	if err := s.Keyring.Trust(args[0]); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "==> key %q is now trusted\n", args[0])
+	return nil
+}
+
+func cmdKeysList(w io.Writer, s *core.Spack, _ []string) error {
+	keys := s.Keyring.List()
+	fmt.Fprintf(w, "==> %d registered keys (policy: %s)\n", len(keys), policyName(s.Keyring.Policy()))
+	for _, k := range keys {
+		trust := "untrusted"
+		if k.Trusted {
+			trust = "trusted"
+		}
+		fmt.Fprintf(w, "    %-16s %-10s %x\n", k.Name, trust, k.Public)
+	}
+	return nil
+}
+
+func cmdKeysPolicy(w io.Writer, s *core.Spack, args []string) error {
 	if len(args) == 0 {
-		keys, err := s.BuildCache.Keys()
-		if err != nil {
-			return err
-		}
-		hashes := make([]string, 0, len(keys))
-		for h := range keys {
-			hashes = append(hashes, h)
-		}
-		sort.Strings(hashes)
-		fmt.Fprintf(w, "==> %d archive checksums\n", len(hashes))
-		for _, h := range hashes {
-			fmt.Fprintf(w, "    %s  sha256=%s\n", h[:8], keys[h])
-		}
+		fmt.Fprintf(w, "==> trust policy: %s\n", policyName(s.Keyring.Policy()))
 		return nil
 	}
-	sub, rest := args[0], args[1:]
-	switch sub {
-	case "generate":
-		name, err := one(rest, "key name")
-		if err != nil {
-			return err
-		}
-		pub, err := s.Keyring.Generate(name)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "==> generated trusted signing key %q\n    public: %x\n", name, pub)
-		return nil
-	case "add":
-		if len(rest) != 2 {
-			return fmt.Errorf("buildcache keys add needs <name> <hex-public-key>")
-		}
-		pub, err := hex.DecodeString(rest[1])
-		if err != nil {
-			return fmt.Errorf("bad public key hex: %w", err)
-		}
-		if err := s.Keyring.Add(rest[0], pub); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "==> added key %q (untrusted; run `buildcache keys trust %s` to trust it)\n",
-			rest[0], rest[0])
-		return nil
-	case "trust":
-		name, err := one(rest, "key name")
-		if err != nil {
-			return err
-		}
-		if err := s.Keyring.Trust(name); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "==> key %q is now trusted\n", name)
-		return nil
-	case "list":
-		keys := s.Keyring.List()
-		fmt.Fprintf(w, "==> %d registered keys (policy: %s)\n", len(keys), policyName(s.Keyring.Policy()))
-		for _, k := range keys {
-			trust := "untrusted"
-			if k.Trusted {
-				trust = "trusted"
-			}
-			fmt.Fprintf(w, "    %-16s %-10s %x\n", k.Name, trust, k.Public)
-		}
-		return nil
-	case "policy":
-		if len(rest) == 0 {
-			fmt.Fprintf(w, "==> trust policy: %s\n", policyName(s.Keyring.Policy()))
-			return nil
-		}
-		p, err := buildcache.ParseTrustPolicy(rest[0])
-		if err != nil {
-			return err
-		}
-		if err := s.Keyring.SetPolicy(p); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "==> trust policy set to %s\n", policyName(p))
-		return nil
-	case "fetch":
-		return cmdKeysFetch(w, s, rest)
-	default:
-		return fmt.Errorf("unknown keys subcommand %q (want generate, add, trust, list, policy, or fetch)", sub)
+	p, err := buildcache.ParseTrustPolicy(args[0])
+	if err != nil {
+		return err
 	}
+	if err := s.Keyring.SetPolicy(p); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "==> trust policy set to %s\n", policyName(p))
+	return nil
 }
 
 // cmdKeysFetch imports a serve daemon's public signing keys into this
 // machine's registry, so pulls from that daemon verify without copying
 // hex key material out of band. Imported keys stay untrusted unless
 // -trust is given; keys already registered are left untouched.
-func cmdKeysFetch(w io.Writer, s *core.Spack, args []string) error {
-	fs := flag.NewFlagSet("buildcache keys fetch", flag.ContinueOnError)
-	fs.SetOutput(w)
+func cmdKeysFetch(fs *flag.FlagSet) runFunc {
 	trust := fs.Bool("trust", false, "mark the fetched keys trusted")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	url, err := one(fs.Args(), "daemon URL")
-	if err != nil {
-		return err
-	}
-	keys, err := service.NewClient(url).Keys()
-	if err != nil {
-		return err
-	}
-	known := make(map[string]bool)
-	for _, k := range s.Keyring.List() {
-		known[k.Name] = true
-	}
-	added, trusted, skipped := 0, 0, 0
-	for _, k := range keys {
-		if known[k.Name] {
-			skipped++
-			fmt.Fprintf(w, "    %-16s already registered, skipped\n", k.Name)
-			continue
-		}
-		pub, err := hex.DecodeString(k.Public)
+	return func(w io.Writer, s *core.Spack, args []string) error {
+		url := args[0]
+		keys, err := service.NewClient(url).Keys()
 		if err != nil {
-			return fmt.Errorf("key %q: bad public key hex: %w", k.Name, err)
-		}
-		if err := s.Keyring.Add(k.Name, pub); err != nil {
 			return err
 		}
-		added++
-		status := "untrusted"
-		if *trust {
-			if err := s.Keyring.Trust(k.Name); err != nil {
+		known := make(map[string]bool)
+		for _, k := range s.Keyring.List() {
+			known[k.Name] = true
+		}
+		added, trusted, skipped := 0, 0, 0
+		for _, k := range keys {
+			if known[k.Name] {
+				skipped++
+				fmt.Fprintf(w, "    %-16s already registered, skipped\n", k.Name)
+				continue
+			}
+			pub, err := hex.DecodeString(k.Public)
+			if err != nil {
+				return fmt.Errorf("key %q: bad public key hex: %w", k.Name, err)
+			}
+			if err := s.Keyring.Add(k.Name, pub); err != nil {
 				return err
 			}
-			trusted++
-			status = "trusted"
+			added++
+			status := "untrusted"
+			if *trust {
+				if err := s.Keyring.Trust(k.Name); err != nil {
+					return err
+				}
+				trusted++
+				status = "trusted"
+			}
+			fmt.Fprintf(w, "    %-16s %-10s %s\n", k.Name, status, k.Public)
 		}
-		fmt.Fprintf(w, "    %-16s %-10s %s\n", k.Name, status, k.Public)
+		fmt.Fprintf(w, "==> fetched %d keys from %s: %d added (%d trusted), %d skipped\n",
+			len(keys), url, added, trusted, skipped)
+		if added > trusted && trusted == 0 {
+			fmt.Fprintf(w, "    run `buildcache keys trust <name>` to trust them\n")
+		}
+		return nil
 	}
-	fmt.Fprintf(w, "==> fetched %d keys from %s: %d added (%d trusted), %d skipped\n",
-		len(keys), url, added, trusted, skipped)
-	if added > trusted && trusted == 0 {
-		fmt.Fprintf(w, "    run `buildcache keys trust <name>` to trust them\n")
-	}
-	return nil
 }
 
 func policyName(p buildcache.TrustPolicy) string {
@@ -956,29 +849,20 @@ func policyName(p buildcache.TrustPolicy) string {
 }
 
 func cmdTable1(w io.Writer, s *core.Spack, args []string) error {
-	expr, err := one(args, "spec")
-	if err != nil {
-		return err
-	}
+	expr := args[0]
 	concrete, err := s.Spec(expr)
 	if err != nil {
 		return err
 	}
-	layouts := []store.Layout{
-		store.LLNLLayout{}, store.ORNLLayout{},
-		store.TACCLayout{IsMPI: s.IsMPI}, store.SpackLayout{},
-	}
-	names := map[string]string{
-		"llnl": "LLNL", "ornl": "ORNL", "tacc": "TACC / Lmod", "spack": "Spack default",
-	}
 	fmt.Fprintf(w, "Software organization of various HPC sites (Table 1) for %s:\n", expr)
-	rows := make([][2]string, 0, len(layouts))
-	for _, l := range layouts {
-		rows = append(rows, [2]string{names[l.Name()], "/" + l.RelPath(concrete)})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
-	for _, r := range rows {
-		fmt.Fprintf(w, "    %-14s %s\n", r[0], r[1])
+	for _, site := range []struct {
+		name   string
+		layout store.Layout
+	}{
+		{"LLNL", store.LLNLLayout{}}, {"ORNL", store.ORNLLayout{}},
+		{"Spack default", store.SpackLayout{}}, {"TACC / Lmod", store.TACCLayout{IsMPI: s.IsMPI}},
+	} {
+		fmt.Fprintf(w, "    %-14s /%s\n", site.name, site.layout.RelPath(concrete))
 	}
 	return nil
 }

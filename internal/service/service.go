@@ -43,6 +43,7 @@ import (
 	"repro/internal/fetch"
 	"repro/internal/lifecycle"
 	"repro/internal/sched"
+	"repro/internal/singleflight"
 	"repro/internal/spec"
 	"repro/internal/splice"
 	"repro/internal/syntax"
@@ -105,8 +106,8 @@ type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
 	hs      *http.Server
-	flights flightGroup[*InstallResponse]
-	splices flightGroup[*SpliceResponse]
+	flights singleflight.Group[*InstallResponse]
+	splices singleflight.Group[*SpliceResponse]
 	stats   stats
 	sched   *sched.Scheduler
 	bc      *buildcache.Cache
@@ -594,7 +595,7 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hash := concrete.FullHash()
-	out, coalesced, err := s.flights.do(hash, func() (*InstallResponse, error) {
+	out, coalesced, err := s.flights.Do(hash, func() (*InstallResponse, error) {
 		res, err := s.cfg.Builder.Build(concrete)
 		if err != nil {
 			return nil, err

@@ -139,7 +139,7 @@ func (s *Server) handleSplice(w http.ResponseWriter, r *http.Request) {
 		// A herd of clients requesting the same rewiring runs one
 		// transaction; everyone else blocks on and shares its outcome.
 		key := root.Spec.FullHash() + "\x00" + target + "\x00" + repl.Spec.FullHash()
-		out, coalesced, err = s.splices.do(key, run)
+		out, coalesced, err = s.splices.Do(key, run)
 	}
 	if err != nil {
 		http.Error(w, "splice: "+err.Error(), http.StatusInternalServerError)

@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"repro/internal/simfs"
+	"repro/internal/singleflight"
 	"repro/internal/spec"
 	"repro/internal/syntax"
 )
@@ -198,14 +199,6 @@ type Querier interface {
 	Len() int
 }
 
-// flight tracks one in-progress Install of a hash, so concurrent installs
-// of the same spec run the builder once and share the outcome.
-type flight struct {
-	done chan struct{}
-	rec  *Record
-	err  error
-}
-
 // Store is the installation database plus the on-(simulated-)disk tree.
 type Store struct {
 	FS     *simfs.FS
@@ -214,8 +207,9 @@ type Store struct {
 
 	index Index
 
-	flightMu sync.Mutex
-	flights  map[string]*flight // hash -> in-progress install
+	// installs coalesces concurrent installs of one hash, so the builder
+	// runs once and every racer shares the leader's record.
+	installs singleflight.Group[*Record]
 
 	// gcMu is the lifecycle lock: install and uninstall transactions hold
 	// it shared, a garbage-collection sweep (Quiesce) holds it exclusively
@@ -239,7 +233,7 @@ func WithIndex(ix Index) Option { return func(st *Store) { st.index = ix } }
 // New creates a store rooted at root (e.g. "/spack/opt") on a filesystem.
 func New(fs *simfs.FS, root string, layout Layout, opts ...Option) (*Store, error) {
 	st := &Store{FS: fs, Root: strings.TrimSuffix(root, "/"), Layout: layout,
-		flights: make(map[string]*flight), pins: make(map[string]int)}
+		pins: make(map[string]int)}
 	for _, fn := range opts {
 		fn(st)
 	}

@@ -103,31 +103,22 @@ func (st *Store) InstallMetaTxn(t *txn.Txn, s *spec.Spec, meta txn.RecordMeta, b
 	st.gcMu.RLock()
 	defer st.gcMu.RUnlock()
 
-	st.flightMu.Lock()
-	if f, ok := st.flights[hash]; ok {
-		// Another goroutine is already building this configuration: wait
-		// for it and share the result.
-		st.flightMu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, false, f.err
-		}
-		if meta.Explicit {
-			st.index.Promote(hash)
-		}
-		return f.rec, false, nil
+	// Another goroutine already building this configuration makes this
+	// call a waiter: it shares the leader's record (or error), and only the
+	// leader reports ran.
+	ran := false
+	rec, shared, err := st.installs.Do(hash, func() (*Record, error) {
+		r, leaderRan, err := st.installLeader(t, s, hash, meta, builder)
+		ran = leaderRan
+		return r, err
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	f := &flight{done: make(chan struct{})}
-	st.flights[hash] = f
-	st.flightMu.Unlock()
-
-	rec, ran, err := st.installLeader(t, s, hash, meta, builder)
-	f.rec, f.err = rec, err
-	st.flightMu.Lock()
-	delete(st.flights, hash)
-	st.flightMu.Unlock()
-	close(f.done)
-	return rec, ran, err
+	if shared && meta.Explicit {
+		st.index.Promote(hash)
+	}
+	return rec, ran, nil
 }
 
 // installLeader performs the actual build + record staging for the single
@@ -221,9 +212,19 @@ func (st *Store) installLeader(t *txn.Txn, s *spec.Spec, hash string, meta txn.R
 // The record leaves the in-memory index immediately so later dependent
 // checks and view computation in the same transaction see the post-state;
 // a rollback hook restores it.
+//
+// A nil-transaction uninstall holds the lifecycle lock exclusively until
+// its commit lands. Otherwise an install of the same hash could start in
+// the window between the record leaving the index and the commit deleting
+// the prefix, rebuild into that prefix, and lose it to the commit.
 func (st *Store) UninstallTxn(t *txn.Txn, s *spec.Spec, force bool) error {
-	st.gcMu.RLock()
-	defer st.gcMu.RUnlock()
+	if t == nil {
+		st.gcMu.Lock()
+		defer st.gcMu.Unlock()
+	} else {
+		st.gcMu.RLock()
+		defer st.gcMu.RUnlock()
+	}
 	hash := s.FullHash()
 	r, ok := st.index.Lookup(hash)
 	if !ok {
