@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all test race bench bench-concretize bench-store bench-buildcache bench-env bench-service bench-sched bench-lifecycle bench-splice bench-check crash-race experiments examples vet lint clean
+.PHONY: all test race bench bench-check crash-race experiments examples vet lint clean
 
 all: vet test
 
@@ -34,91 +34,48 @@ vet:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Concretizer fast-path benchmarks: cold sweep, warm memo cache, parallel
-# batch, and the per-hit micro-benchmark, rendered to BENCH_concretize.json
-# (including the derived warm-cache and parallel speedups).
-bench-concretize:
-	go test -run '^$$' -bench 'Fig8|ConcretizeCacheHit|ARESConcretize(GreedyCold|Reuse)' -benchmem . \
-		| tee bench_concretize.txt \
-		| go run ./cmd/benchjson -o BENCH_concretize.json
-	cat BENCH_concretize.json
+# Benchmark legs. `make bench-<leg>` runs the benchmarks matching
+# BENCH_RE_<leg> (at BENCH_CPU_<leg>, when set) and renders them with
+# cmd/benchjson to BENCH_<leg>.json, deriving that leg's figures of merit:
+#   concretize — cold / warm-memo / parallel Fig. 8 sweeps, the per-hit
+#                micro-benchmark, and the ARES reuse-vs-greedy solve;
+#   store      — 1/2/4/8 concurrent builders (install+save) and readers
+#                (lookup) on one store, at GOMAXPROCS 8;
+#   buildcache — the 47-package ARES stack from source vs. from a seeded
+#                cache at Jobs=8;
+#   env        — `env install` of a three-root manifest, fresh vs. against
+#                the unchanged lockfile;
+#   service    — a 256-client install herd against the HTTP daemon (cold
+#                store, then warm);
+#   sched      — the cold ARES DAG built by 1/2/4/8 lease workers vs. the
+#                single-machine Jobs=8 executor;
+#   lifecycle  — a journaled GC sweep of a majority-dead ARES store;
+#   splice     — the ARES stack rewired from zlib@1.2.7 to 1.2.8 by
+#                relocation vs. recompiling the same dependent cone.
+BENCH_LEGS := concretize store buildcache env service sched lifecycle splice
+BENCH_RE_concretize := Fig8|ConcretizeCacheHit|ARESConcretize(GreedyCold|Reuse)
+BENCH_RE_store := StoreContention|StoreLookupContention
+BENCH_RE_buildcache := BuildcacheARES
+BENCH_RE_env := EnvInstall
+BENCH_RE_service := ServiceInstallHerd
+BENCH_RE_sched := SchedWorkers
+BENCH_RE_lifecycle := LifecycleGC
+BENCH_RE_splice := SpliceVsRebuild
+# One -cpu value only: benchjson strips the -N suffix from names, so a
+# multi-value -cpu list would collide.
+BENCH_CPU_store := -cpu 8
 
-# Store contention benchmarks: mutex vs. sharded index under 1/2/4/8
-# concurrent builders (install+save) and readers (lookup), rendered to
-# BENCH_store.json with the derived per-worker-count sharded speedups.
-bench-store:
-	go test -run '^$$' -bench 'StoreContention|StoreLookupContention' -benchmem . \
-		| tee bench_store.txt \
-		| go run ./cmd/benchjson -o BENCH_store.json
-	cat BENCH_store.json
+.PHONY: $(addprefix bench-,$(BENCH_LEGS))
+$(addprefix bench-,$(BENCH_LEGS)): bench-%:
+	go test -run '^$$' -bench '$(BENCH_RE_$*)' $(BENCH_CPU_$*) -benchmem . \
+		| tee bench_$*.txt \
+		| go run ./cmd/benchjson -o BENCH_$*.json
+	cat BENCH_$*.json
 
-# Binary-cache benchmarks: the 47-package ARES stack installed from
-# source vs. pulled from a seeded cache at Jobs=8, rendered to
-# BENCH_buildcache.json with the derived cached-install speedup.
-bench-buildcache:
-	go test -run '^$$' -bench 'BuildcacheARES' -benchmem . \
-		| tee bench_buildcache.txt \
-		| go run ./cmd/benchjson -o BENCH_buildcache.json
-	cat BENCH_buildcache.json
-
-# Environment benchmarks: `env install` of a three-root manifest on a
-# fresh machine vs. re-run against the unchanged lockfile, rendered to
-# BENCH_env.json with the derived warm-lockfile speedup.
-bench-env:
-	go test -run '^$$' -bench 'EnvInstall' -benchmem . \
-		| tee bench_env.txt \
-		| go run ./cmd/benchjson -o BENCH_env.json
-	cat BENCH_env.json
-
-# Buildcache-service benchmarks: a 256-client thundering herd of
-# installs against the HTTP daemon (cold store, then warm), rendered to
-# BENCH_service.json with the derived herd-coalescing ratio (clients
-# per cache-miss build).
-bench-service:
-	go test -run '^$$' -bench 'ServiceInstallHerd' -benchmem . \
-		| tee bench_service.txt \
-		| go run ./cmd/benchjson -o BENCH_service.json
-	cat BENCH_service.json
-
-# Distributed-scheduler benchmarks: the cold ARES DAG built by 1/2/4/8
-# lease workers against the daemon vs. the single-machine Jobs=8
-# executor, rendered to BENCH_sched.json with the derived worker-scaling
-# speedups (virtual makespan of the realized schedule).
-bench-sched:
-	go test -run '^$$' -bench 'SchedWorkers' -benchmem . \
-		| tee bench_sched.txt \
-		| go run ./cmd/benchjson -o BENCH_sched.json
-	cat BENCH_sched.json
-
-# Store-lifecycle benchmarks: a journaled GC sweep of the ARES store
-# with a majority of its bytes demoted to garbage, rendered to
-# BENCH_lifecycle.json with the derived reclaim percentage (zeroed if
-# any live prefix is not byte-identical after the sweep).
-bench-lifecycle:
-	go test -run '^$$' -bench 'LifecycleGC' -benchmem . \
-		| tee bench_lifecycle.txt \
-		| go run ./cmd/benchjson -o BENCH_lifecycle.json
-	cat BENCH_lifecycle.json
-
-# Splice benchmarks: the installed ARES stack rewired from zlib@1.2.7
-# to 1.2.8 by relocating archived binaries (one transaction per cone)
-# vs. recompiling the same dependent cone from source, rendered to
-# BENCH_splice.json with the derived splice-vs-rebuild speedup
-# (simulated install time, as in Fig. 10).
-bench-splice:
-	go test -run '^$$' -bench 'SpliceVsRebuild' -benchmem . \
-		| tee bench_splice.txt \
-		| go run ./cmd/benchjson -o BENCH_splice.json
-	cat BENCH_splice.json
-
-# Regression gate: every committed benchmark report must clear its
-# declared acceptance bar (warm concretize ≥10x, sharded store ≥2x at 8
-# workers, cached ARES install ≥5x, warm env lockfile ≥10x, service
-# herd coalescing ≥8 clients per cache-miss build, 4-worker scheduler
-# scaling ≥2x, GC reclaim ≥95% of dead bytes with the live closure
-# byte-identical, splice ≥5x over rebuilding the cone).
+# Regression gate: every committed benchmark report must clear the bars
+# declared in cmd/benchjson's figures table.
 bench-check:
-	go run ./cmd/benchjson -check BENCH_concretize.json BENCH_store.json BENCH_buildcache.json BENCH_env.json BENCH_service.json BENCH_sched.json BENCH_lifecycle.json BENCH_splice.json
+	go run ./cmd/benchjson -check $(foreach leg,$(BENCH_LEGS),BENCH_$(leg).json)
 
 # The transactional-integrity suite under the race detector: every
 # crash-injection sweep (journal recovery, env apply/uninstall, view
@@ -139,4 +96,4 @@ examples:
 	go run ./examples/toolstack
 
 clean:
-	rm -f spack-go test_output.txt bench_output.txt experiments_output.txt bench_concretize.txt bench_store.txt bench_buildcache.txt bench_env.txt bench_service.txt bench_sched.txt bench_lifecycle.txt bench_splice.txt
+	rm -f spack-go test_output.txt bench_output.txt experiments_output.txt bench_*.txt

@@ -7,70 +7,108 @@ import (
 	"strings"
 )
 
-// bar is one acceptance bar a benchmark suite declares: a derived metric
-// that must stay at or above its floor. CI runs `benchjson -check` over
-// every BENCH_*.json so a regression that erodes a speedup fails the
-// build instead of rotting silently.
-type bar struct {
-	key string
-	min float64
+// ref names one benchmark metric: a benchmark (-GOMAXPROCS suffix
+// stripped) and one of its units.
+type ref struct{ bench, unit string }
+
+func ns(bench string) ref   { return ref{bench, "ns/op"} }
+func vsec(bench string) ref { return ref{bench, "virtual-sec"} }
+
+// figure is one derived figure of merit: num, divided by den when set,
+// times the 0/1 gate flag when set. A positive floor makes it an
+// acceptance bar the committed report must stay at or above; floor 0
+// marks a context figure that is reported but not gated. CI runs
+// `benchjson -check` over every BENCH_*.json so a regression that erodes
+// a gated figure fails the build instead of rotting silently.
+type figure struct {
+	key            string
+	num, den, gate ref
+	floor          float64
+	unit           string // suffix after values in check messages
 }
 
-// bars lists every known acceptance bar. A report is matched by whichever
-// keys its Derived map carries; a report carrying none of them fails the
-// check outright — a bench suite without a bar is not a quality gate.
-var bars = []bar{
-	// Concretizer memo cache: warm Fig. 8 sweep ≥10x over cold.
-	{"fig8_warm_cache_speedup", 10},
+// figures is the one table of derived figures and their bars. A report is
+// matched by whichever gated keys its Derived map carries; a report
+// carrying none of them fails the check outright — a bench suite without
+// a bar is not a quality gate.
+var figures = []figure{
+	// Concretizer memo cache: warm Fig. 8 sweep ≥10x over cold; the
+	// parallel sweep's speedup rides along.
+	{key: "fig8_warm_cache_speedup", num: ns("BenchmarkFig8ConcretizeAll"),
+		den: ns("BenchmarkFig8ConcretizeAllWarm"), floor: 10, unit: "x"},
+	{key: "fig8_parallel_speedup", num: ns("BenchmarkFig8ConcretizeAll"),
+		den: ns("BenchmarkFig8ConcretizeAllParallel"), unit: "x"},
 	// Concretizer reuse: solving against a fully populated reuse source
 	// costs at most 2x the cold greedy solve (inverted ratio, floor 0.5).
-	{"concretize_reuse_overhead_inv", 0.5},
-	// Sharded store index: ≥2x over the single mutex at 8 workers.
-	{"store_sharded_speedup_w8", 2},
+	{key: "concretize_reuse_overhead_inv", num: ns("BenchmarkARESConcretizeGreedyCold"),
+		den: ns("BenchmarkARESConcretizeReuse"), floor: 0.5, unit: "x"},
+	// Store index: 8 concurrent builders, each saving after every install,
+	// sustain ≥2000 installs/s. The floor sits near the geometric mean of
+	// the lock-striped index (~5000/s) and a single-lock index rewriting
+	// the whole database per save (under 1000/s), so either regression
+	// fails it.
+	{key: "store_installs_per_sec_w8", num: ref{"BenchmarkStoreContention/w8", "installs/sec"},
+		floor: 2000, unit: " installs/s"},
+	{key: "store_lookups_per_sec_w8", num: ref{"BenchmarkStoreLookupContention/w8", "lookups/sec"},
+		unit: " lookups/s"},
 	// Binary cache: cached ARES install ≥5x faster (simulated install
-	// time) than building from source at Jobs=8.
-	{"buildcache_speedup_j8", 5},
+	// time, as in Fig. 10) than building from source at Jobs=8; the
+	// simulator's real-time ratio rides along.
+	{key: "buildcache_speedup_j8", num: vsec("BenchmarkBuildcacheARES/source/j8"),
+		den: vsec("BenchmarkBuildcacheARES/cached/j8"), floor: 5, unit: "x"},
+	{key: "buildcache_real_speedup_j8", num: ns("BenchmarkBuildcacheARES/source/j8"),
+		den: ns("BenchmarkBuildcacheARES/cached/j8"), unit: "x"},
 	// Environments: `env install` on an unchanged lockfile is a no-op
 	// diff ≥10x cheaper than the cold install it short-circuits.
-	{"env_warm_lockfile_speedup", 10},
+	{key: "env_warm_lockfile_speedup", num: ns("BenchmarkEnvInstall/cold"),
+		den: ns("BenchmarkEnvInstall/warm"), floor: 10, unit: "x"},
 	// Buildcache service: the install herd must coalesce ≥8 concurrent
 	// clients per cache-miss build (measured at 256 clients ⇒ 1 build).
-	{"service_herd_coalescing", 8},
+	{key: "service_herd_coalescing", num: ref{"BenchmarkServiceInstallHerd/herd/c256", "clients"},
+		den:   ref{"BenchmarkServiceInstallHerd/herd/c256", "source-builds"},
+		floor: 8, unit: " clients/build"},
 	// Distributed scheduler: 4 lease workers must at least halve the
-	// one-worker virtual makespan of the cold ARES DAG.
-	{"sched_scaling_4w", 2},
+	// one-worker virtual makespan of the cold ARES DAG; 8-worker scaling
+	// and scale-out vs. the single-machine Jobs=8 build ride along.
+	{key: "sched_scaling_4w", num: vsec("BenchmarkSchedWorkers/w1"),
+		den: vsec("BenchmarkSchedWorkers/w4"), floor: 2, unit: "x"},
+	{key: "sched_scaling_8w", num: vsec("BenchmarkSchedWorkers/w1"),
+		den: vsec("BenchmarkSchedWorkers/w8"), unit: "x"},
+	{key: "sched_vs_local_j8", num: vsec("BenchmarkSchedWorkers/w8"),
+		den: vsec("BenchmarkSchedWorkers/local/j8"), unit: "x"},
 	// Lifecycle: GC of a majority-dead ARES store reclaims ≥95% of the
-	// dead bytes with the live closure byte-identical (the intact flag
-	// zeroes the metric otherwise).
-	{"lifecycle_gc_reclaim_pct", 95},
+	// dead bytes with the live closure byte-identical (the live-intact
+	// gate zeroes the figure otherwise).
+	{key: "lifecycle_gc_reclaim_pct", num: ref{"BenchmarkLifecycleGC/ares50", "gc-reclaim-pct"},
+		gate: ref{"BenchmarkLifecycleGC/ares50", "live-intact"}, floor: 95, unit: "%"},
 	// Splice: rewiring the ARES zlib cone by relocation must beat
 	// recompiling that cone ≥5x in simulated install time.
-	{"splice_vs_rebuild_speedup", 5},
+	{key: "splice_vs_rebuild_speedup", num: vsec("BenchmarkSpliceVsRebuild/rebuild-cone"),
+		den: vsec("BenchmarkSpliceVsRebuild/splice"), floor: 5, unit: "x"},
 }
 
 // checkReport evaluates one parsed report against the declared bars,
 // returning human-readable pass lines and failures.
 func checkReport(name string, rep *Report) (passes, failures []string) {
-	matched := false
-	for _, b := range bars {
-		v, ok := rep.Derived[b.key]
+	var known []string
+	for _, f := range figures {
+		if f.floor == 0 {
+			continue
+		}
+		known = append(known, f.key)
+		v, ok := rep.Derived[f.key]
 		if !ok {
 			continue
 		}
-		matched = true
-		if v < b.min {
-			failures = append(failures,
-				fmt.Sprintf("%s: %s = %.2f, below the %.3gx bar", name, b.key, v, b.min))
+		if v < f.floor {
+			failures = append(failures, fmt.Sprintf("%s: %s = %.2f%s, below the %g%s bar",
+				name, f.key, v, f.unit, f.floor, f.unit))
 			continue
 		}
-		passes = append(passes,
-			fmt.Sprintf("%s: %s = %.2f (bar %.3gx)", name, b.key, v, b.min))
+		passes = append(passes, fmt.Sprintf("%s: %s = %.2f%s (bar %g%s)",
+			name, f.key, v, f.unit, f.floor, f.unit))
 	}
-	if !matched {
-		known := make([]string, len(bars))
-		for i, b := range bars {
-			known[i] = b.key
-		}
+	if len(passes)+len(failures) == 0 {
 		failures = append(failures,
 			fmt.Sprintf("%s: no known acceptance bar among derived metrics (want one of %s)",
 				name, strings.Join(known, ", ")))

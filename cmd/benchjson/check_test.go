@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -26,7 +28,7 @@ func TestCheckReportPassesAtOrAboveBar(t *testing.T) {
 
 func TestCheckReportFailsBelowBar(t *testing.T) {
 	_, fails := checkReport("x.json", report(map[string]float64{
-		"store_sharded_speedup_w8": 1.4,
+		"store_installs_per_sec_w8": 1500,
 	}))
 	if len(fails) != 1 {
 		t.Fatalf("failures = %v, want 1", fails)
@@ -194,5 +196,48 @@ func TestParseLineCustomMetrics(t *testing.T) {
 	}
 	if b.Metrics["virtual-sec"] != 0.058 || b.Metrics["dag-nodes"] != 47 {
 		t.Errorf("metrics = %v", b.Metrics)
+	}
+}
+
+// TestCommittedReportsRederive: every committed BENCH_*.json re-derives,
+// from its own benchmarks, exactly the derived map it records, and clears
+// its bars. A change to the figures table that alters a formula, or a bar
+// key renamed without regenerating its report, fails here.
+func TestCommittedReportsRederive(t *testing.T) {
+	files, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no committed BENCH_*.json reports found")
+	}
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep Report
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if got := derive(rep.Benchmarks); !reflect.DeepEqual(got, rep.Derived) {
+			t.Errorf("%s: re-derived %v, report records %v", file, got, rep.Derived)
+		}
+		if _, fails := checkReport(file, &rep); len(fails) != 0 {
+			t.Errorf("%s misses its bars: %v", file, fails)
+		}
+	}
+}
+
+func TestCheckMessagesCarryUnits(t *testing.T) {
+	passes, fails := checkReport("x.json", report(map[string]float64{
+		"lifecycle_gc_reclaim_pct":  100,
+		"store_installs_per_sec_w8": 1500,
+	}))
+	if len(passes) != 1 || !strings.Contains(passes[0], "= 100.00% (bar 95%)") {
+		t.Errorf("passes = %v", passes)
+	}
+	if len(fails) != 1 || !strings.Contains(fails[0], "= 1500.00 installs/s, below the 2000 installs/s bar") {
+		t.Errorf("failures = %v", fails)
 	}
 }

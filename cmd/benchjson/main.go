@@ -1,9 +1,9 @@
 // Command benchjson converts `go test -bench` text output (read from
 // stdin) into a machine-readable JSON report. Each benchmark line becomes
 // a record of its iteration count and metrics (ns/op, B/op, allocs/op,
-// and any custom b.ReportMetric units). When both the cold and warm
-// Fig. 8 sweeps are present, the warm-cache speedup is derived so CI can
-// assert the fast-path acceptance bar without re-parsing benchmark text.
+// and any custom b.ReportMetric units). Every figure of merit in the
+// figures table whose inputs are present is derived into the report, so
+// CI can assert the acceptance bars without re-parsing benchmark text.
 package main
 
 import (
@@ -127,106 +127,36 @@ func parseLine(line string) (Benchmark, int, bool) {
 	return b, procs, true
 }
 
-// derive computes cross-benchmark figures of merit.
+// derive computes every figure in the figures table whose inputs are
+// present: num, divided by den when the figure has one, times the 0/1
+// gate flag when it has one. Figures with a missing or zero input are
+// left out.
 func derive(benchmarks []Benchmark) map[string]float64 {
-	metric := func(name, unit string) float64 {
+	metric := func(m ref) float64 {
 		for _, b := range benchmarks {
-			if b.Name == name {
-				return b.Metrics[unit]
+			if b.Name == m.bench {
+				return b.Metrics[m.unit]
 			}
 		}
 		return 0
 	}
-	ns := func(name string) float64 { return metric(name, "ns/op") }
 	d := map[string]float64{}
-	cold := ns("BenchmarkFig8ConcretizeAll")
-	if warm := ns("BenchmarkFig8ConcretizeAllWarm"); cold > 0 && warm > 0 {
-		d["fig8_warm_cache_speedup"] = cold / warm
-	}
-	if par := ns("BenchmarkFig8ConcretizeAllParallel"); cold > 0 && par > 0 {
-		d["fig8_parallel_speedup"] = cold / par
-	}
-	// Concretizer reuse leg: re-solving the warm ARES matrix against a
-	// fully populated reuse source vs. the cold greedy baseline. Expressed
-	// inverted (baseline/reuse) so the bar stays a floor: 0.5 means reuse
-	// costs at most 2x the cold greedy solve.
-	aresCold := ns("BenchmarkARESConcretizeGreedyCold")
-	if reuse := ns("BenchmarkARESConcretizeReuse"); aresCold > 0 && reuse > 0 {
-		d["concretize_reuse_overhead_inv"] = aresCold / reuse
-	}
-	// Store sharding: sharded-index speedup over the single-mutex baseline
-	// at each worker count, for the install (contention) and lookup sides.
-	for _, w := range []int{1, 2, 4, 8} {
-		mutex := ns(fmt.Sprintf("BenchmarkStoreContention/mutex/w%d", w))
-		sharded := ns(fmt.Sprintf("BenchmarkStoreContention/sharded/w%d", w))
-		if mutex > 0 && sharded > 0 {
-			d[fmt.Sprintf("store_sharded_speedup_w%d", w)] = mutex / sharded
+	for _, f := range figures {
+		v := metric(f.num)
+		if v <= 0 {
+			continue
 		}
-		mutex = ns(fmt.Sprintf("BenchmarkStoreLookupContention/mutex/w%d", w))
-		sharded = ns(fmt.Sprintf("BenchmarkStoreLookupContention/sharded/w%d", w))
-		if mutex > 0 && sharded > 0 {
-			d[fmt.Sprintf("store_lookup_speedup_w%d", w)] = mutex / sharded
+		if f.den != (ref{}) {
+			den := metric(f.den)
+			if den <= 0 {
+				continue
+			}
+			v /= den
 		}
-	}
-	// Binary cache: cached ARES install vs. from-source at Jobs=8. The
-	// headline speedup compares simulated install time (the virtual-sec
-	// metric, as in Fig. 10) — what a user's install wall clock would do;
-	// the real-time ratio of the simulator itself rides along as context.
-	srcV := metric("BenchmarkBuildcacheARES/source/j8", "virtual-sec")
-	cachedV := metric("BenchmarkBuildcacheARES/cached/j8", "virtual-sec")
-	if srcV > 0 && cachedV > 0 {
-		d["buildcache_speedup_j8"] = srcV / cachedV
-	}
-	srcNs := ns("BenchmarkBuildcacheARES/source/j8")
-	cachedNs := ns("BenchmarkBuildcacheARES/cached/j8")
-	if srcNs > 0 && cachedNs > 0 {
-		d["buildcache_real_speedup_j8"] = srcNs / cachedNs
-	}
-	// Buildcache service: the coalescing ratio of the install herd — how
-	// many concurrent clients the daemon collapses onto each cache-miss
-	// build. With server-side singleflight working this equals the herd
-	// size; without it, it degrades toward 1.
-	hClients := metric("BenchmarkServiceInstallHerd/herd/c256", "clients")
-	hBuilds := metric("BenchmarkServiceInstallHerd/herd/c256", "source-builds")
-	if hClients > 0 && hBuilds > 0 {
-		d["service_herd_coalescing"] = hClients / hBuilds
-	}
-	// Distributed scheduler: realized virtual makespan of the cold ARES
-	// DAG with N lease workers vs one. The headline bar is the 4-worker
-	// scaling; 8-worker scaling and the scale-out-vs-scale-up ratio
-	// against the single-machine Jobs=8 build ride along as context.
-	sw1 := metric("BenchmarkSchedWorkers/w1", "virtual-sec")
-	for _, w := range []int{4, 8} {
-		if swn := metric(fmt.Sprintf("BenchmarkSchedWorkers/w%d", w), "virtual-sec"); sw1 > 0 && swn > 0 {
-			d[fmt.Sprintf("sched_scaling_%dw", w)] = sw1 / swn
+		if f.gate != (ref{}) {
+			v *= metric(f.gate)
 		}
-	}
-	sw8 := metric("BenchmarkSchedWorkers/w8", "virtual-sec")
-	if localJ8 := metric("BenchmarkSchedWorkers/local/j8", "virtual-sec"); sw8 > 0 && localJ8 > 0 {
-		d["sched_vs_local_j8"] = sw8 / localJ8
-	}
-	// Lifecycle: a GC sweep over a majority-dead ARES store must reclaim
-	// every dead byte while leaving the live closure byte-identical. The
-	// live-intact flag (1 or 0) multiplies in so any drift in a surviving
-	// prefix zeroes the metric and fails the bar outright.
-	gcPct := metric("BenchmarkLifecycleGC/ares50", "gc-reclaim-pct")
-	if gcIntact := metric("BenchmarkLifecycleGC/ares50", "live-intact"); gcPct > 0 {
-		d["lifecycle_gc_reclaim_pct"] = gcPct * gcIntact
-	}
-	// Splice: rewiring the ARES stack's zlib dependent cone by relocating
-	// archived binaries vs. recompiling the same cone from source, in
-	// simulated install time (both legs reuse everything outside the cone).
-	spliceV := metric("BenchmarkSpliceVsRebuild/splice", "virtual-sec")
-	rebuildV := metric("BenchmarkSpliceVsRebuild/rebuild-cone", "virtual-sec")
-	if spliceV > 0 && rebuildV > 0 {
-		d["splice_vs_rebuild_speedup"] = rebuildV / spliceV
-	}
-	// Environments: re-running `env install` against an unchanged lockfile
-	// must be a cheap no-op diff, not a second install.
-	envCold := ns("BenchmarkEnvInstall/cold")
-	envWarm := ns("BenchmarkEnvInstall/warm")
-	if envCold > 0 && envWarm > 0 {
-		d["env_warm_lockfile_speedup"] = envCold / envWarm
+		d[f.key] = v
 	}
 	if len(d) == 0 {
 		return nil

@@ -6,8 +6,8 @@
 // SHA-256 checksum, a signed metadata document, and a relocation table of
 // every occurrence of the source store root and dependency prefixes. Pull
 // verifies the checksum, rewrites prefixes and rpaths through the shared
-// relocate engine, and installs into the target store through the
-// store.Index seam with the same singleflight/promotion discipline as a
+// relocate engine, and installs into the target store through
+// store.InstallMetaTxn with the same singleflight/promotion discipline as a
 // real build — so build.Builder can skip fetch/stage/compile for any DAG
 // node whose full hash is already cached, the way Spack's buildcaches do.
 package buildcache

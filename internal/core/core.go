@@ -66,7 +66,6 @@ type options struct {
 	stageNFS    bool
 	noWrappers  bool
 	storeLayout store.Layout
-	storeIndex  store.Index
 	jobs        int
 	cacheSize   int
 	noCache     bool
@@ -95,11 +94,6 @@ func WithoutWrappers() Option { return func(o *options) { o.noWrappers = true } 
 
 // WithLayout selects a store directory layout (Table 1 conventions).
 func WithLayout(l store.Layout) Option { return func(o *options) { o.storeLayout = l } }
-
-// WithStoreIndex selects the store's index implementation (default: the
-// lock-striped sharded index; store.NewMutexIndex() restores the
-// single-mutex baseline, e.g. for contention comparisons).
-func WithStoreIndex(ix store.Index) Option { return func(o *options) { o.storeIndex = ix } }
 
 // WithJobs sets build parallelism.
 func WithJobs(n int) Option { return func(o *options) { o.jobs = n } }
@@ -142,11 +136,7 @@ func New(opts ...Option) (*Spack, error) {
 	path := repo.NewPath(append(o.repos, builtin)...)
 
 	fs := simfs.New(simfs.TempFS)
-	var storeOpts []store.Option
-	if o.storeIndex != nil {
-		storeOpts = append(storeOpts, store.WithIndex(o.storeIndex))
-	}
-	st, err := store.New(fs, "/spack/opt", o.storeLayout, storeOpts...)
+	st, err := store.New(fs, "/spack/opt", o.storeLayout)
 	if err != nil {
 		return nil, err
 	}

@@ -12,24 +12,18 @@ import (
 
 // On-disk layout under <root>/.spack-db:
 //
-//	index.json          — legacy monolithic database (read + auto-migrated)
-//	manifest.json       — sharded layout's table of contents
+//	manifest.json        — table of contents: which shard files exist
 //	shards/<prefix>.json — one file per hash-prefix shard
 const (
 	dbDirName            = ".spack-db"
-	legacyIndexFile      = "index.json"
 	manifestFile         = "manifest.json"
 	shardsDirName        = "shards"
 	shardedLayoutVersion = 1
 )
 
-// ErrNoDatabase reports that no database — legacy or sharded — has been
-// saved under the store root yet.
+// ErrNoDatabase reports that no database has been saved under the store
+// root yet.
 var ErrNoDatabase = errors.New("store: no database")
-
-// errNoManifest distinguishes "sharded layout absent" (fall back to the
-// legacy file) from real read failures.
-var errNoManifest = errors.New("store: no manifest")
 
 // dbEntry is the serialized form of one installed record. The spec is
 // stored in spec syntax — the same provenance format as .spack/spec — so
@@ -52,9 +46,9 @@ type dbEntry struct {
 	Lineage     []string `json:"lineage,omitempty"`
 }
 
-// encodeEntries renders snapshot entries to the JSON database format
-// (shared by the monolithic file and each shard file).
-func encodeEntries(entries []Entry) ([]byte, error) {
+// encodeEntries renders snapshot records to the JSON format of one shard
+// file.
+func encodeEntries(entries []Record) ([]byte, error) {
 	out := make([]dbEntry, 0, len(entries))
 	for _, e := range entries {
 		encoded, err := syntax.EncodeJSON(e.Spec)
@@ -74,7 +68,7 @@ func encodeEntries(entries []Entry) ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// decodeEntries parses a database file back into records keyed by hash.
+// decodeEntries parses a shard file back into records keyed by hash.
 func decodeEntries(data []byte) (map[string]*Record, error) {
 	var entries []dbEntry
 	if err := json.Unmarshal(data, &entries); err != nil {
@@ -96,14 +90,14 @@ func encodeManifest(m manifest) ([]byte, error) {
 	return json.MarshalIndent(m, "", "  ")
 }
 
-// readManifest loads the sharded layout's manifest, errNoManifest when the
-// sharded layout was never written.
+// readManifest loads the manifest, ErrNoDatabase when none was written.
 func readManifest(fs *simfs.FS, dbDir string) (manifest, error) {
 	var m manifest
-	if ex, _ := fs.Stat(dbDir + "/" + manifestFile); !ex {
-		return m, errNoManifest
+	path := dbDir + "/" + manifestFile
+	if ex, _ := fs.Stat(path); !ex {
+		return m, fmt.Errorf("%w at %s", ErrNoDatabase, path)
 	}
-	data, err := fs.ReadFile(dbDir + "/" + manifestFile)
+	data, err := fs.ReadFile(path)
 	if err != nil {
 		return m, err
 	}
@@ -114,46 +108,6 @@ func readManifest(fs *simfs.FS, dbDir string) (manifest, error) {
 		return m, fmt.Errorf("store: manifest version %d not supported", m.Version)
 	}
 	return m, nil
-}
-
-// loadLegacy reads the monolithic index.json, ErrNoDatabase when absent.
-func loadLegacy(fs *simfs.FS, dbDir string) (map[string]*Record, error) {
-	path := dbDir + "/" + legacyIndexFile
-	if ex, _ := fs.Stat(path); !ex {
-		return nil, fmt.Errorf("%w at %s", ErrNoDatabase, path)
-	}
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: no database at %s: %w", path, err)
-	}
-	return decodeEntries(data)
-}
-
-// loadAnyLayout prefers the sharded layout and falls back to the legacy
-// monolithic file, so either index implementation can read either format.
-func loadAnyLayout(fs *simfs.FS, dbDir string) (map[string]*Record, error) {
-	man, err := readManifest(fs, dbDir)
-	if err == errNoManifest {
-		return loadLegacy(fs, dbDir)
-	}
-	if err != nil {
-		return nil, err
-	}
-	records := make(map[string]*Record)
-	for _, ms := range man.Shards {
-		data, err := fs.ReadFile(dbDir + "/" + shardsDirName + "/" + ms.Prefix + ".json")
-		if err != nil {
-			return nil, fmt.Errorf("store: manifest names missing shard %s: %w", ms.Prefix, err)
-		}
-		entries, err := decodeEntries(data)
-		if err != nil {
-			return nil, fmt.Errorf("store: corrupt shard %s: %w", ms.Prefix, err)
-		}
-		for h, r := range entries {
-			records[h] = r
-		}
-	}
-	return records, nil
 }
 
 // writeFileAtomic writes data to a temp path in the target's directory and
@@ -169,18 +123,16 @@ func writeFileAtomic(fs *simfs.FS, path string, data []byte) error {
 func (st *Store) dbDir() string { return st.Root + "/" + dbDirName }
 
 // Save persists the installation database, so a new Store handle (a new
-// process in real Spack) can pick up the installed state. With the default
-// sharded index only shards dirtied since the last Save are rewritten, and
-// every file is written atomically (temp + rename).
+// process in real Spack) can pick up the installed state. Only shards
+// dirtied since the last Save are rewritten, and every file is written
+// atomically (temp + rename).
 func (st *Store) Save() error {
 	return st.index.Save(st.FS, st.dbDir())
 }
 
 // Load reads a previously saved database into this (empty or stale)
 // handle, replacing its in-memory index. Specs are re-parsed from spec
-// syntax; entries that no longer parse are reported. A legacy monolithic
-// index.json is auto-migrated to the sharded layout when the default
-// sharded index loads it.
+// syntax; entries that no longer parse are reported.
 func (st *Store) Load() error {
 	return st.index.Load(st.FS, st.dbDir())
 }
@@ -222,8 +174,8 @@ func (st *Store) Reindex() (int, error) {
 // if one exists (otherwise the handle starts empty). Any transaction
 // journals left by a crashed process are resolved — committed ones
 // replayed, interrupted ones rolled back — before the handle is returned.
-func Open(fs *simfs.FS, root string, layout Layout, opts ...Option) (*Store, error) {
-	st, err := New(fs, root, layout, opts...)
+func Open(fs *simfs.FS, root string, layout Layout) (*Store, error) {
+	st, err := New(fs, root, layout)
 	if err != nil {
 		return nil, err
 	}

@@ -77,75 +77,111 @@ func TestOpenWithoutDatabase(t *testing.T) {
 	}
 }
 
+// TestLoadCorruptDatabase: every way the on-disk database can be damaged
+// makes Open fail with an error naming the cause, never a silently empty
+// store. The store reads only the manifest and the shard files it names,
+// so a lone index.json, even an unparsable one, opens as an empty store.
 func TestLoadCorruptDatabase(t *testing.T) {
-	st := newStore(t)
-	st.FS.MkdirAll("/spack/opt/.spack-db")
-	st.FS.WriteFile("/spack/opt/.spack-db/index.json", []byte("{not json"))
-	if err := st.Load(); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Errorf("corrupt db error = %v", err)
+	const db = "/spack/opt/.spack-db"
+	const oneShard = `{"version": 1, "shards": [{"prefix": "a", "count": 1, "gen": 1}]}`
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		want  string // error substring; empty means Open succeeds empty
+	}{
+		{"corrupt manifest", map[string]string{
+			db + "/manifest.json": "{not json",
+		}, "corrupt manifest"},
+		{"manifest version 2", map[string]string{
+			db + "/manifest.json": `{"version": 2, "shards": []}`,
+		}, "manifest version 2 not supported"},
+		{"missing shard", map[string]string{
+			db + "/manifest.json": oneShard,
+		}, "missing shard a"},
+		{"corrupt shard", map[string]string{
+			db + "/manifest.json": oneShard,
+			db + "/shards/a.json": "{not json",
+		}, "corrupt shard a"},
+		{"lone index.json", map[string]string{
+			db + "/index.json": "{not json",
+		}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := simfs.New(simfs.TempFS)
+			for p, data := range tc.files {
+				if err := fs.MkdirAll(p[:strings.LastIndex(p, "/")]); err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.WriteFile(p, []byte(data)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := Open(fs, "/spack/opt", SpackLayout{})
+			if tc.want == "" {
+				if err != nil || st.Len() != 0 {
+					t.Fatalf("Open = %v, want an empty store", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Open error = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
 // TestSaveCrashSafety: a write failure mid-Save must never corrupt the
 // on-disk database — the temp-file-plus-rename protocol leaves the
-// previous state loadable. Exercised for both index implementations.
+// previous state loadable.
 func TestSaveCrashSafety(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func() Index
-	}{
-		{"sharded", func() Index { return NewShardedIndex() }},
-		{"mutex", func() Index { return NewMutexIndex() }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fs := simfs.New(simfs.TempFS)
-			st, err := New(fs, "/spack/opt", SpackLayout{}, WithIndex(tc.mk()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			a := mustConcrete(t, "libelf@0.8.13")
-			if _, _, err := st.Install(a, true, noopBuilder); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Save(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("sharded", func(t *testing.T) {
+		fs := simfs.New(simfs.TempFS)
+		st, err := New(fs, "/spack/opt", SpackLayout{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := mustConcrete(t, "libelf@0.8.13")
+		if _, _, err := st.Install(a, true, noopBuilder); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Save(); err != nil {
+			t.Fatal(err)
+		}
 
-			// Every write now fails: the incremental Save must error out
-			// without touching the final files.
-			b := mustConcrete(t, "zlib")
-			if _, _, err := st.Install(b, false, noopBuilder); err != nil {
-				t.Fatal(err)
-			}
-			healthy := st.FS
-			st.FS = healthy.FailAfter("write", 0)
-			if err := st.Save(); err == nil {
-				t.Fatal("Save with failing writes should error")
-			}
-			st.FS = healthy
+		// Every write now fails: the incremental Save must error out
+		// without touching the final files.
+		b := mustConcrete(t, "zlib")
+		if _, _, err := st.Install(b, false, noopBuilder); err != nil {
+			t.Fatal(err)
+		}
+		healthy := st.FS
+		st.FS = healthy.FailAfter("write", 0)
+		if err := st.Save(); err == nil {
+			t.Fatal("Save with failing writes should error")
+		}
+		st.FS = healthy
 
-			// A fresh handle still loads the pre-failure state cleanly.
-			st2, err := Open(fs, "/spack/opt", SpackLayout{}, WithIndex(tc.mk()))
-			if err != nil {
-				t.Fatalf("database corrupted by failed save: %v", err)
-			}
-			if !st2.IsInstalled(a) {
-				t.Error("pre-failure record lost")
-			}
+		// A fresh handle still loads the pre-failure state cleanly.
+		st2, err := Open(fs, "/spack/opt", SpackLayout{})
+		if err != nil {
+			t.Fatalf("database corrupted by failed save: %v", err)
+		}
+		if !st2.IsInstalled(a) {
+			t.Error("pre-failure record lost")
+		}
 
-			// And once writes heal, Save persists the new record too.
-			if err := st.Save(); err != nil {
-				t.Fatal(err)
-			}
-			st3, err := Open(fs, "/spack/opt", SpackLayout{}, WithIndex(tc.mk()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !st3.IsInstalled(a) || !st3.IsInstalled(b) {
-				t.Error("post-recovery save incomplete")
-			}
-		})
-	}
+		// And once writes heal, Save persists the new record too.
+		if err := st.Save(); err != nil {
+			t.Fatal(err)
+		}
+		st3, err := Open(fs, "/spack/opt", SpackLayout{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st3.IsInstalled(a) || !st3.IsInstalled(b) {
+			t.Error("post-recovery save incomplete")
+		}
+	})
 }
 
 // TestRenameFailureKeepsOldIndex: the rename itself failing also leaves

@@ -9,21 +9,21 @@ import (
 // never match one computed after.
 func TestGenerationAdvances(t *testing.T) {
 	st := newStore(t)
-	g0 := st.Index().Generation()
+	g0 := st.index.Generation()
 	s := mustConcrete(t, "zlib")
 	for _, n := range s.TopoOrder() {
 		if _, _, err := st.Install(n, n == s, noopBuilder); err != nil {
 			t.Fatal(err)
 		}
 	}
-	g1 := st.Index().Generation()
+	g1 := st.index.Generation()
 	if g1 <= g0 {
 		t.Errorf("install did not advance generation: %d -> %d", g0, g1)
 	}
 	if err := st.Uninstall(s, true); err != nil {
 		t.Fatal(err)
 	}
-	if g2 := st.Index().Generation(); g2 <= g1 {
+	if g2 := st.index.Generation(); g2 <= g1 {
 		t.Errorf("uninstall did not advance generation: %d -> %d", g1, g2)
 	}
 }

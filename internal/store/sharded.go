@@ -13,9 +13,9 @@ import (
 // literally named after the hash prefix it covers.
 const hashAlphabet = "abcdefghijklmnopqrstuvwxyz234567"
 
-// NumShards is the stripe count of ShardedIndex: one shard per possible
+// numShards is the stripe count of the index: one shard per possible
 // first hash character.
-const NumShards = len(hashAlphabet)
+const numShards = len(hashAlphabet)
 
 // shardOf maps a full DAG hash to its shard number. Hashes are uniform
 // (SHA-256), so the stripes are statistically balanced; anything that is
@@ -47,28 +47,32 @@ type shard struct {
 	savedGen uint64
 }
 
-// ShardedIndex is the lock-striped installation database: NumShards
-// independent shards keyed by hash prefix, each persisted to its own file
-// .spack-db/shards/<prefix>.json plus a manifest, so concurrent builders
-// working on different specs share no lock and Save only rewrites shards
-// that changed since the last Save.
-type ShardedIndex struct {
-	shards [NumShards]shard
+// shardedIndex is the installation database: a map from full DAG hash to
+// record, split into numShards independent shards keyed by hash prefix.
+// Each shard persists to its own file .spack-db/shards/<prefix>.json plus
+// a manifest, so concurrent builders working on different specs share no
+// lock and Save only rewrites shards that changed since the last Save. It
+// is safe for concurrent use; Select hands out records only for reading
+// and snapshots copy the mutable fields under the shard lock, so callers
+// never race with Promote.
+type shardedIndex struct {
+	shards [numShards]shard
 	// saveMu serializes Save/Load so concurrent savers do not interleave
 	// shard files and the manifest. Mutations do not take it.
 	saveMu sync.Mutex
 }
 
-// NewShardedIndex returns an empty lock-striped index.
-func NewShardedIndex() *ShardedIndex {
-	ix := &ShardedIndex{}
+// newShardedIndex returns an empty lock-striped index.
+func newShardedIndex() *shardedIndex {
+	ix := &shardedIndex{}
 	for i := range ix.shards {
 		ix.shards[i].records = make(map[string]*Record)
 	}
 	return ix
 }
 
-func (ix *ShardedIndex) Lookup(hash string) (*Record, bool) {
+// Lookup returns the record for a DAG hash.
+func (ix *shardedIndex) Lookup(hash string) (*Record, bool) {
 	sh := &ix.shards[shardOf(hash)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -76,7 +80,9 @@ func (ix *ShardedIndex) Lookup(hash string) (*Record, bool) {
 	return r, ok
 }
 
-func (ix *ShardedIndex) Insert(hash string, r *Record) (*Record, bool) {
+// Insert adds a record for a hash. When a record already exists the
+// existing one wins and is returned with inserted=false.
+func (ix *shardedIndex) Insert(hash string, r *Record) (winner *Record, inserted bool) {
 	sh := &ix.shards[shardOf(hash)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -88,7 +94,21 @@ func (ix *ShardedIndex) Insert(hash string, r *Record) (*Record, bool) {
 	return r, true
 }
 
-func (ix *ShardedIndex) Promote(hash string) bool {
+// Promote marks an installed hash explicit (§3.4.3's user-asked-for
+// flag), reporting whether the hash was present. The flip happens under
+// the shard lock so snapshots never observe a torn record.
+func (ix *shardedIndex) Promote(hash string) bool {
+	return ix.setExplicit(hash, true)
+}
+
+// Demote clears the explicit flag — the inverse of Promote, used when a
+// root is released so garbage collection may reclaim its exclusive cone.
+// Reports whether the hash was present.
+func (ix *shardedIndex) Demote(hash string) bool {
+	return ix.setExplicit(hash, false)
+}
+
+func (ix *shardedIndex) setExplicit(hash string, explicit bool) bool {
 	sh := &ix.shards[shardOf(hash)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -96,29 +116,15 @@ func (ix *ShardedIndex) Promote(hash string) bool {
 	if !ok {
 		return false
 	}
-	if !r.Explicit {
-		r.Explicit = true
+	if r.Explicit != explicit {
+		r.Explicit = explicit
 		sh.gen++
 	}
 	return true
 }
 
-func (ix *ShardedIndex) Demote(hash string) bool {
-	sh := &ix.shards[shardOf(hash)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.records[hash]
-	if !ok {
-		return false
-	}
-	if r.Explicit {
-		r.Explicit = false
-		sh.gen++
-	}
-	return true
-}
-
-func (ix *ShardedIndex) Remove(hash string) {
+// Remove deletes a hash; missing hashes are a no-op.
+func (ix *shardedIndex) Remove(hash string) {
 	sh := &ix.shards[shardOf(hash)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -128,7 +134,8 @@ func (ix *ShardedIndex) Remove(hash string) {
 	}
 }
 
-func (ix *ShardedIndex) Len() int {
+// Len counts records.
+func (ix *shardedIndex) Len() int {
 	n := 0
 	for i := range ix.shards {
 		sh := &ix.shards[i]
@@ -139,10 +146,13 @@ func (ix *ShardedIndex) Len() int {
 	return n
 }
 
-// Generation sums the per-shard generation counters. Any mutation bumps
-// exactly one shard's counter, so the sum advances on every mutation; it
-// can only stand still while the contents stand still.
-func (ix *ShardedIndex) Generation() uint64 {
+// Generation is a counter that advances on every mutation (insert,
+// promote, remove, replace). It fingerprints the index contents cheaply:
+// equal generations on one process's index imply an unchanged candidate
+// set, which the concretizer's reuse snapshot and memo-cache keys rely
+// on. It sums the per-shard counters; any mutation bumps exactly one
+// shard's counter, so the sum can only stand still while the contents do.
+func (ix *shardedIndex) Generation() uint64 {
 	var gen uint64
 	for i := range ix.shards {
 		sh := &ix.shards[i]
@@ -153,7 +163,10 @@ func (ix *ShardedIndex) Generation() uint64 {
 	return gen
 }
 
-func (ix *ShardedIndex) Select(filter func(*Record) bool) []*Record {
+// Select returns records accepted by filter (nil accepts everything),
+// sorted by prefix — the snapshot iterator consumers use instead of
+// copying the whole index.
+func (ix *shardedIndex) Select(filter func(*Record) bool) []*Record {
 	var out []*Record
 	for i := range ix.shards {
 		sh := &ix.shards[i]
@@ -169,29 +182,24 @@ func (ix *ShardedIndex) Select(filter func(*Record) bool) []*Record {
 	return out
 }
 
-func (ix *ShardedIndex) Snapshot() []Entry {
-	var out []Entry
-	for i := range ix.shards {
-		out = append(out, ix.snapshotShard(i)...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix < out[j].Prefix })
-	return out
-}
-
-// snapshotShard copies one shard's entries under its read lock.
-func (ix *ShardedIndex) snapshotShard(i int) []Entry {
+// snapshotShard copies one shard's records by value under its read lock,
+// so persistence never reads Explicit (which a concurrent Install may
+// promote) through a shared pointer. Spec and Lineage are immutable after
+// insert, so the copies share them.
+func (ix *shardedIndex) snapshotShard(i int) []Record {
 	sh := &ix.shards[i]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	out := make([]Entry, 0, len(sh.records))
-	for h, r := range sh.records {
-		out = append(out, Entry{Hash: h, Spec: r.Spec, Prefix: r.Prefix, Explicit: r.Explicit,
-			Origin: r.Origin, SplicedFrom: r.SplicedFrom, Lineage: r.Lineage})
+	out := make([]Record, 0, len(sh.records))
+	for _, r := range sh.records {
+		out = append(out, *r)
 	}
 	return out
 }
 
-func (ix *ShardedIndex) Replace(records map[string]*Record) {
+// Replace swaps the entire contents (Load/Reindex) and marks every shard
+// dirty for the next Save.
+func (ix *shardedIndex) Replace(records map[string]*Record) {
 	for i := range ix.shards {
 		sh := &ix.shards[i]
 		sh.mu.Lock()
@@ -207,8 +215,8 @@ func (ix *ShardedIndex) Replace(records map[string]*Record) {
 	}
 }
 
-// manifest is the sharded layout's table of contents: which shard files
-// exist, how many records each holds, and its generation at save time.
+// manifest is the on-disk table of contents: which shard files exist, how
+// many records each holds, and its generation at save time.
 type manifest struct {
 	Version int             `json:"version"`
 	Shards  []manifestShard `json:"shards"`
@@ -220,10 +228,10 @@ type manifestShard struct {
 	Gen    uint64 `json:"gen"`
 }
 
-// Save rewrites only dirty shards (temp file + rename each) and then the
-// manifest. A shard emptied by uninstalls keeps an empty file so Load and
-// the manifest stay consistent.
-func (ix *ShardedIndex) Save(fs *simfs.FS, dbDir string) error {
+// Save persists the index under dbDir, rewriting only dirty shards (temp
+// file + rename each) and then the manifest. A shard emptied by
+// uninstalls keeps an empty file so Load and the manifest stay consistent.
+func (ix *shardedIndex) Save(fs *simfs.FS, dbDir string) error {
 	ix.saveMu.Lock()
 	defer ix.saveMu.Unlock()
 
@@ -282,29 +290,12 @@ func (ix *ShardedIndex) Save(fs *simfs.FS, dbDir string) error {
 	return writeFileAtomic(fs, dbDir+"/"+manifestFile, data)
 }
 
-// Load replaces the contents from the sharded layout. When no manifest
-// exists but a legacy monolithic index.json does, the legacy database is
-// loaded and auto-migrated: the sharded layout is written and the legacy
-// file removed, so the next process starts on shards directly.
-func (ix *ShardedIndex) Load(fs *simfs.FS, dbDir string) error {
+// Load replaces the contents from the manifest and shard files under
+// dbDir, returning ErrNoDatabase when no manifest has been saved there.
+func (ix *shardedIndex) Load(fs *simfs.FS, dbDir string) error {
 	ix.saveMu.Lock()
 	man, err := readManifest(fs, dbDir)
 	ix.saveMu.Unlock()
-	if err == errNoManifest {
-		records, lerr := loadLegacy(fs, dbDir)
-		if lerr != nil {
-			return lerr
-		}
-		ix.Replace(records)
-		// Migrate: persist the sharded layout and retire the legacy file
-		// so both never coexist (a stale index.json would shadow newer
-		// shard state for legacy readers).
-		if err := ix.Save(fs, dbDir); err != nil {
-			return fmt.Errorf("store: migrating legacy index: %w", err)
-		}
-		_ = fs.Remove(dbDir + "/" + legacyIndexFile)
-		return nil
-	}
 	if err != nil {
 		return err
 	}
@@ -358,24 +349,3 @@ func (ix *ShardedIndex) Load(fs *simfs.FS, dbDir string) error {
 	ix.saveMu.Unlock()
 	return nil
 }
-
-// DistributionStats reports how records spread over the stripes — used by
-// tests and the contention benchmark to confirm the hash prefixes balance.
-func (ix *ShardedIndex) DistributionStats() (nonEmpty, maxLoad int) {
-	for i := range ix.shards {
-		sh := &ix.shards[i]
-		sh.mu.RLock()
-		n := len(sh.records)
-		sh.mu.RUnlock()
-		if n > 0 {
-			nonEmpty++
-		}
-		if n > maxLoad {
-			maxLoad = n
-		}
-	}
-	return nonEmpty, maxLoad
-}
-
-var _ Index = (*ShardedIndex)(nil)
-var _ Index = (*MutexIndex)(nil)

@@ -25,7 +25,7 @@ func TestShardOfCoversAlphabet(t *testing.T) {
 	seen := make(map[int]bool)
 	for _, c := range hashAlphabet {
 		i := shardOf(string(c) + "rest")
-		if i < 0 || i >= NumShards {
+		if i < 0 || i >= numShards {
 			t.Fatalf("shardOf(%c) = %d out of range", c, i)
 		}
 		if seen[i] {
@@ -33,8 +33,8 @@ func TestShardOfCoversAlphabet(t *testing.T) {
 		}
 		seen[i] = true
 	}
-	if len(seen) != NumShards {
-		t.Errorf("only %d of %d shards used", len(seen), NumShards)
+	if len(seen) != numShards {
+		t.Errorf("only %d of %d shards used", len(seen), numShards)
 	}
 	if shardOf("") != 0 || shardOf("!bogus") != 0 {
 		t.Error("malformed hashes must land in shard 0")
@@ -44,23 +44,40 @@ func TestShardOfCoversAlphabet(t *testing.T) {
 // TestShardDistribution: SHA-256 hashes spread over the stripes without a
 // pathological hot shard.
 func TestShardDistribution(t *testing.T) {
-	ix := NewShardedIndex()
+	ix := newShardedIndex()
 	const n = 2048
 	for i := 0; i < n; i++ {
 		h := fakeHash(i)
 		ix.Insert(h, &Record{Prefix: fmt.Sprintf("/p/%d", i)})
 	}
-	nonEmpty, maxLoad := ix.DistributionStats()
-	if nonEmpty != NumShards {
-		t.Errorf("%d of %d shards populated with %d hashes", nonEmpty, NumShards, n)
+	nonEmpty, maxLoad := distributionStats(ix)
+	if nonEmpty != numShards {
+		t.Errorf("%d of %d shards populated with %d hashes", nonEmpty, numShards, n)
 	}
-	// Uniform expectation is n/NumShards = 64; allow generous slack.
-	if maxLoad > 3*n/NumShards {
-		t.Errorf("hot shard holds %d records (uniform share %d)", maxLoad, n/NumShards)
+	// Uniform expectation is n/numShards = 64; allow generous slack.
+	if maxLoad > 3*n/numShards {
+		t.Errorf("hot shard holds %d records (uniform share %d)", maxLoad, n/numShards)
 	}
 	if ix.Len() != n {
 		t.Errorf("Len = %d", ix.Len())
 	}
+}
+
+// distributionStats reports how records spread over the stripes.
+func distributionStats(ix *shardedIndex) (nonEmpty, maxLoad int) {
+	for i := range ix.shards {
+		sh := &ix.shards[i]
+		sh.mu.RLock()
+		n := len(sh.records)
+		sh.mu.RUnlock()
+		if n > 0 {
+			nonEmpty++
+		}
+		if n > maxLoad {
+			maxLoad = n
+		}
+	}
+	return nonEmpty, maxLoad
 }
 
 // shardsOn reports the distinct shard files a set of specs persists to.
@@ -95,15 +112,12 @@ func TestSaveRewritesOnlyDirtyShards(t *testing.T) {
 
 	// Count writes during the incremental Save through a fresh meter.
 	m := simfs.NewMeter()
-	st2, err := New(st.FS.WithMeter(m), "/spack/opt", SpackLayout{}, WithIndex(st.index))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := st2.Install(c, false, noopBuilder); err != nil {
+	st.FS = st.FS.WithMeter(m)
+	if _, _, err := st.Install(c, false, noopBuilder); err != nil {
 		t.Fatal(err)
 	}
 	m.Reset() // drop the install's provenance writes; measure Save alone
-	if err := st2.Save(); err != nil {
+	if err := st.Save(); err != nil {
 		t.Fatal(err)
 	}
 	writes := m.Ops()["write"]
@@ -116,7 +130,7 @@ func TestSaveRewritesOnlyDirtyShards(t *testing.T) {
 
 	// A Save with nothing dirty writes nothing at all.
 	m.Reset()
-	if err := st2.Save(); err != nil {
+	if err := st.Save(); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Ops()["write"]; got != 0 {
@@ -145,83 +159,6 @@ func TestShardedLayoutOnDisk(t *testing.T) {
 		if ex, _ := st.FS.Stat(st.dbDir() + "/shards/" + prefix + ".json"); !ex {
 			t.Errorf("shard file %s.json missing", prefix)
 		}
-	}
-	// No legacy monolithic file is written by the sharded index.
-	if ex, _ := st.FS.Stat(st.dbDir() + "/" + legacyIndexFile); ex {
-		t.Error("sharded save also wrote legacy index.json")
-	}
-}
-
-// TestLegacyMigration: a database saved in the legacy monolithic layout
-// loads through the sharded index, is auto-migrated to shards on disk, and
-// the legacy file is retired.
-func TestLegacyMigration(t *testing.T) {
-	fs := simfs.New(simfs.TempFS)
-	legacy, err := New(fs, "/spack/opt", SpackLayout{}, WithIndex(NewMutexIndex()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := mustConcrete(t, "libelf@0.8.13")
-	b := mustConcrete(t, "zlib")
-	if _, _, err := legacy.Install(a, true, noopBuilder); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := legacy.Install(b, false, noopBuilder); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Save(); err != nil {
-		t.Fatal(err)
-	}
-	if ex, _ := fs.Stat("/spack/opt/.spack-db/index.json"); !ex {
-		t.Fatal("legacy layout not written")
-	}
-
-	// Opening with the default (sharded) index migrates.
-	st, err := Open(fs, "/spack/opt", SpackLayout{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 2 || !st.IsInstalled(a) || !st.IsInstalled(b) {
-		t.Fatalf("migration lost records: len=%d", st.Len())
-	}
-	recA, _ := st.Lookup(a)
-	if !recA.Explicit {
-		t.Error("explicit flag lost in migration")
-	}
-	if ex, _ := fs.Stat("/spack/opt/.spack-db/index.json"); ex {
-		t.Error("legacy index.json survived migration")
-	}
-	if ex, _ := fs.Stat("/spack/opt/.spack-db/" + manifestFile); !ex {
-		t.Error("migration did not write the sharded manifest")
-	}
-
-	// And a further Open reads the sharded layout directly.
-	st2, err := Open(fs, "/spack/opt", SpackLayout{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Len() != 2 {
-		t.Errorf("post-migration open: len=%d", st2.Len())
-	}
-}
-
-// TestMutexIndexReadsShardedLayout: switching a site back to the
-// single-lock index still loads a sharded database.
-func TestMutexIndexReadsShardedLayout(t *testing.T) {
-	st := newStore(t)
-	a := mustConcrete(t, "libelf@0.8.13")
-	if _, _, err := st.Install(a, true, noopBuilder); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Save(); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Open(st.FS, "/spack/opt", SpackLayout{}, WithIndex(NewMutexIndex()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 1 || !back.IsInstalled(a) {
-		t.Error("mutex index could not read the sharded layout")
 	}
 }
 

@@ -153,8 +153,8 @@ const (
 )
 
 // Record describes one installed configuration. The Explicit field is
-// mutated only through Index.Promote (under the index's lock); every other
-// field is immutable once the record is inserted.
+// mutated only through the index's Promote and Demote (under the shard
+// lock); every other field is immutable once the record is inserted.
 type Record struct {
 	Spec   *spec.Spec // the full concrete spec (cloned; do not mutate)
 	Prefix string
@@ -205,7 +205,7 @@ type Store struct {
 	Root   string
 	Layout Layout
 
-	index Index
+	index *shardedIndex
 
 	// installs coalesces concurrent installs of one hash, so the builder
 	// runs once and every racer shares the leader's record.
@@ -222,33 +222,15 @@ type Store struct {
 	pins  map[string]int
 }
 
-// Option customizes New/Open.
-type Option func(*Store)
-
-// WithIndex selects the index implementation; the default is the
-// lock-striped ShardedIndex. NewMutexIndex restores the historical
-// single-lock behaviour (and the legacy monolithic on-disk layout).
-func WithIndex(ix Index) Option { return func(st *Store) { st.index = ix } }
-
 // New creates a store rooted at root (e.g. "/spack/opt") on a filesystem.
-func New(fs *simfs.FS, root string, layout Layout, opts ...Option) (*Store, error) {
+func New(fs *simfs.FS, root string, layout Layout) (*Store, error) {
 	st := &Store{FS: fs, Root: strings.TrimSuffix(root, "/"), Layout: layout,
-		pins: make(map[string]int)}
-	for _, fn := range opts {
-		fn(st)
-	}
-	if st.index == nil {
-		st.index = NewShardedIndex()
-	}
+		index: newShardedIndex(), pins: make(map[string]int)}
 	if err := fs.MkdirAll(st.Root); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
-
-// Index exposes the store's installation index (the seam tests and
-// benchmarks inspect; consumers should stay on the Store/Querier API).
-func (st *Store) Index() Index { return st.index }
 
 // Prefix returns the unique install prefix for a concrete spec.
 func (st *Store) Prefix(s *spec.Spec) string {
