@@ -3,9 +3,11 @@ package service_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,17 +20,9 @@ import (
 	"repro/internal/store"
 )
 
-// fastBackend returns an HTTPBackend with no real backoff, so fault
-// tests exercise the retry logic without sleeping.
-func fastBackend(base string) *service.HTTPBackend {
-	be := service.NewHTTPBackend(base)
-	be.Backoff = time.Microsecond
-	return be
-}
-
 func TestHTTPBackendRoundTrip(t *testing.T) {
 	_, _, ts := newDaemon(t)
-	be := fastBackend(ts.URL)
+	be := service.NewHTTPBackend(ts.URL)
 
 	if ok, err := be.Stat("missing"); err != nil || ok {
 		t.Fatalf("Stat(missing) = %v, %v", ok, err)
@@ -104,7 +98,7 @@ func TestGetRetries500ThenSucceeds(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	be := fastBackend(ts.URL)
+	be := service.NewHTTPBackend(ts.URL)
 	data, found, err := be.Get("x")
 	if err != nil || !found || string(data) != string(payload) {
 		t.Fatalf("Get = %q, %v, %v", data, found, err)
@@ -122,14 +116,12 @@ func TestGetRetryBudgetExhausted(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	be := fastBackend(ts.URL)
-	be.Retries = 2
-	_, _, err := be.Get("x")
+	_, _, err := service.NewHTTPBackend(ts.URL).Get("x")
 	if err == nil || !strings.Contains(err.Error(), "server said 500") {
 		t.Fatalf("err = %v, want persistent 500", err)
 	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("server saw %d attempts, want 3 (1 + 2 retries)", got)
+	if got := attempts.Load(); got != 4 {
+		t.Fatalf("server saw %d attempts, want 4 (1 + 3 retries)", got)
 	}
 }
 
@@ -141,7 +133,7 @@ func TestGetDoesNotRetryClientErrors(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	if _, _, err := fastBackend(ts.URL).Get("x"); err == nil {
+	if _, _, err := service.NewHTTPBackend(ts.URL).Get("x"); err == nil {
 		t.Fatal("403 did not surface as an error")
 	}
 	if got := attempts.Load(); got != 1 {
@@ -169,7 +161,7 @@ func TestGetTruncatedBodyRefetches(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	data, found, err := fastBackend(ts.URL).Get("x")
+	data, found, err := service.NewHTTPBackend(ts.URL).Get("x")
 	if err != nil || !found || string(data) != string(payload) {
 		t.Fatalf("Get = %q, %v, %v", data, found, err)
 	}
@@ -195,7 +187,7 @@ func TestGetETagMismatchRefetches(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	data, found, err := fastBackend(ts.URL).Get("x")
+	data, found, err := service.NewHTTPBackend(ts.URL).Get("x")
 	if err != nil || !found || string(data) != string(payload) {
 		t.Fatalf("Get = %q, %v, %v", data, found, err)
 	}
@@ -205,17 +197,20 @@ func TestGetETagMismatchRefetches(t *testing.T) {
 }
 
 func TestGetETagMismatchPersistentFails(t *testing.T) {
+	var attempts atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		attempts.Add(1)
 		w.Header().Set("ETag", `"`+strings.Repeat("0", 64)+`"`)
 		w.Write([]byte("never matches"))
 	}))
 	defer ts.Close()
 
-	be := fastBackend(ts.URL)
-	be.Retries = 2
-	_, _, err := be.Get("x")
+	_, _, err := service.NewHTTPBackend(ts.URL).Get("x")
 	if err == nil || !strings.Contains(err.Error(), "does not match ETag") {
 		t.Fatalf("err = %v, want ETag mismatch", err)
+	}
+	if got := attempts.Load(); got != 4 {
+		t.Fatalf("server saw %d attempts, want 4 (1 + 3 retries)", got)
 	}
 }
 
@@ -239,12 +234,12 @@ func TestPutRetries500ThenSucceeds(t *testing.T) {
 	}))
 	defer proxy.Close()
 
-	be := fastBackend(proxy.URL)
+	be := service.NewHTTPBackend(proxy.URL)
 	if err := be.Put("retry.bin", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	// The payload must have landed on the real daemon after the retry.
-	if ok, err := fastBackend(real.URL).Stat("retry.bin"); err != nil || !ok {
+	if ok, err := service.NewHTTPBackend(real.URL).Stat("retry.bin"); err != nil || !ok {
 		t.Fatalf("Stat after retried Put = %v, %v", ok, err)
 	}
 }
@@ -307,7 +302,7 @@ func TestConcurrentRemotePullsCoalesce(t *testing.T) {
 	}
 	// Concurrent HTTPBackend reads against the same daemon race-test
 	// the blob path as well.
-	be := fastBackend(ts.URL)
+	be := service.NewHTTPBackend(ts.URL)
 	names, err := be.List()
 	if err != nil || len(names) == 0 {
 		t.Fatalf("List = %v, %v", names, err)
@@ -328,5 +323,100 @@ func TestConcurrentRemotePullsCoalesce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestClientStatusOutcomes drives each status the daemon answers with
+// through both clients. The blob API and the JSON calls map a status to
+// the same outcome; only blob requests retry, and only transient ones.
+func TestClientStatusOutcomes(t *testing.T) {
+	var mu sync.Mutex
+	attempts := map[string]int{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The status to answer with is the path segment that parses as a
+		// number; a 400 carries more text than an error may quote.
+		code := 0
+		for _, seg := range strings.Split(r.URL.Path, "/") {
+			if n, err := strconv.Atoi(seg); err == nil {
+				code = n
+			}
+		}
+		mu.Lock()
+		attempts[r.Method+" "+r.URL.Path]++
+		mu.Unlock()
+		text := fmt.Sprintf("daemon answered %d", code)
+		if code == http.StatusBadRequest {
+			text += strings.Repeat(" padding", 1<<10)
+		}
+		http.Error(w, text, code)
+	}))
+	defer ts.Close()
+	tries := func(req string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return attempts[req]
+	}
+	be := service.NewHTTPBackend(ts.URL)
+	cl := service.NewClient(ts.URL)
+
+	// 404: the blob API reports absence, not failure — except for Put.
+	if data, found, err := be.Get("404"); err != nil || found || data != nil {
+		t.Errorf("Get(404) = %q, %v, %v; want absent, no error", data, found, err)
+	}
+	if found, err := be.Stat("404"); err != nil || found {
+		t.Errorf("Stat(404) = %v, %v; want absent, no error", found, err)
+	}
+	if sum, found, err := be.Sum("404"); err != nil || found || sum != "" {
+		t.Errorf("Sum(404) = %q, %v, %v; want absent, no error", sum, found, err)
+	}
+	if err := be.Delete("404"); err != nil {
+		t.Errorf("Delete(404) = %v, want nil", err)
+	}
+	if err := be.Put("404", []byte("payload")); err == nil {
+		t.Error("Put answered 404 succeeded")
+	}
+	if _, err := cl.Job("404"); err == nil || !strings.Contains(err.Error(), "daemon answered 404") {
+		t.Errorf("Job(404) err = %v, want one quoting the server", err)
+	}
+
+	// 410 and 409: the lease protocol's sentinels.
+	if _, err := cl.Complete("410", time.Second, true); !errors.Is(err, service.ErrLeaseLost) {
+		t.Errorf("Complete(410) err = %v, want ErrLeaseLost", err)
+	}
+	if err := cl.Heartbeat("410"); !errors.Is(err, service.ErrLeaseLost) {
+		t.Errorf("Heartbeat(410) err = %v, want ErrLeaseLost", err)
+	}
+	_, err := cl.Complete("409", time.Second, true)
+	if !errors.Is(err, service.ErrVerifyRejected) || !strings.Contains(err.Error(), "daemon answered 409") {
+		t.Errorf("Complete(409) err = %v, want ErrVerifyRejected quoting the server", err)
+	}
+
+	// 400: permanent, never retried, and the quoted text is bounded.
+	if _, _, err := be.Get("400"); err == nil || len(err.Error()) > 4<<10+200 {
+		t.Errorf("Get(400) err = %.200v (%d bytes), want a bounded error", err, len(fmt.Sprint(err)))
+	}
+	if _, err := cl.Job("400"); err == nil || !strings.Contains(err.Error(), "daemon answered 400") {
+		t.Errorf("Job(400) err = %.200v, want one quoting the server", err)
+	}
+	if n := tries("GET /v1/blobs/build_cache/400"); n != 1 {
+		t.Errorf("blob 400 made %d attempts, want 1", n)
+	}
+	if n := tries("GET /v1/jobs/400"); n != 1 {
+		t.Errorf("Job 400 made %d attempts, want 1", n)
+	}
+
+	// 503: transient. Blob requests spend the whole budget; JSON calls
+	// make one attempt.
+	if _, _, err := be.Get("503"); err == nil {
+		t.Error("Get(503) succeeded")
+	}
+	if n := tries("GET /v1/blobs/build_cache/503"); n != 4 {
+		t.Errorf("blob 503 made %d attempts, want 4 (1 + 3 retries)", n)
+	}
+	if _, err := cl.Job("503"); err == nil {
+		t.Error("Job(503) succeeded")
+	}
+	if n := tries("GET /v1/jobs/503"); n != 1 {
+		t.Errorf("Job 503 made %d attempts, want 1", n)
 	}
 }

@@ -137,8 +137,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decode(w, r, &req) {
 		return
 	}
 	l, empty := s.sched.Lease(req.Worker)
@@ -160,8 +159,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decode(w, r, &req) {
 		return
 	}
 	virtual := time.Duration(req.VirtualMS * float64(time.Millisecond))
@@ -175,8 +173,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 	var req FailRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decode(w, r, &req) {
 		return
 	}
 	if err := s.sched.Fail(r.PathValue("id"), req.Reason); err != nil {

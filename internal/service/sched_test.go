@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -381,5 +382,38 @@ func TestDrainRefusesLeasesAndWaits(t *testing.T) {
 	}
 	if srv.Scheduler().Outstanding() != 0 {
 		t.Fatalf("outstanding = %d after drain", srv.Scheduler().Outstanding())
+	}
+}
+
+// TestLeaseBytesIn checks that the daemon counts the request bodies of
+// the lease endpoints — every byte the client sent, not just the bodies
+// a handler chose to count.
+func TestLeaseBytesIn(t *testing.T) {
+	_, srv, url := newSchedDaemon(t, time.Minute, 3)
+	client := service.NewClient(url)
+	if _, err := client.Lease("w1"); err != nil {
+		t.Fatal(err)
+	}
+	// Unknown leases: the bodies are still read (and refused) in full.
+	if _, err := client.Complete("no-such-lease", time.Second, true); err == nil {
+		t.Fatal("complete of an unknown lease succeeded")
+	}
+	if err := client.Fail("no-such-lease", "boom"); err == nil {
+		t.Fatal("fail of an unknown lease succeeded")
+	}
+	var want int64
+	for _, body := range []any{
+		service.LeaseRequest{Worker: "w1"},
+		service.CompleteRequest{VirtualMS: 1000, SourceBuilt: true},
+		service.FailRequest{Reason: "boom"},
+	} {
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += int64(len(data))
+	}
+	if got := srv.Stats().Leases.BytesIn; got != want {
+		t.Fatalf("leases bytes_in = %d, want %d", got, want)
 	}
 }

@@ -82,8 +82,8 @@ type Config struct {
 	// Zero disables each bound.
 	MaxCacheBytes int64
 	MaxCacheAge   time.Duration
-	// GC, when set, serves POST /v1/gc; nil assembles a sweep over the
-	// builder's store and the daemon's cache view with no extra roots.
+	// GC, when set, serves POST /v1/gc and scheduled maintenance; nil
+	// sweeps the builder's store and the daemon's cache, no extra roots.
 	GC *lifecycle.GC
 	// Splicer, when set, serves POST /v1/splice: rewiring an installed
 	// configuration onto a replacement dependency without rebuilding.
@@ -140,6 +140,9 @@ func NewServer(cfg Config) *Server {
 	// concretizer's "already built" facts, and /v1/gc's archive sweeps.
 	s.bc.Verifier = cfg.Verifier
 	s.bc.Policy = cfg.TrustPolicy
+	if cfg.GC == nil && cfg.Builder != nil && cfg.Builder.Store != nil {
+		s.cfg.GC = &lifecycle.GC{Store: cfg.Builder.Store, Cache: s.bc}
+	}
 	s.reuse = s.newReuseConcretizer()
 	s.sched = s.newScheduler()
 	mux := http.NewServeMux()
@@ -169,10 +172,18 @@ func NewServer(cfg Config) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	cw := &countingWriter{ResponseWriter: w, status: http.StatusOK}
+	var in *countingReader
+	if r.Body != nil && r.Body != http.NoBody {
+		in = &countingReader{ReadCloser: r.Body}
+		r.Body = in
+	}
 	s.mux.ServeHTTP(cw, r)
 
 	ep := s.stats.endpoint(r.URL.Path)
 	ep.requests.Add(1)
+	if in != nil {
+		ep.bytesIn.Add(in.n)
+	}
 	ep.bytesOut.Add(cw.bytes)
 	ep.observe(time.Since(start))
 	// A 304 is the blob fast path: the client's cached copy validated
@@ -181,11 +192,24 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		ep.hits.Add(1)
 	}
 
-	s.logMu.Lock()
-	fmt.Fprintf(s.cfg.Log, "%s %s %d %dB %v\n",
+	s.logf("%s %s %d %dB %v\n",
 		r.Method, r.URL.Path, cw.status, cw.bytes, time.Since(start).Round(time.Microsecond))
-	s.logMu.Unlock()
 }
+
+// logf writes one line to the configured log; format ends in a newline.
+func (s *Server) logf(format string, args ...any) {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	fmt.Fprintf(s.cfg.Log, format, args...)
+}
+
+// Server timeouts for Start: a client gets readHeaderTimeout to send its
+// request headers, and an idle keep-alive connection is closed after
+// idleTimeout. Bodies are not timed — blob uploads may be large.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // Start listens on addr (use port 0 for an ephemeral port) and serves
 // in the background, returning the bound address.
@@ -194,7 +218,7 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.hs = &http.Server{Handler: s}
+	s.hs = &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go func() { _ = s.hs.Serve(lis) }()
 	s.startMaintenance()
 	return lis.Addr().String(), nil
@@ -217,6 +241,18 @@ func (s *Server) Stats() Stats {
 	st := s.stats.snapshot()
 	st.Sched = s.sched.Stats()
 	return st
+}
+
+// countingReader counts the request body bytes a handler reads.
+type countingReader struct {
+	io.ReadCloser
+	n int64
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	n, err := r.ReadCloser.Read(p)
+	r.n += int64(n)
+	return n, err
 }
 
 // countingWriter records the status and payload bytes of a response.
@@ -326,7 +362,6 @@ func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 	if sigData != nil {
 		s.cfg.Mirror.PutBlob(strings.TrimSuffix(name, ".spack.json")+".sig", sigData)
 	}
-	s.stats.blobs.bytesIn.Add(int64(len(data)))
 	w.Header().Set("ETag", `"`+sumHex+`"`)
 	w.WriteHeader(http.StatusCreated)
 	if isArchive {
@@ -358,16 +393,12 @@ func (s *Server) pruneToBudget() {
 		MaxAge:   s.cfg.MaxCacheAge,
 	})
 	if err != nil {
-		s.logMu.Lock()
-		fmt.Fprintf(s.cfg.Log, "prune: %v\n", err)
-		s.logMu.Unlock()
+		s.logf("prune: %v\n", err)
 		return
 	}
 	if len(res.Evicted) > 0 {
 		s.stats.pruned.Add(int64(len(res.Evicted)))
-		s.logMu.Lock()
-		fmt.Fprintf(s.cfg.Log, "prune: evicted %d archives, %dB\n", len(res.Evicted), res.Reclaimed)
-		s.logMu.Unlock()
+		s.logf("prune: evicted %d archives, %dB\n", len(res.Evicted), res.Reclaimed)
 	}
 }
 
@@ -399,20 +430,15 @@ type GCResponse struct {
 
 func (s *Server) handleGC(w http.ResponseWriter, r *http.Request) {
 	var req GCRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decode(w, r, &req) {
 		return
 	}
-	g := s.cfg.GC
-	if g == nil {
-		if s.cfg.Builder == nil || s.cfg.Builder.Store == nil {
-			http.Error(w, "daemon has no store to collect", http.StatusServiceUnavailable)
-			return
-		}
-		g = &lifecycle.GC{Store: s.cfg.Builder.Store, Cache: s.bc}
+	if s.cfg.GC == nil {
+		http.Error(w, "daemon has no store to collect", http.StatusServiceUnavailable)
+		return
 	}
 	s.gcMu.Lock()
-	res, err := g.Run(req.DryRun)
+	res, err := s.cfg.GC.Run(req.DryRun)
 	s.gcMu.Unlock()
 	if err != nil {
 		http.Error(w, "gc: "+err.Error(), http.StatusInternalServerError)
@@ -500,14 +526,7 @@ func (s *Server) handleConcretize(w http.ResponseWriter, r *http.Request) {
 // concretize, install, and job-submit endpoints, writing the error
 // response itself when it fails.
 func (s *Server) concretizeRequest(w http.ResponseWriter, r *http.Request) (concrete *spec.Spec, req ConcretizeRequest, cached, ok bool) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
-		return nil, req, false, false
-	}
-	s.stats.endpoint(r.URL.Path).bytesIn.Add(int64(len(body)))
-	if err := json.Unmarshal(body, &req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decode(w, r, &req) {
 		return nil, req, false, false
 	}
 	abstract, err := syntax.Parse(req.Spec)
@@ -644,6 +663,33 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
+}
+
+// maxJSONBody caps a JSON request body; a larger one is answered 413.
+const maxJSONBody = 1 << 20
+
+// decode reads a JSON request body into v: at most maxJSONBody bytes,
+// no fields v does not declare, and exactly one JSON value. On failure it
+// answers 400 (413 when the body is too large) and reports false.
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		var extra json.RawMessage
+		if err = dec.Decode(&extra); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("more than one JSON value")
+		}
+	}
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, "bad request body: "+err.Error(), status)
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

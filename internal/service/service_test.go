@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -422,5 +423,78 @@ func TestRemotePushThenServerSideCacheInstall(t *testing.T) {
 	}
 	if st := srv.Stats(); st.SourceBuilds != 0 {
 		t.Fatalf("server compiled %d nodes despite the warm cache", st.SourceBuilds)
+	}
+}
+
+// TestMalformedRequestBodies sends every JSON endpoint each kind of bad
+// body. The daemon must refuse all of them before any handler logic
+// runs: 400 for a body that is not exactly one JSON value of the
+// endpoint's shape, 413 for one over the 1 MiB cap.
+func TestMalformedRequestBodies(t *testing.T) {
+	_, _, ts := newDaemon(t)
+	endpoints := []string{
+		"/v1/concretize", "/v1/install", "/v1/jobs", "/v1/leases",
+		"/v1/leases/x/complete", "/v1/leases/x/fail", "/v1/gc", "/v1/splice",
+	}
+	bodies := []struct {
+		name, body string
+		want       int
+	}{
+		{"empty", "", http.StatusBadRequest},
+		{"truncated", "{", http.StatusBadRequest},
+		{"unknown field", `{"no_such_field":1}`, http.StatusBadRequest},
+		{"two values", "{}{}", http.StatusBadRequest},
+		// Valid JSON for every endpoint, but padded past the cap.
+		{"oversized", "{" + strings.Repeat(" ", 1<<20) + "}", http.StatusRequestEntityTooLarge},
+	}
+	for _, ep := range endpoints {
+		for _, b := range bodies {
+			resp, err := http.Post(ts.URL+ep, "application/json", strings.NewReader(b.body))
+			if err != nil {
+				t.Fatalf("%s %s: %v", ep, b.name, err)
+			}
+			text, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != b.want {
+				t.Errorf("%s with %s body: status %d (%s), want %d",
+					ep, b.name, resp.StatusCode, bytes.TrimSpace(text), b.want)
+			}
+		}
+	}
+}
+
+// TestConcretizeReuseRequest covers the daemon's reuse solver: with
+// libelf@0.8.12 installed on the daemon, a plain concretization still
+// picks the newest version, while "reuse": true answers with the
+// installed configuration.
+func TestConcretizeReuseRequest(t *testing.T) {
+	_, _, ts := newDaemon(t)
+	cl := service.NewClient(ts.URL)
+	installed, err := cl.Install("libelf@0.8.12")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	plain, err := cl.Concretize("libelf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(plain.Spec, "libelf@0.8.13") {
+		t.Fatalf("plain concretization = %s, want libelf@0.8.13", plain.Spec)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/concretize", "application/json",
+		strings.NewReader(`{"spec":"libelf","reuse":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var reused service.ConcretizeResponse
+	if err := json.NewDecoder(resp.Body).Decode(&reused); err != nil {
+		t.Fatal(err)
+	}
+	if reused.FullHash != installed.FullHash {
+		t.Fatalf("reuse concretization = %s (%s), want the installed %s",
+			reused.Spec, reused.FullHash, installed.FullHash)
 	}
 }

@@ -2,13 +2,11 @@ package service
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
 	"time"
 
-	"repro/internal/lifecycle"
 	"repro/internal/store"
 	"repro/internal/syntax"
 )
@@ -72,14 +70,13 @@ func resolveInstalled(st *store.Store, what, expr string) (*store.Record, error)
 }
 
 func (s *Server) handleSplice(w http.ResponseWriter, r *http.Request) {
+	var req SpliceRequest
+	if !decode(w, r, &req) {
+		return
+	}
 	sp := s.cfg.Splicer
 	if sp == nil || sp.Store == nil {
 		http.Error(w, "daemon has no splicer", http.StatusServiceUnavailable)
-		return
-	}
-	var req SpliceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	root, err := resolveInstalled(sp.Store, "root", req.Root)
@@ -214,22 +211,15 @@ func (s *Server) stopMaintenance() {
 // runMaintenance performs one maintenance cycle under the same locks the
 // request handlers use.
 func (s *Server) runMaintenance() {
-	g := s.cfg.GC
-	if g == nil && s.cfg.Builder != nil && s.cfg.Builder.Store != nil {
-		g = &lifecycle.GC{Store: s.cfg.Builder.Store, Cache: s.bc}
-	}
-	if g != nil {
+	if g := s.cfg.GC; g != nil {
 		s.gcMu.Lock()
 		res, err := g.Run(false)
 		s.gcMu.Unlock()
-		s.logMu.Lock()
 		if err != nil {
-			fmt.Fprintf(s.cfg.Log, "maintenance: gc: %v\n", err)
+			s.logf("maintenance: gc: %v\n", err)
 		} else {
-			fmt.Fprintf(s.cfg.Log, "maintenance: gc reclaimed %dB across %d records\n",
-				res.Reclaimed, res.Records)
+			s.logf("maintenance: gc reclaimed %dB across %d records\n", res.Reclaimed, res.Records)
 		}
-		s.logMu.Unlock()
 	}
 	s.pruneToBudget()
 }
