@@ -1,22 +1,31 @@
 package buildcache
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"strings"
 )
 
 // archiveFormatVersion is bumped whenever the serialized archive layout
 // changes incompatibly; Pull refuses archives from other versions.
-const archiveFormatVersion = 1
+const archiveFormatVersion = 2
+
+// archiveMagic opens every format-2 archive. A format-1 archive (one JSON
+// document) starts with '{' and so fails the magic check.
+const archiveMagic = "spack-go buildcache archive 2\n"
 
 // archiveFile is one packed file or symlink of an install prefix. Paths
-// are relative to the prefix; Data round-trips through base64 in JSON.
+// are relative to the prefix. The manifest records Size; Data travels raw
+// after the manifest.
 type archiveFile struct {
 	Path    string `json:"path"`
 	Symlink string `json:"symlink,omitempty"`
-	Data    []byte `json:"data,omitempty"`
+	Size    int    `json:"size,omitempty"`
+	Data    []byte `json:"-"`
 }
 
 // archiveReloc is the relocation table entry for one packed file: how
@@ -57,9 +66,68 @@ type Archive struct {
 	Relocations []archiveReloc `json:"relocations,omitempty"`
 }
 
-// encode renders the canonical archive bytes the checksum covers.
+// encode renders the canonical archive bytes the checksum covers
+// (format 2): the magic line, the manifest length as a uvarint, the
+// manifest (the Archive as compact JSON, file bodies left out), then
+// every file body in manifest order. It sets each file's Size from its
+// Data.
 func (a *Archive) encode() ([]byte, error) {
-	return json.MarshalIndent(a, "", " ")
+	body := 0
+	for i := range a.Files {
+		a.Files[i].Size = len(a.Files[i].Data)
+		body += a.Files[i].Size
+	}
+	manifest, err := json.Marshal(a)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, len(archiveMagic)+binary.MaxVarintLen64+len(manifest)+body)
+	out = append(out, archiveMagic...)
+	out = binary.AppendUvarint(out, uint64(len(manifest)))
+	out = append(out, manifest...)
+	for _, f := range a.Files {
+		out = append(out, f.Data...)
+	}
+	return out, nil
+}
+
+// decodeArchive parses archive bytes. It accepts only what encode
+// produces: the format-2 magic line, a manifest whose length fits the
+// payload and which is the canonical JSON of what it decodes to, file
+// sizes that fit the bytes after the manifest, and no trailing bytes — so
+// every archive has exactly one byte form, the one its checksum covers.
+// File bodies are sub-slices of data.
+func decodeArchive(data []byte) (*Archive, error) {
+	rest, ok := bytes.CutPrefix(data, []byte(archiveMagic))
+	if !ok {
+		return nil, fmt.Errorf("not a format-%d archive (bad magic line)", archiveFormatVersion)
+	}
+	n, w := binary.Uvarint(rest)
+	if w <= 0 || n > uint64(len(rest)-w) {
+		return nil, fmt.Errorf("manifest length out of range")
+	}
+	manifest, rest := rest[w:w+int(n)], rest[w+int(n):]
+	var ar Archive
+	if err := json.Unmarshal(manifest, &ar); err != nil {
+		return nil, fmt.Errorf("corrupt manifest: %w", err)
+	}
+	if ar.Format != archiveFormatVersion {
+		return nil, fmt.Errorf("archive format %d not supported", ar.Format)
+	}
+	if canon, err := json.Marshal(&ar); err != nil || !bytes.Equal(canon, manifest) {
+		return nil, fmt.Errorf("manifest is not in canonical form")
+	}
+	for i := range ar.Files {
+		size := ar.Files[i].Size
+		if size < 0 || size > len(rest) {
+			return nil, fmt.Errorf("file %q: size %d out of range", ar.Files[i].Path, size)
+		}
+		ar.Files[i].Data, rest = rest[:size:size], rest[size:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after the last file", len(rest))
+	}
+	return &ar, nil
 }
 
 // checksumOf is the cache's integrity hash over canonical archive bytes.

@@ -13,7 +13,6 @@
 package buildcache
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -239,8 +238,19 @@ func (a *Archive) WantCounts() map[string]map[string]int {
 // warning carries a non-blocking trust complaint (TrustWarn), mirroring
 // Pull. KindMissing when the backend has no archive for the hash.
 func (c *Cache) Fetch(hash string) (*Archive, string, error) {
-	fail := func(kind Kind, err error) (*Archive, string, error) {
-		return nil, "", &Error{Op: "fetch", Spec: hash, Kind: kind, Err: err}
+	ar, _, warning, err := c.fetchVerified("fetch", hash, hash)
+	return ar, warning, err
+}
+
+// fetchVerified is the read path Pull and Fetch share: get the archive
+// for hash, check it against its recorded checksum, judge its detached
+// signature (over the checksum and the metadata digest) before any
+// archive byte is trusted, and decode it. Enforce rejects; warn returns
+// the complaint and proceeds. op and label name the caller and its spec
+// in errors. It also returns the metadata document (nil when absent).
+func (c *Cache) fetchVerified(op, label, hash string) (*Archive, []byte, string, error) {
+	fail := func(kind Kind, err error) (*Archive, []byte, string, error) {
+		return nil, nil, "", &Error{Op: op, Spec: label, Kind: kind, Err: err}
 	}
 	payload, ok, err := c.be.Get(archiveName(hash))
 	if err != nil {
@@ -264,21 +274,18 @@ func (c *Cache) Fetch(hash string) (*Archive, string, error) {
 	if err != nil {
 		return fail(KindIO, err)
 	}
-	warning, err := c.checkSignature("fetch", hash, hash, want, metaBytes)
+	warning, err := c.checkSignature(op, label, hash, want, metaBytes)
 	if err != nil {
-		return nil, "", err
+		return nil, nil, "", err
 	}
-	var ar Archive
-	if err := json.Unmarshal(payload, &ar); err != nil {
+	ar, err := decodeArchive(payload)
+	if err != nil {
 		return fail(KindManifest, fmt.Errorf("corrupt archive: %w", err))
-	}
-	if ar.Format != archiveFormatVersion {
-		return fail(KindManifest, fmt.Errorf("archive format %d not supported", ar.Format))
 	}
 	if ar.FullHash != hash {
 		return fail(KindManifest, fmt.Errorf("archive is for hash %s, want %s", ar.FullHash, hash))
 	}
-	return &ar, warning, nil
+	return ar, metaBytes, warning, nil
 }
 
 // Push packs the installed prefix of a concrete spec into a relocatable
@@ -465,46 +472,12 @@ func (c *Cache) PullTxn(st *store.Store, t *txn.Txn, s *spec.Spec, explicit bool
 	}
 
 	hash := s.FullHash()
-	payload, ok, err := c.be.Get(archiveName(hash))
-	if err != nil {
-		return fail(KindIO, err)
-	}
-	if !ok {
-		return fail(KindMissing, fmt.Errorf("no archive for hash %s", hash))
-	}
-	sumData, ok, err := c.be.Get(checksumName(hash))
-	if err != nil {
-		return fail(KindIO, err)
-	}
-	if !ok {
-		return fail(KindChecksum, fmt.Errorf("archive has no checksum"))
-	}
-	want := strings.TrimSpace(string(sumData))
-	if got := checksumOf(payload); got != want {
-		return fail(KindChecksum, fmt.Errorf("archive checksum %s does not match recorded %s", got[:12], want))
-	}
-	// Trust gate: judge the detached signature (over the checksum and the
-	// metadata digest) before any archive byte is trusted. Enforce
-	// rejects; warn records the complaint on the result and proceeds.
-	metaBytes, err := c.meta(hash)
-	if err != nil {
-		return fail(KindIO, err)
-	}
-	warning, err := c.checkSignature("pull", s.String(), hash, want, metaBytes)
+	ar, metaBytes, warning, err := c.fetchVerified("pull", s.String(), hash)
 	if err != nil {
 		return nil, err
 	}
-
-	var ar Archive
-	if err := json.Unmarshal(payload, &ar); err != nil {
-		return fail(KindManifest, fmt.Errorf("corrupt archive: %w", err))
-	}
-	if ar.Format != archiveFormatVersion {
-		return fail(KindManifest, fmt.Errorf("archive format %d not supported", ar.Format))
-	}
-	if ar.FullHash != hash || ar.Package != s.Name {
-		return fail(KindManifest, fmt.Errorf("archive is for %s/%s, want %s/%s",
-			ar.Package, ar.FullHash, s.Name, hash))
+	if ar.Package != s.Name {
+		return fail(KindManifest, fmt.Errorf("archive is for package %s, want %s", ar.Package, s.Name))
 	}
 	// Splice provenance rides the metadata document into the installed
 	// record, so a pulled spliced binary still says what it was rewired
@@ -603,8 +576,8 @@ func (c *Cache) List() ([]*Entry, error) {
 		if err != nil || !ok {
 			continue
 		}
-		var ar Archive
-		if err := json.Unmarshal(payload, &ar); err != nil {
+		ar, err := decodeArchive(payload)
+		if err != nil {
 			continue
 		}
 		sum := ""

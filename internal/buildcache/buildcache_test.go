@@ -21,7 +21,7 @@ import (
 // newEnv wires a builder and store at a chosen root — one simulated
 // machine. Separate envs share nothing but whatever cache backend the
 // test hands both of them.
-func newEnv(t *testing.T, root string) (*build.Builder, *store.Store, *concretize.Concretizer) {
+func newEnv(t testing.TB, root string) (*build.Builder, *store.Store, *concretize.Concretizer) {
 	t.Helper()
 	path := repo.NewPath(repo.Builtin())
 	fs := simfs.New(simfs.TempFS)
@@ -37,7 +37,7 @@ func newEnv(t *testing.T, root string) (*build.Builder, *store.Store, *concretiz
 	return b, st, concretize.New(path, b.Config, b.Compilers)
 }
 
-func concretizeExpr(t *testing.T, c *concretize.Concretizer, expr string) *spec.Spec {
+func concretizeExpr(t testing.TB, c *concretize.Concretizer, expr string) *spec.Spec {
 	t.Helper()
 	out, err := c.Concretize(syntax.MustParse(expr))
 	if err != nil {

@@ -1,0 +1,7 @@
+package buildcache
+
+// DecodeArchive and EncodeArchive expose the archive codec to the
+// external test package.
+func DecodeArchive(data []byte) (*Archive, error) { return decodeArchive(data) }
+
+func EncodeArchive(a *Archive) ([]byte, error) { return a.encode() }

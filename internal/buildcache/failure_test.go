@@ -1,7 +1,6 @@
 package buildcache_test
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +15,7 @@ import (
 // pushedMirror builds expr from source and pushes its DAG onto a mirror
 // the test can tamper with (blob names are build_cache/<hash>.spack.json
 // and build_cache/<hash>.sha256).
-func pushedMirror(t *testing.T, expr string) (*fetch.Mirror, *buildcache.Cache, *spec.Spec) {
+func pushedMirror(t testing.TB, expr string) (*fetch.Mirror, *buildcache.Cache, *spec.Spec) {
 	t.Helper()
 	b, st, c := newEnv(t, "/spack/opt")
 	concrete := concretizeExpr(t, c, expr)
@@ -75,8 +74,8 @@ func TestPullTamperedRelocationTable(t *testing.T) {
 	mirror, cache, concrete := pushedMirror(t, "libelf")
 	hash := concrete.FullHash()
 	payload, _ := mirror.Blob(archiveBlob(hash))
-	var ar buildcache.Archive
-	if err := json.Unmarshal(payload, &ar); err != nil {
+	ar, err := buildcache.DecodeArchive(payload)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ar.Relocations) == 0 {
@@ -85,7 +84,7 @@ func TestPullTamperedRelocationTable(t *testing.T) {
 	for src := range ar.Relocations[0].Occurrences {
 		ar.Relocations[0].Occurrences[src] += 7
 	}
-	tampered, err := json.MarshalIndent(&ar, "", " ")
+	tampered, err := buildcache.EncodeArchive(ar)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package buildcache
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"sort"
 	"strings"
 
@@ -30,8 +29,8 @@ func (c *Cache) ReuseCandidates() (map[string]*spec.Spec, error) {
 		if err != nil || !ok {
 			continue
 		}
-		var ar Archive
-		if err := json.Unmarshal(payload, &ar); err != nil {
+		ar, err := decodeArchive(payload)
+		if err != nil {
 			continue
 		}
 		if len(ar.SpecJSON) == 0 || ar.FullHash != hash {

@@ -2,6 +2,7 @@ package buildenv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -83,14 +84,19 @@ type Wrapper struct {
 	// argument before rewriting.
 	Filter func(arg string) bool
 
+	injOnce sync.Once
+	inj     *injectedFlags
+
 	mu  sync.Mutex
 	inv []Invocation
 }
 
 // Rewrite applies the rewriting rules to one argument vector and returns
 // the final command line, real driver first. A vector containing "-c" is
-// a compile-only step and gets no link-time flags.
+// a compile-only step and gets no link-time flags. An injected flag the
+// user already passed is not repeated.
 func (w *Wrapper) Rewrite(args []string) []string {
+	inj := w.injected()
 	compileOnly := false
 	user := make([]string, 0, len(args))
 	for _, a := range args {
@@ -105,36 +111,67 @@ func (w *Wrapper) Rewrite(args []string) []string {
 		}
 		user = append(user, a)
 	}
-	have := make(map[string]bool, len(user))
-	for _, a := range user {
-		have[a] = true
-	}
-	final := make([]string, 0, len(user)+3*len(w.Deps)+len(w.ExtraFlags)+2)
+	final := make([]string, 0, 1+len(w.ExtraFlags)+len(inj.include)+len(user)+len(inj.link))
 	final = append(final, w.Real)
 	final = append(final, w.ExtraFlags...)
-	add := func(flag string) {
-		if !have[flag] {
-			have[flag] = true
-			final = append(final, flag)
-		}
-	}
-	for _, d := range w.Deps {
-		add("-I" + d.Prefix + "/include")
-	}
+	final = appendMissing(final, inj.include, user)
 	final = append(final, user...)
 	if !compileOnly {
-		for _, d := range w.Deps {
-			if !d.Link {
-				continue
-			}
-			add("-L" + d.Prefix + "/lib")
-			add("-Wl,-rpath," + d.Prefix + "/lib")
-		}
-		if w.OwnPrefix != "" {
-			add("-Wl,-rpath," + w.OwnPrefix + "/lib")
+		final = appendMissing(final, inj.link, user)
+	}
+	return final
+}
+
+// appendMissing appends each flag not among the user's arguments.
+func appendMissing(final, flags, user []string) []string {
+	for _, f := range flags {
+		if !slices.Contains(user, f) {
+			final = append(final, f)
 		}
 	}
 	return final
+}
+
+// injectedFlags is what a wrapper adds to every call, deduplicated and in
+// injection order: -I for every dependency, and for link steps -L and
+// -Wl,-rpath for link-type dependencies plus the own-lib RPATH.
+type injectedFlags struct {
+	include, link []string
+}
+
+func newInjectedFlags(deps []Dep, ownPrefix string) *injectedFlags {
+	inj := &injectedFlags{}
+	add := func(list []string, flag string) []string {
+		if slices.Contains(list, flag) {
+			return list
+		}
+		return append(list, flag)
+	}
+	for _, d := range deps {
+		inj.include = add(inj.include, "-I"+d.Prefix+"/include")
+	}
+	for _, d := range deps {
+		if d.Link {
+			inj.link = add(inj.link, "-L"+d.Prefix+"/lib")
+			inj.link = add(inj.link, "-Wl,-rpath,"+d.Prefix+"/lib")
+		}
+	}
+	if ownPrefix != "" {
+		inj.link = add(inj.link, "-Wl,-rpath,"+ownPrefix+"/lib")
+	}
+	return inj
+}
+
+// injected returns the wrapper's injected flags: those its WrapperSet
+// computed, or, for a Wrapper built as a literal, ones computed from Deps
+// and OwnPrefix on first use.
+func (w *Wrapper) injected() *injectedFlags {
+	w.injOnce.Do(func() {
+		if w.inj == nil {
+			w.inj = newInjectedFlags(w.Deps, w.OwnPrefix)
+		}
+	})
+	return w.inj
 }
 
 // Invoke rewrites one compiler call, records it, and returns the
@@ -237,6 +274,7 @@ type WrapperSet struct {
 // skipped).
 func NewWrapperSet(dir string, drivers map[string]string, ownPrefix string, deps []Dep, extraFlags []string) *WrapperSet {
 	ws := &WrapperSet{Dir: dir, wrappers: make(map[string]*Wrapper)}
+	inj := newInjectedFlags(deps, ownPrefix)
 	for _, tool := range toolOrder {
 		real := drivers[tool]
 		if real == "" {
@@ -244,7 +282,7 @@ func NewWrapperSet(dir string, drivers map[string]string, ownPrefix string, deps
 		}
 		ws.wrappers[tool] = &Wrapper{
 			Tool: tool, Real: real, OwnPrefix: ownPrefix,
-			Deps: deps, ExtraFlags: extraFlags,
+			Deps: deps, ExtraFlags: extraFlags, inj: inj,
 		}
 	}
 	return ws

@@ -149,3 +149,65 @@ func TestWrapperSet(t *testing.T) {
 		t.Errorf("DepNames = %v", got)
 	}
 }
+
+// TestRewriteVectors pins exact final argument vectors, including the
+// corner cases of injected-flag deduplication. Every vector is the one
+// the original per-call rewriting produced; the simulated wrapper cost
+// depends on the vector's length, so it must not change. Each case runs
+// on a Wrapper literal (flags computed on first use) and on one built by
+// NewWrapperSet (flags computed with the set).
+func TestRewriteVectors(t *testing.T) {
+	deps := []Dep{
+		{Name: "callpath", Prefix: "/opt/callpath", Link: true},
+		{Name: "autoconf", Prefix: "/opt/autoconf", Link: false},
+	}
+	dupDeps := []Dep{
+		{Name: "mpich", Prefix: "/opt/mpi", Link: false},
+		{Name: "mpich-link", Prefix: "/opt/mpi", Link: true},
+		{Name: "libelf", Prefix: "/opt/libelf", Link: true},
+		{Name: "libelf-again", Prefix: "/opt/libelf", Link: true},
+	}
+	filter := func(a string) bool { return strings.HasPrefix(a, "-qno") || a == "-L/opt/callpath/lib" }
+	for _, tc := range []struct {
+		name      string
+		real, own string
+		deps      []Dep
+		extra     []string
+		filter    func(string) bool
+		args      []string
+		want      []string
+	}{
+		{"user flag equals injected flags", "/usr/bin/gcc", "/opt/app", deps, nil, nil,
+			[]string{"-I/opt/callpath/include", "-o", "app", "-L/opt/callpath/lib", "-Wl,-rpath,/opt/app/lib", "main.o"},
+			[]string{"/usr/bin/gcc", "-I/opt/autoconf/include", "-I/opt/callpath/include", "-o", "app", "-L/opt/callpath/lib", "-Wl,-rpath,/opt/app/lib", "main.o", "-Wl,-rpath,/opt/callpath/lib"}},
+		{"duplicate dependency prefixes", "/usr/bin/gcc", "/opt/app", dupDeps, nil, nil,
+			[]string{"-o", "app", "main.o"},
+			[]string{"/usr/bin/gcc", "-I/opt/mpi/include", "-I/opt/libelf/include", "-o", "app", "main.o", "-L/opt/mpi/lib", "-Wl,-rpath,/opt/mpi/lib", "-L/opt/libelf/lib", "-Wl,-rpath,/opt/libelf/lib", "-Wl,-rpath,/opt/app/lib"}},
+		{"own prefix equals a dependency prefix", "/usr/bin/gcc", "/opt/libelf", dupDeps, nil, nil,
+			[]string{"-o", "app", "main.o"},
+			[]string{"/usr/bin/gcc", "-I/opt/mpi/include", "-I/opt/libelf/include", "-o", "app", "main.o", "-L/opt/mpi/lib", "-Wl,-rpath,/opt/mpi/lib", "-L/opt/libelf/lib", "-Wl,-rpath,/opt/libelf/lib"}},
+		{"compile only", "/usr/bin/gcc", "/opt/app", dupDeps, nil, nil,
+			[]string{"-c", "x.c", "-o", "x.o", "-I/opt/mpi/include"},
+			[]string{"/usr/bin/gcc", "-I/opt/libelf/include", "-c", "x.c", "-o", "x.o", "-I/opt/mpi/include"}},
+		{"filter, system dirs and extra flags", "/usr/bin/xlc", "/opt/app", deps,
+			[]string{"-qarch=qp", "-I/opt/callpath/include"}, filter,
+			[]string{"-qnostaticlink", "-I/usr/include", "-L/usr/lib", "-Wl,-rpath,/lib64", "-L/opt/callpath/lib", "-o", "a", "a.o"},
+			[]string{"/usr/bin/xlc", "-qarch=qp", "-I/opt/callpath/include", "-I/opt/callpath/include", "-I/opt/autoconf/include", "-o", "a", "a.o", "-L/opt/callpath/lib", "-Wl,-rpath,/opt/callpath/lib", "-Wl,-rpath,/opt/app/lib"}},
+		{"no dependencies, no own prefix", "/usr/bin/gcc", "", nil, nil, nil,
+			[]string{"-o", "a", "a.o"},
+			[]string{"/usr/bin/gcc", "-o", "a", "a.o"}},
+	} {
+		literal := &Wrapper{Tool: "cc", Real: tc.real, OwnPrefix: tc.own, Deps: tc.deps,
+			ExtraFlags: tc.extra, Filter: tc.filter}
+		fromSet := NewWrapperSet("/stage/env", map[string]string{"cc": tc.real}, tc.own, tc.deps, tc.extra).CC()
+		fromSet.Filter = tc.filter
+		for _, w := range []*Wrapper{literal, fromSet} {
+			// Twice: the second call runs on the already computed flags.
+			for i := 0; i < 2; i++ {
+				if got := w.Rewrite(tc.args); !reflect.DeepEqual(got, tc.want) {
+					t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
+				}
+			}
+		}
+	}
+}

@@ -206,6 +206,9 @@ func (fs *FS) Meter() *Meter { return fs.meter }
 func (fs *FS) Latency() Latency { return fs.lat }
 
 func clean(p string) string {
+	if isClean(p) {
+		return p
+	}
 	if p == "" {
 		return "/"
 	}
@@ -213,6 +216,43 @@ func clean(p string) string {
 		p = "/" + p
 	}
 	return path.Clean(p)
+}
+
+// isClean reports, without allocating, whether p is absolute and already
+// in path.Clean form: no empty, "." or ".." element and no trailing slash
+// (except the root itself).
+func isClean(p string) bool {
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	if len(p) == 1 {
+		return true
+	}
+	if p[len(p)-1] == '/' {
+		return false
+	}
+	// Every element starts after a '/'; check each one.
+	for i := 1; i <= len(p); {
+		j := strings.IndexByte(p[i:], '/')
+		if j < 0 {
+			j = len(p) - i
+		}
+		switch p[i : i+j] {
+		case "", ".", "..":
+			return false
+		}
+		i += j + 1
+	}
+	return true
+}
+
+// parentDir is path.Dir for a path clean has already normalized.
+func parentDir(p string) string {
+	i := strings.LastIndexByte(p, '/')
+	if i <= 0 {
+		return "/"
+	}
+	return p[:i]
 }
 
 // PathError reports a failed filesystem operation.
@@ -235,7 +275,7 @@ func (fs *FS) MkdirAll(p string) error {
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
 	var parts []string
-	for cur := p; cur != "/"; cur = path.Dir(cur) {
+	for cur := p; cur != "/"; cur = parentDir(cur) {
 		parts = append(parts, cur)
 	}
 	created := 0
@@ -262,8 +302,7 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 	}
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
-	dir := path.Dir(p)
-	if !fs.store.dirs[dir] {
+	if !fs.store.dirs[parentDir(p)] {
 		return &PathError{Op: "create", Path: p, Msg: "parent directory does not exist"}
 	}
 	if fs.store.dirs[p] {
@@ -337,7 +376,7 @@ func (fs *FS) Symlink(oldname, newname string) error {
 	}
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
-	if !fs.store.dirs[path.Dir(newname)] {
+	if !fs.store.dirs[parentDir(newname)] {
 		return &PathError{Op: "symlink", Path: newname, Msg: "parent directory does not exist"}
 	}
 	if _, exists := fs.store.files[newname]; exists {
@@ -397,7 +436,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if fs.store.dirs[newpath] {
 		return &PathError{Op: "rename", Path: newpath, Msg: "is a directory"}
 	}
-	if !fs.store.dirs[path.Dir(newpath)] {
+	if !fs.store.dirs[parentDir(newpath)] {
 		return &PathError{Op: "rename", Path: newpath, Msg: "parent directory does not exist"}
 	}
 	if oldpath != newpath {

@@ -1,6 +1,7 @@
 package simfs
 
 import (
+	"path"
 	"strings"
 	"testing"
 	"time"
@@ -415,5 +416,39 @@ func TestRenameFaultInjection(t *testing.T) {
 	}
 	if ex, _ := fs.Stat("/d/a"); !ex {
 		t.Error("failed rename moved the file")
+	}
+}
+
+// TestCleanFastPathMatchesPathClean checks the allocation-free helpers
+// against package path on every string of up to eight bytes over '/',
+// '.' and 'a': isClean(p) holds exactly when p is absolute and
+// path.Clean(p) == p, clean always agrees with the original
+// normalization, and parentDir equals path.Dir on clean paths.
+func TestCleanFastPathMatchesPathClean(t *testing.T) {
+	const alphabet = "/.a"
+	paths := []string{""}
+	for n, level := 0, []string{""}; n < 8; n++ {
+		var next []string
+		for _, p := range level {
+			for i := 0; i < len(alphabet); i++ {
+				next = append(next, p+alphabet[i:i+1])
+			}
+		}
+		paths = append(paths, next...)
+		level = next
+	}
+	for _, p := range paths {
+		want := strings.HasPrefix(p, "/") && path.Clean(p) == p
+		if got := isClean(p); got != want {
+			t.Fatalf("isClean(%q) = %v, want %v", p, got, want)
+		}
+		if got, want := clean(p), path.Clean("/"+p); got != want {
+			t.Fatalf("clean(%q) = %q, want %q", p, got, want)
+		}
+		if want {
+			if got, want := parentDir(p), path.Dir(p); got != want {
+				t.Fatalf("parentDir(%q) = %q, want %q", p, got, want)
+			}
+		}
 	}
 }

@@ -19,19 +19,42 @@ func (s *Spec) DAGHash() string {
 }
 
 // FullHash is the full-length configuration hash, for provenance records
-// and as the spec component of concretizer memo-cache keys.
+// and as the spec component of concretizer memo-cache keys. A concrete
+// node's hash is computed once and memoized on that node (see Spec for
+// the mutation contract); an abstract node is rehashed on every call.
 func (s *Spec) FullHash() string {
-	sum := sha256.Sum256([]byte(s.canonicalDAG()))
+	if h := s.hash.Load(); h != nil {
+		return *h
+	}
+	canon, concrete := s.canonicalDAG()
+	h := hashOf(canon)
+	if concrete {
+		s.hash.Store(&h)
+	}
+	return h
+}
+
+// hashOf renders the SHA-256 of a canonical DAG string in lower-case
+// unpadded base32.
+func hashOf(canon string) string {
+	sum := sha256.Sum256([]byte(canon))
 	enc := base32.StdEncoding.WithPadding(base32.NoPadding)
 	return strings.ToLower(enc.EncodeToString(sum[:]))
 }
 
+// forgetHash drops the node's memoized FullHash; every exported mutator
+// calls it on each node it changes.
+func (s *Spec) forgetHash() { s.hash.Store(nil) }
+
 // canonicalDAG serializes the DAG with explicit edges: the plain String()
 // rendering flattens dependencies, which would identify DAGs with equal
-// node sets but different edge structure.
-func (s *Spec) canonicalDAG() string {
+// node sets but different edge structure. It also reports whether every
+// node is concrete (Concrete), from the same walk.
+func (s *Spec) canonicalDAG() (string, bool) {
 	var b strings.Builder
+	concrete := true
 	for _, n := range sortedNodes(s) {
+		concrete = concrete && n.NodeConcrete()
 		n.formatNode(&b)
 		b.WriteString(" ->")
 		for _, d := range n.DirectDeps() {
@@ -45,7 +68,7 @@ func (s *Spec) canonicalDAG() string {
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
+	return b.String(), concrete
 }
 
 func sortedNodes(s *Spec) []*Spec {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/version"
 )
@@ -140,6 +141,13 @@ func (e *ConflictError) Error() string {
 // A Spec is one node of a build-specification DAG together with its
 // dependency edges. The root Spec represents the package being requested;
 // Deps maps dependency package names to their (shared) nodes.
+//
+// FullHash memoizes its result on a concrete node. The mutators
+// (SetVariant, AddDep, AddDepTyped, SetDepType, Constrain,
+// ConstrainChanged) drop the memo of each node they change, but not of
+// that node's ancestors, and assigning a field directly drops nothing. So
+// do not mutate a concrete DAG once it has been hashed: derive a new one
+// (Clone, SpliceDep) and change that instead.
 type Spec struct {
 	Name      string
 	Versions  version.List
@@ -157,6 +165,10 @@ type Spec struct {
 	// (e.g. a vendor MPI); Path records where.
 	External bool
 	Path     string
+
+	// hash memoizes FullHash on a concrete node. It is atomic because
+	// concurrent builders hash shared nodes of one DAG.
+	hash atomic.Pointer[string]
 }
 
 // New returns an empty abstract spec for a package name.
@@ -180,6 +192,7 @@ func (s *Spec) SetVariant(name string, on bool) {
 		s.Variants = make(map[string]VariantValue)
 	}
 	s.Variants[name] = VariantValue(on)
+	s.forgetHash()
 }
 
 // Variant returns the setting of a variant and whether it is set.
@@ -222,6 +235,7 @@ func (s *Spec) EdgeType(name string) DepType {
 // SetDepType records an edge classification; setting the default removes
 // the entry so hashes stay canonical.
 func (s *Spec) SetDepType(name string, t DepType) {
+	s.forgetHash()
 	if t == DepDefault {
 		delete(s.DepTypes, name)
 		return
@@ -492,6 +506,9 @@ func (s *Spec) ConstrainChanged(o *Spec) (bool, error) {
 			return true // handled in the edge pass below
 		}
 		c, err := target.constrainNode(on)
+		if c || err != nil {
+			target.forgetHash()
+		}
 		if err != nil {
 			werr = err
 			return false

@@ -92,6 +92,11 @@ func SpliceDep(root *Spec, target string, repl *Spec) (*Spec, error) {
 		c.parent.Deps[graftedRoot.Name] = graftedRoot
 		c.parent.SetDepType(graftedRoot.Name, c.etype)
 	}
+	// The collision checks above hashed nodes mid-rewire; none of those
+	// memos describes the result.
+	for _, n := range nr.Nodes() {
+		n.forgetHash()
+	}
 	return nr, nil
 }
 

@@ -16,7 +16,6 @@ import (
 	"repro/internal/simfs"
 	"repro/internal/singleflight"
 	"repro/internal/spec"
-	"repro/internal/syntax"
 )
 
 // Layout maps a concrete spec to an install path fragment (relative to the
@@ -306,8 +305,8 @@ func (st *Store) lookupPromote(hash string, explicit bool) (*Record, bool) {
 
 // writeProvenance stores the files §3.4.3 lists: the concrete spec (enough
 // to reproduce the build even if concretization preferences change) and a
-// build log.
-func (st *Store) writeProvenance(s *spec.Spec, prefix string) error {
+// build log. specJSON is s encoded by syntax.EncodeJSON.
+func (st *Store) writeProvenance(s *spec.Spec, prefix string, specJSON []byte) error {
 	meta := prefix + "/.spack"
 	if err := st.FS.MkdirAll(meta); err != nil {
 		return err
@@ -320,11 +319,7 @@ func (st *Store) writeProvenance(s *spec.Spec, prefix string) error {
 	}
 	// spec.json preserves the exact edge structure (the flat spec string
 	// flattens dependencies), so reindexing reproduces identical hashes.
-	data, err := syntax.EncodeJSON(s)
-	if err != nil {
-		return err
-	}
-	if err := st.FS.WriteFile(meta+"/spec.json", data); err != nil {
+	if err := st.FS.WriteFile(meta+"/spec.json", specJSON); err != nil {
 		return err
 	}
 	return st.FS.WriteFile(meta+"/build.log",

@@ -143,6 +143,11 @@ func (st *Store) installLeader(t *txn.Txn, s *spec.Spec, hash string, meta txn.R
 		return nil, false, &InstallError{Spec: s.String(), Err: err}
 	}
 
+	// One encoding serves both the provenance file and the index record.
+	specJSON, err := syntax.EncodeJSON(s)
+	if err != nil {
+		return fail(err)
+	}
 	prefix := st.Prefix(s)
 	ran := false
 	if s.External {
@@ -166,7 +171,7 @@ func (st *Store) installLeader(t *txn.Txn, s *spec.Spec, hash string, meta txn.R
 			_ = st.FS.RemoveAll(prefix)
 			return fail(err)
 		}
-		if err := st.writeProvenance(s, prefix); err != nil {
+		if err := st.writeProvenance(s, prefix, specJSON); err != nil {
 			_ = st.FS.RemoveAll(prefix)
 			return fail(err)
 		}
@@ -184,11 +189,6 @@ func (st *Store) installLeader(t *txn.Txn, s *spec.Spec, hash string, meta txn.R
 		return winner, false, nil
 	}
 	t.OnRollback(func() { st.index.Remove(hash) })
-	specJSON, err := syntax.EncodeJSON(r.Spec)
-	if err != nil {
-		st.index.Remove(hash)
-		return fail(err)
-	}
 	t.StageInsertRecord(hash, specJSON, prefix, meta)
 
 	if auto {

@@ -42,17 +42,14 @@ func EncodeJSON(s *spec.Spec) ([]byte, error) {
 	}
 	var fail error
 	s.Traverse(func(n *spec.Spec) bool {
-		clone := n.Clone()
-		clone.Deps = nil
-		// Externals render a non-parseable suffix; strip for the node
-		// string and record separately.
-		ext := clone.External
-		path := clone.Path
-		clone.External = false
-		clone.Path = ""
-		out.Nodes[n.Name] = clone.String()
-		if ext {
-			out.External[n.Name] = path
+		// Render the node alone: a copy without edges. Externals render a
+		// non-parseable suffix, so the copy drops it and the path is
+		// recorded separately.
+		node := &spec.Spec{Name: n.Name, Versions: n.Versions, Compiler: n.Compiler,
+			Variants: n.Variants, Arch: n.Arch}
+		out.Nodes[n.Name] = node.String()
+		if n.External {
+			out.External[n.Name] = n.Path
 		}
 		if n.Namespace != "" {
 			out.Namespace[n.Name] = n.Namespace
