@@ -1,10 +1,8 @@
 package buildcache
 
 import (
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fetch"
@@ -135,8 +133,6 @@ type FSBackend struct {
 	FS   *simfs.FS
 	Root string
 
-	tmpSeq uint64
-
 	// stampMu guards the in-memory access stamps behind Usage. Stamps are
 	// process-local (the filesystem has no atime): a file present before
 	// the backend came up reports Seq 0 and a zero Last until touched,
@@ -165,13 +161,7 @@ func (b *FSBackend) touch(name string) {
 }
 
 func (b *FSBackend) Put(name string, data []byte) error {
-	final := b.Root + "/" + name
-	tmp := final + ".tmp" + strconv.FormatUint(atomic.AddUint64(&b.tmpSeq, 1), 10)
-	if err := b.FS.WriteFile(tmp, data); err != nil {
-		return err
-	}
-	if err := b.FS.Rename(tmp, final); err != nil {
-		_ = b.FS.Remove(tmp)
+	if err := txn.WriteFileAtomic(b.FS, b.Root+"/"+name, data); err != nil {
 		return err
 	}
 	b.touch(name)

@@ -94,14 +94,6 @@ func NewScope() *Scope {
 	}
 }
 
-// DescribeArch registers (or replaces) a platform description.
-func (s *Scope) DescribeArch(d *ArchDescription) {
-	if s.ArchDescriptions == nil {
-		s.ArchDescriptions = make(map[string]*ArchDescription)
-	}
-	s.ArchDescriptions[d.Name] = d
-}
-
 // SetCompilerOrder parses a comma-separated compiler_order setting, the
 // exact syntax of §4.3.1 ("compiler_order = icc,gcc@4.6.1").
 func (s *Scope) SetCompilerOrder(order string) error {

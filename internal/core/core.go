@@ -61,13 +61,10 @@ type Option func(*options)
 
 type options struct {
 	repos       []*repo.Repo
-	cfg         *config.Config
-	registry    *compiler.Registry
 	stageNFS    bool
 	noWrappers  bool
 	storeLayout store.Layout
 	jobs        int
-	cacheSize   int
 	noCache     bool
 	cacheBE     buildcache.Backend
 	cachePolicy build.CachePolicy
@@ -78,12 +75,6 @@ type options struct {
 func WithRepos(rs ...*repo.Repo) Option {
 	return func(o *options) { o.repos = append(o.repos, rs...) }
 }
-
-// WithConfig supplies a prepared configuration.
-func WithConfig(c *config.Config) Option { return func(o *options) { o.cfg = c } }
-
-// WithCompilers supplies a compiler registry.
-func WithCompilers(r *compiler.Registry) Option { return func(o *options) { o.registry = r } }
 
 // WithNFSStage stages builds on the NFS latency profile (Fig. 10's "home
 // directory" condition).
@@ -97,9 +88,6 @@ func WithLayout(l store.Layout) Option { return func(o *options) { o.storeLayout
 
 // WithJobs sets build parallelism.
 func WithJobs(n int) Option { return func(o *options) { o.jobs = n } }
-
-// WithConcretizeCacheSize bounds the concretizer memo cache (entries).
-func WithConcretizeCacheSize(n int) Option { return func(o *options) { o.cacheSize = n } }
 
 // WithoutConcretizeCache disables concretizer memoization, forcing every
 // Concretize call through a full solve (benchmark baselines).
@@ -122,15 +110,12 @@ func WithCachePolicy(p build.CachePolicy) Option {
 
 // New assembles a Spack instance.
 func New(opts ...Option) (*Spack, error) {
-	o := &options{
-		cfg:         config.New(),
-		registry:    compiler.LLNLRegistry(),
-		storeLayout: store.SpackLayout{},
-		jobs:        4,
-	}
+	o := &options{storeLayout: store.SpackLayout{}, jobs: 4}
 	for _, fn := range opts {
 		fn(o)
 	}
+	cfg := config.New()
+	registry := compiler.LLNLRegistry()
 
 	builtin := repo.Builtin()
 	path := repo.NewPath(append(o.repos, builtin)...)
@@ -144,12 +129,12 @@ func New(opts ...Option) (*Spack, error) {
 	mirror := fetch.NewMirror()
 	repo.PublishAll(mirror, append(o.repos, builtin)...)
 
-	conc := concretize.New(path, o.cfg, o.registry)
+	conc := concretize.New(path, cfg, registry)
 	if !o.noCache {
 		// Memoize concretizations by default: repeated installs of an
 		// identical abstract spec under unchanged repos/config are O(1)
 		// cache hits instead of fresh quadratic solves.
-		conc.Cache = concretize.NewCache(o.cacheSize)
+		conc.Cache = concretize.NewCache(0)
 	}
 
 	be := o.cacheBE
@@ -170,11 +155,11 @@ func New(opts ...Option) (*Spack, error) {
 	bc.Verifier = keys
 	bc.Policy = keys.Policy()
 
-	b := build.NewBuilder(st, path, o.registry)
+	b := build.NewBuilder(st, path, registry)
 	b.Mirror = mirror
 	b.Cache = bc
 	b.CachePolicy = o.cachePolicy
-	b.Config = o.cfg
+	b.Config = cfg
 	b.Jobs = o.jobs
 	if o.stageNFS {
 		b.StageLatency = simfs.NFS
@@ -185,8 +170,8 @@ func New(opts ...Option) (*Spack, error) {
 
 	s := &Spack{
 		Repos:       path,
-		Config:      o.cfg,
-		Compilers:   o.registry,
+		Config:      cfg,
+		Compilers:   registry,
 		Concretizer: conc,
 		FS:          fs,
 		Store:       st,
@@ -196,7 +181,7 @@ func New(opts ...Option) (*Spack, error) {
 		Modules:     &modules.Generator{FS: fs, Root: "/spack/share", Kind: modules.KindDotkit},
 		Keyring:     keys,
 	}
-	s.Views = views.NewManager(fs, o.cfg, s.IsMPI)
+	s.Views = views.NewManager(fs, cfg, s.IsMPI)
 	// Views journal into the store's transaction directory so a crashed
 	// refresh is recovered together with everything else on Open.
 	s.Views.Journal = st.JournalDir()
@@ -314,23 +299,6 @@ func (s *Spack) Spec(expr string) (*spec.Spec, error) {
 		return nil, err
 	}
 	return s.Concretizer.Concretize(abstract)
-}
-
-// SpecAll concretizes a batch of spec expressions across the concretizer's
-// worker pool, sharing one memo cache — the entry point nightly-matrix
-// automation uses (Table 3's 36 ARES configurations). Results align with
-// the input; failures are collected into the returned error (see
-// concretize.BatchError) with nil placeholders in the slice.
-func (s *Spack) SpecAll(exprs []string) ([]*spec.Spec, error) {
-	abstracts := make([]*spec.Spec, len(exprs))
-	for i, expr := range exprs {
-		a, err := syntax.Parse(expr)
-		if err != nil {
-			return nil, fmt.Errorf("core: spec %d %q: %w", i, expr, err)
-		}
-		abstracts[i] = a
-	}
-	return s.Concretizer.ConcretizeAll(abstracts)
 }
 
 // Install concretizes and builds a spec expression (`spack install`),

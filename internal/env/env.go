@@ -311,12 +311,7 @@ func (e *Environment) Apply(h *Host) (*Result, error) {
 	}
 
 	t := txn.Begin(h.FS, h.Store.JournalDir())
-	committed := false
-	defer func() {
-		if !committed {
-			_ = t.Rollback()
-		}
-	}()
+	defer t.Rollback()
 
 	for _, ch := range p.Add {
 		br, err := h.Builder.BuildTxn(ch.Root, t)
@@ -356,15 +351,8 @@ func (e *Environment) Apply(h *Host) (*Result, error) {
 	}
 
 	if err := t.Commit(h.Store.Applier()); err != nil {
-		var ce *txn.CommitError
-		if errors.As(err, &ce) {
-			// Past the commit point: the journal survives for roll-forward
-			// recovery, so the deferred rollback must not run.
-			committed = true
-		}
 		return nil, err
 	}
-	committed = true
 
 	if err := e.writeLockFor(p); err != nil {
 		return res, err
@@ -430,12 +418,7 @@ func (e *Environment) Uninstall(h *Host) (*Result, error) {
 	}
 
 	t := txn.Begin(h.FS, h.Store.JournalDir())
-	committed := false
-	defer func() {
-		if !committed {
-			_ = t.Rollback()
-		}
-	}()
+	defer t.Rollback()
 
 	seen := make(map[string]bool)
 	for _, lr := range lock.Roots {
@@ -460,13 +443,8 @@ func (e *Environment) Uninstall(h *Host) (*Result, error) {
 	}
 
 	if err := t.Commit(h.Store.Applier()); err != nil {
-		var ce *txn.CommitError
-		if errors.As(err, &ce) {
-			committed = true
-		}
 		return nil, err
 	}
-	committed = true
 
 	if exists, _ := e.fs.Stat(e.LockPath()); exists {
 		if err := e.fs.Remove(e.LockPath()); err != nil {

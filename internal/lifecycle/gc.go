@@ -1,7 +1,6 @@
 package lifecycle
 
 import (
-	"errors"
 	"sort"
 
 	"repro/internal/buildcache"
@@ -195,6 +194,7 @@ func (g *GC) Run(dryRun bool) (*Result, error) {
 		}
 
 		t := txn.Begin(g.Store.FS, g.Store.JournalDir())
+		defer t.Rollback()
 		for _, d := range p.Dead {
 			if !g.Store.ForgetTxn(t, d.FullHash) {
 				continue
@@ -221,20 +221,10 @@ func (g *GC) Run(dryRun bool) (*Result, error) {
 			// desired link set excludes the dead; the ViewDirs sweep finds
 			// their physical links.
 			if _, err := g.Views.StageRefresh(t, g.Store, g.ViewDirs...); err != nil {
-				_ = t.Rollback()
 				return err
 			}
 		}
-		if err := t.Commit(g.Store.Applier()); err != nil {
-			var ce *txn.CommitError
-			if !errors.As(err, &ce) {
-				// Pre-commit-point failure: nothing durable, restore the
-				// in-memory index records.
-				_ = t.Rollback()
-			}
-			return err
-		}
-		return nil
+		return t.Commit(g.Store.Applier())
 	})
 	return res, err
 }

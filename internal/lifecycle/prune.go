@@ -93,6 +93,7 @@ func Prune(c *buildcache.Cache, st *store.Store, opts PruneOptions) (*PruneResul
 
 	if st != nil {
 		t := txn.Begin(st.FS, st.JournalDir())
+		defer t.Rollback()
 		staged := true
 		for _, u := range res.Evicted {
 			if !c.StageDelete(t, u.FullHash) {
@@ -106,9 +107,7 @@ func Prune(c *buildcache.Cache, st *store.Store, opts PruneOptions) (*PruneResul
 			}
 			return res, nil
 		}
-		// Backend cannot stage; abandon the journal and fall through to
-		// direct deletion.
-		_ = t.Rollback()
+		// Backend cannot stage: fall through to direct deletion.
 	}
 	for _, u := range res.Evicted {
 		if err := c.Delete(u.FullHash); err != nil {

@@ -183,7 +183,9 @@ func Materialize(fs *simfs.FS, prefix string, files []File, o Options) (int, err
 		}
 		// Temp + rename: a failure mid-write never leaves a torn file at
 		// the final path, and the enclosing transaction rolls the prefix
-		// back.
+		// back. The fixed temp name (not txn.WriteFileAtomic's counter
+		// suffix) is safe because the install leader is the prefix's only
+		// writer, and it saves an allocation per file on the install path.
 		tmp := target + ".rtmp"
 		if err := fs.WriteFile(tmp, out); err != nil {
 			return n, err

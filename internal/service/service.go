@@ -311,9 +311,18 @@ func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	data, err := io.ReadAll(r.Body)
+	body := r.Body
+	if s.cfg.MaxCacheBytes > 0 {
+		// A blob larger than the whole cache budget could never be kept.
+		body = http.MaxBytesReader(w, body, s.cfg.MaxCacheBytes)
+	}
+	data, err := io.ReadAll(body)
 	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "read body: "+err.Error(), status)
 		return
 	}
 	sum := sha256.Sum256(data)

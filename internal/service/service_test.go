@@ -167,6 +167,35 @@ func TestBlobPutRejectsDigestMismatch(t *testing.T) {
 	}
 }
 
+func TestBlobPutOverCacheBudget(t *testing.T) {
+	s := core.MustNew(core.WithJobs(4))
+	srv := service.NewServer(service.Config{
+		Mirror:        s.Mirror,
+		Concretizer:   s.Concretizer,
+		Builder:       s.Builder,
+		MaxCacheBytes: 1 << 10,
+	})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	name := "build_cache/big.bin"
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/blobs/"+name, bytes.NewReader(make([]byte, 2<<10)))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("PUT over the cache budget: status = %s, want 413", resp.Status)
+	}
+	if _, ok := s.Mirror.Blob(name); ok {
+		t.Fatal("oversized blob was stored anyway")
+	}
+	if n := len(s.Mirror.Blobs()); n != 0 {
+		t.Fatalf("mirror holds %d blobs after a rejected PUT, want 0", n)
+	}
+}
+
 func TestBlobList(t *testing.T) {
 	_, _, ts := newDaemon(t)
 	be := service.NewHTTPBackend(ts.URL)

@@ -19,7 +19,6 @@ package splice
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
@@ -225,10 +224,7 @@ func (sp *Splicer) Run(root *spec.Spec, target string, repl *spec.Spec, dryRun b
 	meter := simfs.NewMeter()
 	prefixFS := st.FS.WithMeter(meter)
 	t := txn.Begin(st.FS, st.JournalDir())
-	abort := func(err error) (*Result, error) {
-		_ = t.Rollback()
-		return nil, err
-	}
+	defer t.Rollback()
 
 	newByName := nodesByName(p.NewRoot)
 	oldByName := nodesByName(p.OldRoot)
@@ -237,7 +233,7 @@ func (sp *Splicer) Run(root *spec.Spec, target string, repl *spec.Spec, dryRun b
 		newNode := newByName[ch.Name]
 		oldRec, ok := st.Lookup(oldByName[ch.Name])
 		if !ok {
-			return abort(fmt.Errorf("splice: cone node %s vanished mid-splice", ch.Name))
+			return nil, fmt.Errorf("splice: cone node %s vanished mid-splice", ch.Name)
 		}
 		meta := txn.RecordMeta{
 			Explicit:    oldRec.Explicit,
@@ -246,7 +242,7 @@ func (sp *Splicer) Run(root *spec.Spec, target string, repl *spec.Spec, dryRun b
 			Lineage:     append(append([]string{}, oldRec.Lineage...), ch.OldHash),
 		}
 		fromArchive := false
-		rec, ran, err := st.InstallMetaTxn(t, newNode, meta, func(prefix string) error {
+		rec, ran, err := st.InstallTxn(t, newNode, meta, func(prefix string) error {
 			files, opts, usedArchive, warn := sp.payload(&ch, newByName, localPairs)
 			if warn != "" {
 				res.Warnings = append(res.Warnings, warn)
@@ -259,7 +255,7 @@ func (sp *Splicer) Run(root *spec.Spec, target string, repl *spec.Spec, dryRun b
 			return nil
 		})
 		if err != nil {
-			return abort(err)
+			return nil, err
 		}
 		if ran {
 			res.Installed++
@@ -278,22 +274,18 @@ func (sp *Splicer) Run(root *spec.Spec, target string, repl *spec.Spec, dryRun b
 	}
 
 	if err := sp.stageEnvRewrites(t, p, res); err != nil {
-		return abort(err)
+		return nil, err
 	}
 	if sp.Views != nil {
 		// The new records entered the in-memory index above, so the
 		// recomputed desired link set already points at the spliced
 		// prefixes.
 		if _, err := sp.Views.StageRefresh(t, st, sp.ViewDirs...); err != nil {
-			return abort(err)
+			return nil, err
 		}
 	}
 
 	if err := t.Commit(st.Applier()); err != nil {
-		var ce *txn.CommitError
-		if !errors.As(err, &ce) {
-			_ = t.Rollback()
-		}
 		return nil, err
 	}
 	res.Time = meter.Cost()

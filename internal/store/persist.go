@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/simfs"
 	"repro/internal/syntax"
-	"repro/internal/txn"
 )
 
 // On-disk layout under <root>/.spack-db:
@@ -108,15 +107,6 @@ func readManifest(fs *simfs.FS, dbDir string) (manifest, error) {
 		return m, fmt.Errorf("store: manifest version %d not supported", m.Version)
 	}
 	return m, nil
-}
-
-// writeFileAtomic writes data to a temp path in the target's directory and
-// renames it into place, so a crash or injected I/O failure mid-write
-// never leaves a truncated file at the final path. It shares the
-// transaction layer's implementation: the database and the write-ahead
-// journal use the same durability protocol.
-func writeFileAtomic(fs *simfs.FS, path string, data []byte) error {
-	return txn.WriteFileAtomic(fs, path, data)
 }
 
 // dbDir is the database directory under the store root.

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/simfs"
+	"repro/internal/txn"
 )
 
 // hashAlphabet is the character set of spec.FullHash (lowercase base32).
@@ -261,7 +262,7 @@ func (ix *shardedIndex) Save(fs *simfs.FS, dbDir string) error {
 				}
 				mkdirDone = true
 			}
-			if err := writeFileAtomic(fs, shardsDir+"/"+prefix+".json", data); err != nil {
+			if err := txn.WriteFileAtomic(fs, shardsDir+"/"+prefix+".json", data); err != nil {
 				return err
 			}
 			count = len(entries)
@@ -287,7 +288,7 @@ func (ix *shardedIndex) Save(fs *simfs.FS, dbDir string) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(fs, dbDir+"/"+manifestFile, data)
+	return txn.WriteFileAtomic(fs, dbDir+"/"+manifestFile, data)
 }
 
 // Load replaces the contents from the manifest and shard files under

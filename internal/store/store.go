@@ -16,6 +16,7 @@ import (
 	"repro/internal/simfs"
 	"repro/internal/singleflight"
 	"repro/internal/spec"
+	"repro/internal/txn"
 )
 
 // Layout maps a concrete spec to an install path fragment (relative to the
@@ -277,16 +278,7 @@ func (e *InstallError) Unwrap() error { return e.Err }
 // and share its outcome (including failure), so the builder runs exactly
 // once instead of racing to build twice and discarding the loser's work.
 func (st *Store) Install(s *spec.Spec, explicit bool, builder func(prefix string) error) (*Record, bool, error) {
-	return st.InstallFrom(s, explicit, OriginSource, builder)
-}
-
-// InstallFrom is Install with an explicit origin label (OriginSource,
-// OriginBinary). Binary-cache pulls use it so the database records which
-// installs were relocated from archives rather than compiled; the
-// singleflight/promotion discipline is identical. External specs are
-// always recorded as OriginExternal regardless of the requested origin.
-func (st *Store) InstallFrom(s *spec.Spec, explicit bool, origin string, builder func(prefix string) error) (*Record, bool, error) {
-	return st.InstallTxn(nil, s, explicit, origin, builder)
+	return st.InstallTxn(nil, s, txn.RecordMeta{Explicit: explicit, Origin: OriginSource}, builder)
 }
 
 // lookupPromote is the reuse fast path: present configurations are

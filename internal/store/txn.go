@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/spec"
@@ -70,24 +69,18 @@ func (st *Store) Recover() (txn.RecoverStats, error) {
 	return txn.Recover(st.FS, st.JournalDir(), applier{st: st, sync: true})
 }
 
-// InstallTxn is Install staged into a caller-owned transaction: the
-// prefix is journaled before creation and the index record is staged as a
-// redo operation, so t.Commit/Rollback (or crash recovery) moves all of
-// the transaction's installs together. A nil transaction gives each
-// install its own journaled transaction, committed before returning —
-// the Install/InstallFrom behaviour.
+// InstallTxn installs s into a caller-owned transaction, recording meta
+// (explicit flag, origin, splice provenance) with it: the prefix is
+// journaled before creation and the index record is staged as a redo
+// operation, so t.Commit/Rollback (or crash recovery) moves all of the
+// transaction's installs together. A nil transaction gives each install
+// its own journaled transaction, committed before returning — the Install
+// behaviour. External specs are always recorded as OriginExternal.
 //
 // The record is inserted into the in-memory index immediately (not at
 // commit), so later work in the same transaction — dependency prefix
 // lookups, view computation — sees it; a rollback hook takes it back out.
-func (st *Store) InstallTxn(t *txn.Txn, s *spec.Spec, explicit bool, origin string, builder func(prefix string) error) (*Record, bool, error) {
-	return st.InstallMetaTxn(t, s, txn.RecordMeta{Explicit: explicit, Origin: origin}, builder)
-}
-
-// InstallMetaTxn is InstallTxn carrying full record metadata — origin
-// plus splice provenance (spliced-from hash and lineage chain) — so a
-// spliced or re-pulled install records what it was rewired from.
-func (st *Store) InstallMetaTxn(t *txn.Txn, s *spec.Spec, meta txn.RecordMeta, builder func(prefix string) error) (*Record, bool, error) {
+func (st *Store) InstallTxn(t *txn.Txn, s *spec.Spec, meta txn.RecordMeta, builder func(prefix string) error) (*Record, bool, error) {
 	if !s.NodeConcrete() {
 		return nil, false, &InstallError{Spec: s.String(), Err: fmt.Errorf("spec is not concrete")}
 	}
@@ -193,11 +186,9 @@ func (st *Store) installLeader(t *txn.Txn, s *spec.Spec, hash string, meta txn.R
 
 	if auto {
 		if err := t.Commit(applier{st: st}); err != nil {
-			var ce *txn.CommitError
-			if !errors.As(err, &ce) {
-				// Pre-commit-point failure: undo this install entirely.
-				_ = t.Rollback()
-			}
+			// Rollback undoes a failure before the commit point and
+			// refuses, harmlessly, one after it.
+			_ = t.Rollback()
 			return nil, false, &InstallError{Spec: s.String(), Err: err}
 		}
 	}
@@ -253,10 +244,7 @@ func (st *Store) UninstallTxn(t *txn.Txn, s *spec.Spec, force bool) error {
 	}
 	if auto {
 		if err := t.Commit(applier{st: st}); err != nil {
-			var ce *txn.CommitError
-			if !errors.As(err, &ce) {
-				_ = t.Rollback()
-			}
+			_ = t.Rollback()
 			return &UninstallError{Spec: s.String(), Err: err}
 		}
 	}

@@ -147,9 +147,6 @@ func Begin(fs *simfs.FS, dir string) *Txn {
 	return t
 }
 
-// ID returns the transaction's journal identifier.
-func (t *Txn) ID() string { return t.doc.ID }
-
 // flushLocked persists the journal document (temp + rename). Callers hold
 // t.mu.
 func (t *Txn) flushLocked() error {
@@ -315,8 +312,11 @@ func (t *Txn) Commit(ap Applier) error {
 
 // Rollback aborts an uncommitted transaction: in-memory undo hooks run
 // LIFO, created prefixes are removed, and the journal is retired. Rolling
-// back after the commit point is refused — the durable redo log has
-// already won; recovery will finish applying it.
+// back after the commit point is refused, with no side effects — the
+// durable redo log has already won; recovery will finish applying it.
+// After a successful Commit it is a no-op. Owners therefore defer it
+// right after Begin and drop its error: the only error it returns
+// follows a Commit that already reported a *CommitError.
 func (t *Txn) Rollback() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -129,42 +130,61 @@ func TestRollbackRemovesCreatedPrefixes(t *testing.T) {
 	}
 }
 
+// TestRollbackAfterCommitPointRefused pins the Rollback contract that lets
+// every transaction owner simply defer it: past the commit point it
+// refuses with no side effects, and after a finished Commit it is a no-op.
 func TestRollbackAfterCommitPointRefused(t *testing.T) {
-	fs := simfs.New(simfs.TempFS)
-	ap := newMemApplier()
-	ap.failSync = true
-	tx := Begin(fs, journalDir)
-	tx.StageInsertRecord("h1", []byte(`{}`), "/opt/pkg-1", RecordMeta{Origin: "source"})
-	err := tx.Commit(ap)
-	var ce *CommitError
-	if err == nil {
-		t.Fatal("commit with failing sync should error")
-	}
-	if !asCommitError(err, &ce) {
-		t.Fatalf("commit error = %T %v, want *CommitError", err, err)
-	}
-	if rbErr := tx.Rollback(); rbErr == nil {
-		t.Error("rollback past the commit point should be refused")
-	}
-	// The journal stays for recovery.
-	if names, _ := fs.List(journalDir); len(names) != 1 {
-		t.Errorf("journal dir = %v, want the retained journal", names)
-	}
-}
-
-func asCommitError(err error, target **CommitError) bool {
-	for err != nil {
-		if ce, ok := err.(*CommitError); ok {
-			*target = ce
-			return true
+	t.Run("commit point reached", func(t *testing.T) {
+		fs := simfs.New(simfs.TempFS)
+		ap := newMemApplier()
+		ap.failSync = true
+		tx := Begin(fs, journalDir)
+		tx.StageInsertRecord("h1", []byte(`{}`), "/opt/pkg-1", RecordMeta{Origin: "source"})
+		hooked := false
+		tx.OnRollback(func() { hooked = true })
+		err := tx.Commit(ap)
+		var ce *CommitError
+		if err == nil {
+			t.Fatal("commit with failing sync should error")
 		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
+		if !errors.As(err, &ce) {
+			t.Fatalf("commit error = %T %v, want *CommitError", err, err)
 		}
-		err = u.Unwrap()
-	}
-	return false
+		if rbErr := tx.Rollback(); rbErr == nil {
+			t.Error("rollback past the commit point should be refused")
+		}
+		if hooked {
+			t.Error("refused rollback ran an OnRollback hook")
+		}
+		// The journal stays for recovery.
+		if names, _ := fs.List(journalDir); len(names) != 1 {
+			t.Errorf("journal dir = %v, want the retained journal", names)
+		}
+	})
+	t.Run("after commit", func(t *testing.T) {
+		fs := simfs.New(simfs.TempFS)
+		tx := Begin(fs, journalDir)
+		if err := tx.RecordPrefix("/opt/pkg-1"); err != nil {
+			t.Fatal(err)
+		}
+		fs.MkdirAll("/opt/pkg-1")
+		fs.WriteFile("/opt/pkg-1/bin", []byte("bin"))
+		tx.StageInsertRecord("h1", []byte(`{}`), "/opt/pkg-1", RecordMeta{Origin: "source"})
+		hooked := false
+		tx.OnRollback(func() { hooked = true })
+		if err := tx.Commit(newMemApplier()); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Rollback(); err != nil {
+			t.Errorf("rollback after commit = %v, want nil", err)
+		}
+		if hooked {
+			t.Error("rollback after commit ran an OnRollback hook")
+		}
+		if exists, _ := fs.Stat("/opt/pkg-1/bin"); !exists {
+			t.Error("rollback after commit removed the created prefix")
+		}
+	})
 }
 
 func TestRecoverRollsBackActiveJournal(t *testing.T) {

@@ -215,9 +215,9 @@ func (m *Manager) StageRefresh(t *txn.Txn, st store.Querier, pruneDirs ...string
 // the view half-linked.
 func (m *Manager) Refresh(st store.Querier) ([]Link, error) {
 	t := txn.Begin(m.FS, m.Journal)
+	defer t.Rollback()
 	desired, err := m.StageRefresh(t, st)
 	if err != nil {
-		_ = t.Rollback()
 		return nil, err
 	}
 	if err := t.Commit(nil); err != nil {
