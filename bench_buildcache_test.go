@@ -31,6 +31,7 @@ import (
 
 var (
 	bcOnce    sync.Once
+	bcPath    *repo.Path        // ARES + builtin package path, shared read-only
 	bcSpec    *spec.Spec        // concretized ARES DAG, shared read-only
 	bcSources *fetch.Mirror     // published source archives, shared read-only
 	bcCache   *buildcache.Cache // seeded once from a throwaway build machine
@@ -41,11 +42,12 @@ var (
 // bcSetup concretizes ARES once, builds it from source on a seed machine,
 // and pushes the full DAG into a mirror-backed cache. Every benchmark
 // iteration then starts a brand-new machine (fresh simfs + store) so no
-// state leaks between iterations; only the immutable mirrors are shared.
+// state leaks between iterations; only the immutable package path and
+// mirrors are shared, so the timed loop pays for the install alone.
 func bcSetup() {
 	bcOnce.Do(func() {
-		path := repo.NewPath(ares.Repo(), repo.Builtin())
-		c := concretize.New(path, config.New(), compiler.LLNLRegistry())
+		bcPath = repo.NewPath(ares.Repo(), repo.Builtin())
+		c := concretize.New(bcPath, config.New(), compiler.LLNLRegistry())
 		bcSpec, bcErr = c.Concretize(syntax.MustParse(ares.Current.Spec()))
 		if bcErr != nil {
 			return
@@ -70,14 +72,15 @@ func bcSetup() {
 }
 
 // newBenchMachine is one fresh install target: its own filesystem and
-// store, the shared source mirror, and optionally the shared cache.
+// store, the shared package path and source mirror, and optionally the
+// shared cache.
 func newBenchMachine(cache *buildcache.Cache) *build.Builder {
 	fs := simfs.New(simfs.TempFS)
 	st, err := store.New(fs, "/spack/opt", store.SpackLayout{})
 	if err != nil {
 		panic(err)
 	}
-	b := build.NewBuilder(st, repo.NewPath(ares.Repo(), repo.Builtin()), compiler.LLNLRegistry())
+	b := build.NewBuilder(st, bcPath, compiler.LLNLRegistry())
 	b.Mirror = bcSources
 	b.Config = config.New()
 	b.Jobs = 8

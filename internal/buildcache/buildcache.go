@@ -206,8 +206,8 @@ func (c *Cache) Verify(hash string) error {
 	if err != nil {
 		return fail(KindIO, err)
 	}
-	if _, err := c.checkSignature("verify", hash, hash, want, metaBytes); err != nil {
-		return err
+	if _, kind, err := c.checkSignature(hash, want, metaBytes); err != nil {
+		return fail(kind, err)
 	}
 	return nil
 }
@@ -238,7 +238,7 @@ func (a *Archive) WantCounts() map[string]map[string]int {
 // warning carries a non-blocking trust complaint (TrustWarn), mirroring
 // Pull. KindMissing when the backend has no archive for the hash.
 func (c *Cache) Fetch(hash string) (*Archive, string, error) {
-	ar, _, warning, err := c.fetchVerified("fetch", hash, hash)
+	ar, _, warning, err := c.fetchVerified("fetch", hash, nil)
 	return ar, warning, err
 }
 
@@ -246,10 +246,15 @@ func (c *Cache) Fetch(hash string) (*Archive, string, error) {
 // for hash, check it against its recorded checksum, judge its detached
 // signature (over the checksum and the metadata digest) before any
 // archive byte is trusted, and decode it. Enforce rejects; warn returns
-// the complaint and proceeds. op and label name the caller and its spec
-// in errors. It also returns the metadata document (nil when absent).
-func (c *Cache) fetchVerified(op, label, hash string) (*Archive, []byte, string, error) {
+// the complaint and proceeds. op names the caller in errors, and s, when
+// set, the spec (rendered only on failure); without it errors name the
+// hash. It also returns the metadata document (nil when absent).
+func (c *Cache) fetchVerified(op, hash string, s *spec.Spec) (*Archive, []byte, string, error) {
 	fail := func(kind Kind, err error) (*Archive, []byte, string, error) {
+		label := hash
+		if s != nil {
+			label = s.String()
+		}
 		return nil, nil, "", &Error{Op: op, Spec: label, Kind: kind, Err: err}
 	}
 	payload, ok, err := c.be.Get(archiveName(hash))
@@ -274,9 +279,9 @@ func (c *Cache) fetchVerified(op, label, hash string) (*Archive, []byte, string,
 	if err != nil {
 		return fail(KindIO, err)
 	}
-	warning, err := c.checkSignature(op, label, hash, want, metaBytes)
+	warning, kind, err := c.checkSignature(hash, want, metaBytes)
 	if err != nil {
-		return nil, nil, "", err
+		return fail(kind, err)
 	}
 	ar, err := decodeArchive(payload)
 	if err != nil {
@@ -364,10 +369,7 @@ func (c *Cache) Push(st *store.Store, s *spec.Spec) (*Entry, error) {
 		ar.Commands = parseBuildCommands(log)
 	}
 
-	payload, err := ar.encode()
-	if err != nil {
-		return fail(KindManifest, err)
-	}
+	payload := ar.encode()
 	sum := checksumOf(payload)
 
 	// The metadata document: the provenance claims (origin, splice
@@ -472,7 +474,7 @@ func (c *Cache) PullTxn(st *store.Store, t *txn.Txn, s *spec.Spec, explicit bool
 	}
 
 	hash := s.FullHash()
-	ar, metaBytes, warning, err := c.fetchVerified("pull", s.String(), hash)
+	ar, metaBytes, warning, err := c.fetchVerified("pull", hash, s)
 	if err != nil {
 		return nil, err
 	}

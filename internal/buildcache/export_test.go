@@ -4,4 +4,4 @@ package buildcache
 // external test package.
 func DecodeArchive(data []byte) (*Archive, error) { return decodeArchive(data) }
 
-func EncodeArchive(a *Archive) ([]byte, error) { return a.encode() }
+func EncodeArchive(a *Archive) []byte { return a.encode() }

@@ -33,7 +33,7 @@ func (c *Cache) ReuseCandidates() (map[string]*spec.Spec, error) {
 		if err != nil {
 			continue
 		}
-		if len(ar.SpecJSON) == 0 || ar.FullHash != hash {
+		if ar.FullHash != hash {
 			continue
 		}
 		s, err := syntax.DecodeJSON(ar.SpecJSON)

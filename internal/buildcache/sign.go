@@ -93,15 +93,16 @@ func ParseTrustPolicy(s string) (TrustPolicy, error) {
 // archive under the cache's policy. The signed message covers the
 // checksum and, when a metadata document rides with the archive, its
 // digest — so tampered provenance fails exactly like tampered bytes. It
-// returns a warning string under TrustWarn and an *Error (KindSignature)
-// under TrustEnforce; with TrustOff it is free.
-func (c *Cache) checkSignature(op, spc, hash, checksum string, metaBytes []byte) (string, error) {
+// returns a warning string under TrustWarn, and under TrustEnforce the
+// error with its kind (KindSignature, or KindIO when the signature could
+// not be read) for the caller to wrap; with TrustOff it is free.
+func (c *Cache) checkSignature(hash, checksum string, metaBytes []byte) (string, Kind, error) {
 	if c.Policy == TrustOff {
-		return "", nil
+		return "", "", nil
 	}
 	sigData, ok, err := c.be.Get(sigName(hash))
 	if err != nil {
-		return "", &Error{Op: op, Spec: spc, Kind: KindIO, Err: err}
+		return "", KindIO, err
 	}
 	var verr error
 	switch {
@@ -113,10 +114,10 @@ func (c *Cache) checkSignature(op, spc, hash, checksum string, metaBytes []byte)
 		verr = c.Verifier.VerifySignature(SignedMessage(checksum, metaBytes), sigData)
 	}
 	if verr == nil {
-		return "", nil
+		return "", "", nil
 	}
 	if c.Policy == TrustEnforce {
-		return "", &Error{Op: op, Spec: spc, Kind: KindSignature, Err: verr}
+		return "", KindSignature, verr
 	}
-	return fmt.Sprintf("signature: %v", verr), nil
+	return fmt.Sprintf("signature: %v", verr), "", nil
 }

@@ -191,25 +191,38 @@ func (k *Keyring) Sign(checksum string) ([]byte, error) {
 // must name a public key registered AND trusted here, and its Ed25519
 // signature must validate over the checksum. The embedded public half is
 // matched against the registry — an attacker shipping their own key
-// inside the document gains nothing.
+// inside the document gains nothing. The lock covers only the registry
+// lookup; the Ed25519 check runs after it, so concurrent pulls verify in
+// parallel.
 func (k *Keyring) VerifySignature(checksum string, sigData []byte) error {
 	sig, err := buildcache.DecodeSignature(sigData)
 	if err != nil {
 		return err
 	}
+	name, trusted, found := k.lookupPublic(sig.Public)
+	if !found {
+		return fmt.Errorf("signing key %q is not in the keyring", sig.Key)
+	}
+	if !trusted {
+		return fmt.Errorf("signing key %q (registered as %q) is not trusted", sig.Key, name)
+	}
+	// sig.Public is the decoder's own copy and equals the registered
+	// public half, so it is safe to use outside the lock.
+	if !ed25519.Verify(ed25519.PublicKey(sig.Public), []byte(checksum), sig.Sig) {
+		return fmt.Errorf("invalid signature by key %q", name)
+	}
+	return nil
+}
+
+// lookupPublic finds the first registered key with the given public half
+// and reports its name and trust flag.
+func (k *Keyring) lookupPublic(public []byte) (name string, trusted, found bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	for _, key := range k.doc.Keys {
-		if !bytes.Equal(key.Public, sig.Public) {
-			continue
+		if bytes.Equal(key.Public, public) {
+			return key.Name, key.Trusted, true
 		}
-		if !key.Trusted {
-			return fmt.Errorf("signing key %q (registered as %q) is not trusted", sig.Key, key.Name)
-		}
-		if !ed25519.Verify(ed25519.PublicKey(key.Public), []byte(checksum), sig.Sig) {
-			return fmt.Errorf("invalid signature by key %q", key.Name)
-		}
-		return nil
 	}
-	return fmt.Errorf("signing key %q is not in the keyring", sig.Key)
+	return "", false, false
 }

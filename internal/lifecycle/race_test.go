@@ -1,6 +1,8 @@
 package lifecycle_test
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -77,6 +79,90 @@ func TestGCConcurrentInstallRace(t *testing.T) {
 				t.Fatalf("iteration %d: follow-up gc collected live %s (swept %d records)",
 					i, n.Name, res.Records)
 			}
+		}
+	}
+}
+
+// TestKeyringVerifyConcurrentWithTrust runs eight verifiers against one
+// keyring while another goroutine adds and trusts peer keys. The
+// Ed25519 check runs outside the keyring lock, so under -race this is
+// the proof that verification reads nothing the lock guards. The site's
+// own signature verifies throughout; a peer's fails only as unknown or
+// untrusted until it is added and trusted, never as invalid.
+func TestKeyringVerifyConcurrentWithTrust(t *testing.T) {
+	const msg = "deadbeef"
+	ring := mustKeyring(t, simfs.New(simfs.TempFS))
+	if _, err := ring.Generate("site"); err != nil {
+		t.Fatal(err)
+	}
+	siteSig, err := ring.Sign(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type peer struct {
+		name string
+		pub  []byte
+		sig  []byte
+	}
+	peers := make([]peer, 8)
+	for i := range peers {
+		other := mustKeyring(t, simfs.New(simfs.TempFS))
+		name := fmt.Sprintf("peer-%d", i)
+		pub, err := other.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig, err := other.Sign(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers[i] = peer{name, pub, sig}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 9)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, p := range peers {
+			if err := ring.Add(p.name, p.pub); err != nil {
+				errs <- err
+				return
+			}
+			if err := ring.Trust(p.name); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				if err := ring.VerifySignature(msg, siteSig); err != nil {
+					errs <- fmt.Errorf("site signature: %w", err)
+					return
+				}
+				for _, p := range peers {
+					err := ring.VerifySignature(msg, p.sig)
+					if err != nil && !strings.Contains(err.Error(), "not in the keyring") &&
+						!strings.Contains(err.Error(), "is not trusted") {
+						errs <- fmt.Errorf("%s: %w", p.name, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for _, p := range peers {
+		if err := ring.VerifySignature(msg, p.sig); err != nil {
+			t.Errorf("%s after Add and Trust: %v", p.name, err)
 		}
 	}
 }

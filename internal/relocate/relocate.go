@@ -7,6 +7,14 @@
 // scan, and the temp+rename materialization of a relocated file set into
 // a target prefix.
 //
+// Table.Rewrite is the one rewrite path for Push (an identity table, to
+// count), Pull and splice. It does not test every source at every byte:
+// it keeps the next occurrence of each source, jumps to the leftmost
+// (longest source on a tie), copies the unmatched stretch before it in
+// bulk, and searches again only for the sources that match consumed. A
+// file no source occurs in costs one search per source and comes back
+// uncopied.
+//
 // Two consumers share it: buildcache.Pull relocates archives packed on
 // another machine into the local store, and splice rewires an installed
 // DAG in place — replacing one dependency's prefix under every dependent
@@ -64,43 +72,66 @@ func Identity(paths ...string) Table {
 
 // Rewrite rewrites every occurrence of the table's source paths in one
 // pass (leftmost match, longest source wins) and returns the result plus
-// per-source occurrence counts.
+// per-source occurrence counts (nil when no source occurs), jumping from
+// match to match as the package doc describes.
 func (t Table) Rewrite(data []byte) ([]byte, map[string]int) {
-	counts := make(map[string]int)
-	if len(t) == 0 {
-		return data, counts
-	}
-	// Fast path: no source occurs at all (bulk data files).
+	var counts map[string]int
 	s := string(data)
-	any := false
+	// next[k] is where t[k].From next occurs at or after the cursor, or
+	// -1 when it occurs no more (an empty source never matches).
+	var buf [64]int
+	next := buf[:0]
+	if len(t) > len(buf) {
+		next = make([]int, 0, len(t))
+	}
 	for _, r := range t {
-		if strings.Contains(s, r.From) {
-			any = true
-			break
-		}
+		next = append(next, indexFrom(s, r.From, 0))
 	}
-	if !any {
-		return data, counts
-	}
-	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); {
-		matched := false
-		for _, r := range t {
-			if strings.HasPrefix(s[i:], r.From) {
-				b.WriteString(r.To)
-				counts[r.From]++
-				i += len(r.From)
-				matched = true
-				break
+	var out []byte
+	done := 0 // s[:done] is rewritten into out
+	for {
+		// The table is longest source first, so the first rule at the
+		// leftmost position is the longest source there.
+		best := -1
+		for k, p := range next {
+			if p >= 0 && (best < 0 || p < next[best]) {
+				best = k
 			}
 		}
-		if !matched {
-			b.WriteByte(s[i])
-			i++
+		if best < 0 {
+			break
+		}
+		r := t[best]
+		if out == nil {
+			out = make([]byte, 0, len(s))
+			counts = make(map[string]int)
+		}
+		out = append(append(out, s[done:next[best]]...), r.To...)
+		counts[r.From]++
+		done = next[best] + len(r.From)
+		for k, p := range next {
+			if p >= 0 && p < done {
+				next[k] = indexFrom(s, t[k].From, done)
+			}
 		}
 	}
-	return []byte(b.String()), counts
+	if out == nil {
+		return data, counts
+	}
+	return append(out, s[done:]...), counts
+}
+
+// indexFrom is the position of the first occurrence of sub in s at or
+// after from, or -1; an empty sub never occurs.
+func indexFrom(s, sub string, from int) int {
+	if sub == "" {
+		return -1
+	}
+	i := strings.Index(s[from:], sub)
+	if i < 0 {
+		return -1
+	}
+	return from + i
 }
 
 // RewriteString rewrites a single string (symlink targets).

@@ -1,8 +1,11 @@
 package relocate
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/simfs"
@@ -277,5 +280,86 @@ func TestMaterializeRejectsLeakedRPaths(t *testing.T) {
 	var re *RPathError
 	if !errors.As(err, &re) {
 		t.Fatalf("Materialize = %v, want *RPathError", err)
+	}
+}
+
+// rewriteOracle is the byte-at-a-time rewrite Rewrite replaced: at every
+// position it tries each rule, longest source first, takes the first
+// that matches and skips past it, else copies one byte.
+func rewriteOracle(t Table, data []byte) ([]byte, map[string]int) {
+	counts := make(map[string]int)
+	s := string(data)
+	var b strings.Builder
+	for i := 0; i < len(s); {
+		matched := false
+		for _, r := range t {
+			if strings.HasPrefix(s[i:], r.From) {
+				b.WriteString(r.To)
+				counts[r.From]++
+				i += len(r.From)
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			b.WriteByte(s[i])
+			i++
+		}
+	}
+	return []byte(b.String()), counts
+}
+
+// TestRewriteMatchesOracle compares Rewrite with the byte-at-a-time
+// oracle, bytes and counts, over generated tables and inputs: nested
+// prefixes, a source that is a plain string prefix of another, adjacent
+// and overlapping occurrences, an external source outside the store
+// root, targets longer and shorter than their sources, and empty and
+// no-match inputs.
+func TestRewriteMatchesOracle(t *testing.T) {
+	root := "/spack/opt"
+	sources := []string{
+		root,
+		root + "/libelf",        // nested in the root
+		root + "/libelf-0.8.13", // the previous one is its string prefix
+		root + "/libelf/lib",    // nested in a nested prefix
+		root + "/libdwarf",
+		"/usr/local/external", // an external outside the store root
+		"aa",                  // overlaps itself: "aaa" holds two
+		"aab",                 // overlaps "aa"
+	}
+	targets := []string{"/x", "/site/store/longer-than-the-source", "", "aa", "/spack/opt"}
+	pieces := append([]string{"/", "lib", "a", "b", " ", "RPATH ", "\n", "-0.8.13", "/spack", "/usr/local"}, sources...)
+
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 3000; iter++ {
+		pairs := map[string]string{}
+		for _, src := range sources {
+			if rng.Intn(2) == 0 {
+				pairs[src] = targets[rng.Intn(len(targets))]
+			}
+		}
+		table := NewTable(pairs)
+		var in strings.Builder
+		for n := rng.Intn(24); n > 0; n-- {
+			in.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		data := []byte(in.String())
+
+		got, gotCounts := table.Rewrite(data)
+		want, wantCounts := rewriteOracle(table, data)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("table %v, input %q:\n got %q\nwant %q", table, data, got, want)
+		}
+		if len(gotCounts) != len(wantCounts) || !CountsEqual(gotCounts, wantCounts) {
+			t.Fatalf("table %v, input %q: counts %v, want %v", table, data, gotCounts, wantCounts)
+		}
+	}
+
+	for _, data := range [][]byte{nil, {}, []byte("no store paths here")} {
+		table := NewTable(map[string]string{root: "/x", root + "/libelf": "/y"})
+		got, counts := table.Rewrite(data)
+		if !bytes.Equal(got, data) || len(counts) != 0 {
+			t.Errorf("input %q: got %q, counts %v; want it unchanged and no counts", data, got, counts)
+		}
 	}
 }
