@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -80,48 +81,53 @@ func (t Toolchain) String() string {
 	return fmt.Sprintf("%s@%s", t.Name, t.Version)
 }
 
-// Registry holds the known toolchains.
+// Registry holds the known toolchains, kept sorted by name, then
+// descending version.
 type Registry struct {
 	mu         sync.RWMutex
 	toolchains []Toolchain
+	// fp caches Fingerprint until the next Add; "" means not computed.
+	fp string
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
+// toolchainLess orders toolchains by name, then newest version first.
+func toolchainLess(a, b Toolchain) bool {
+	if a.Name != b.Name {
+		return a.Name < b.Name
+	}
+	return a.Version.Compare(b.Version) > 0
+}
+
 // Add registers a toolchain; duplicate (name, version) pairs are replaced.
 func (r *Registry) Add(t Toolchain) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, existing := range r.toolchains {
-		if existing.Name == t.Name && existing.Version.Equal(t.Version) {
-			r.toolchains[i] = t
-			return
-		}
+	r.fp = ""
+	i := sort.Search(len(r.toolchains), func(i int) bool { return !toolchainLess(r.toolchains[i], t) })
+	if i < len(r.toolchains) && r.toolchains[i].Name == t.Name && r.toolchains[i].Version.Equal(t.Version) {
+		r.toolchains[i] = t
+		return
 	}
-	r.toolchains = append(r.toolchains, t)
+	r.toolchains = slices.Insert(r.toolchains, i, t)
 }
 
 // All returns the toolchains sorted by name, then descending version.
 func (r *Registry) All() []Toolchain {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Toolchain, len(r.toolchains))
-	copy(out, r.toolchains)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Version.Compare(out[j].Version) > 0
-	})
-	return out
+	return slices.Clone(r.toolchains)
 }
 
 // Find returns the toolchains satisfying a compiler constraint (and target
 // arch, when nonempty), newest first. A zero constraint matches everything.
 func (r *Registry) Find(c spec.Compiler, arch string) []Toolchain {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	var out []Toolchain
-	for _, t := range r.All() {
+	for _, t := range r.toolchains {
 		if c.Name != "" && t.Name != c.Name {
 			continue
 		}
@@ -153,15 +159,27 @@ func (r *Registry) Default(arch string) (Toolchain, bool) {
 // Fingerprint returns a stable hash over every registered toolchain —
 // name, version, targets, and features — the compiler-registry component of
 // the concretizer's memo-cache key: registering or replacing a toolchain
-// invalidates cached concretization results automatically.
+// invalidates cached concretization results automatically. The hash is
+// computed once per registry state.
 func (r *Registry) Fingerprint() string {
-	var b strings.Builder
-	for _, t := range r.All() {
-		fmt.Fprintf(&b, "%s@%s targets=%s features=%s\n",
-			t.Name, t.Version, strings.Join(t.Targets, ","), strings.Join(t.Features, ","))
+	r.mu.RLock()
+	fp := r.fp
+	r.mu.RUnlock()
+	if fp != "" {
+		return fp
 	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.fp == "" {
+		var b strings.Builder
+		for _, t := range r.toolchains {
+			fmt.Fprintf(&b, "%s@%s targets=%s features=%s\n",
+				t.Name, t.Version, strings.Join(t.Targets, ","), strings.Join(t.Features, ","))
+		}
+		sum := sha256.Sum256([]byte(b.String()))
+		r.fp = hex.EncodeToString(sum[:])
+	}
+	return r.fp
 }
 
 // Len reports the number of registered toolchains.
@@ -231,12 +249,7 @@ func DetectFromPATH(dirs map[string][]string) []Toolchain {
 			out = append(out, *tc)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Version.Compare(out[j].Version) > 0
-	})
+	sort.Slice(out, func(i, j int) bool { return toolchainLess(out[i], out[j]) })
 	return out
 }
 

@@ -1,6 +1,9 @@
 package compiler
 
 import (
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/spec"
@@ -167,5 +170,169 @@ func TestLLNLRegistryComplete(t *testing.T) {
 			len(r.Find(spec.Compiler{Name: want}, "cray-xe6")) == 0 {
 			t.Errorf("LLNL registry missing %s", want)
 		}
+	}
+}
+
+// oracleFind is Find as it was before the registry kept its toolchains
+// sorted: copy, sort, then filter.
+func oracleFind(ts []Toolchain, c spec.Compiler, arch string) []Toolchain {
+	all := append([]Toolchain(nil), ts...)
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Name != all[j].Name {
+			return all[i].Name < all[j].Name
+		}
+		return all[i].Version.Compare(all[j].Version) > 0
+	})
+	var out []Toolchain
+	for _, t := range all {
+		if c.Name != "" && t.Name != c.Name {
+			continue
+		}
+		if !c.Versions.IsAny() && !c.Versions.Contains(t.Version) {
+			continue
+		}
+		if arch != "" && !t.Supports(arch) {
+			continue
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
+// permutations calls f with every ordering of ts (Heap's algorithm).
+func permutations(ts []Toolchain, f func([]Toolchain)) {
+	ts = append([]Toolchain(nil), ts...)
+	var gen func(k int)
+	gen = func(k int) {
+		if k <= 1 {
+			f(ts)
+			return
+		}
+		for i := 0; i < k-1; i++ {
+			gen(k - 1)
+			if k%2 == 0 {
+				ts[i], ts[k-1] = ts[k-1], ts[i]
+			} else {
+				ts[0], ts[k-1] = ts[k-1], ts[0]
+			}
+		}
+		gen(k - 1)
+	}
+	gen(len(ts))
+}
+
+// names renders a Find answer as its toolchains' C compiler paths in
+// order; each LLNL toolchain has its own.
+func names(ts []Toolchain) string {
+	var b strings.Builder
+	for _, t := range ts {
+		b.WriteString(t.CC)
+		b.WriteByte(' ')
+	}
+	return b.String()
+}
+
+func registryOf(ts []Toolchain) *Registry {
+	r := NewRegistry()
+	for _, t := range ts {
+		r.Add(t)
+	}
+	return r
+}
+
+// TestRegistryInsertionOrder builds the LLNL registry from every ordering
+// of its toolchains: All, Find, Default and Fingerprint must not depend on
+// the order of Add calls, and Find must match the copy-sort-filter oracle.
+func TestRegistryInsertionOrder(t *testing.T) {
+	ref := LLNLRegistry()
+	all := ref.All()
+	if len(all) != 8 {
+		t.Fatalf("LLNL registry has %d toolchains, want 8", len(all))
+	}
+	type query struct {
+		c    spec.Compiler
+		arch string
+		want string
+	}
+	var queries []query
+	for _, c := range []spec.Compiler{
+		{},
+		{Name: "gcc"},
+		{Name: "gcc", Versions: mustList(t, "4.7:")},
+		{Name: "intel", Versions: mustList(t, ":14")},
+		{Name: "nosuchcc"},
+	} {
+		for _, arch := range []string{"", "linux-x86_64", "bgq", "no-such-arch"} {
+			queries = append(queries, query{c, arch, names(oracleFind(all, c, arch))})
+		}
+	}
+	arches := []string{"linux-x86_64", "bgq", "cray-xe6", "no-such-arch"}
+	defaults := make([]string, len(arches))
+	for i, arch := range arches {
+		d, _ := ref.Default(arch)
+		defaults[i] = d.CC
+	}
+	fp := ref.Fingerprint()
+	orders := 0
+	permutations(all, func(ts []Toolchain) {
+		orders++
+		r := registryOf(ts)
+		if got := r.All(); !reflect.DeepEqual(got, all) {
+			t.Fatalf("order %d: All = %v, want %v", orders, got, all)
+		}
+		for _, q := range queries {
+			if got := names(r.Find(q.c, q.arch)); got != q.want {
+				t.Fatalf("order %d: Find(%v, %q) = %v, oracle %v", orders, q.c, q.arch, got, q.want)
+			}
+		}
+		for i, arch := range arches {
+			if got, _ := r.Default(arch); got.CC != defaults[i] {
+				t.Fatalf("order %d: Default(%q) = %v, want %s", orders, arch, got, defaults[i])
+			}
+		}
+		if got := r.Fingerprint(); got != fp {
+			t.Fatalf("order %d: Fingerprint = %s, want %s", orders, got, fp)
+		}
+	})
+	if orders != 40320 {
+		t.Errorf("checked %d orders, want 8! = 40320", orders)
+	}
+}
+
+// TestRegistryFingerprintFollowsAdd checks the cached fingerprint: adding or
+// replacing a toolchain changes it, and the result equals the fingerprint
+// of a registry built fresh from the same toolchains.
+func TestRegistryFingerprintFollowsAdd(t *testing.T) {
+	r := LLNLRegistry()
+	before := r.Fingerprint()
+	if again := r.Fingerprint(); again != before {
+		t.Fatalf("Fingerprint not stable: %s then %s", before, again)
+	}
+
+	// Replace gcc@4.9.2 with a build that lacks OpenMP 4.
+	gcc := r.Find(spec.Compiler{Name: "gcc", Versions: mustList(t, "4.9.2")}, "")[0]
+	gcc.Features = []string{"c99", "cxx11", "cxx14", "openmp3"}
+	r.Add(gcc)
+	replaced := r.Fingerprint()
+	if replaced == before {
+		t.Error("replacing a toolchain left Fingerprint unchanged")
+	}
+	if r.Len() != 8 {
+		t.Errorf("Len = %d after replace, want 8", r.Len())
+	}
+	if fresh := registryOf(r.All()); fresh.Fingerprint() != replaced || !reflect.DeepEqual(fresh.All(), r.All()) {
+		t.Error("replaced registry differs from a fresh one with the same toolchains")
+	}
+
+	// A new toolchain changes it again.
+	r.Add(Toolchain{Name: "gcc", Version: version.Parse("5.1.0"), CC: "/usr/bin/gcc-5.1.0"})
+	if added := r.Fingerprint(); added == replaced || added == before {
+		t.Error("adding a toolchain left Fingerprint unchanged")
+	}
+	if d, _ := r.Default("linux-x86_64"); d.Version.String() != "5.1.0" {
+		t.Errorf("Default = %v, want the new gcc@5.1.0", d)
+	}
+	if fresh := registryOf(r.All()); fresh.Fingerprint() != r.Fingerprint() {
+		t.Error("grown registry differs from a fresh one with the same toolchains")
 	}
 }

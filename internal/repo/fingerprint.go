@@ -18,39 +18,24 @@ import (
 // concretization results are invalidated automatically.
 //
 // Repositories are conventionally frozen after construction; to keep the
-// warm-cache path cheap the serialization is computed once and reused until
-// some repository's generation counter (bumped by Add) changes.
+// warm-cache path cheap the hash is computed once per index snapshot, which
+// is rebuilt when the repository list or some repository's generation
+// counter (bumped by Add) changes.
 func (p *Path) Fingerprint() string {
-	p.fpMu.Lock()
-	defer p.fpMu.Unlock()
-	gens := make([]uint64, len(p.repos))
-	for i, r := range p.repos {
-		gens[i] = r.generation()
-	}
-	if p.fpCache != "" && len(gens) == len(p.fpGens) {
-		stale := false
-		for i := range gens {
-			if gens[i] != p.fpGens[i] {
-				stale = true
-				break
+	ix := p.index()
+	ix.fpOnce.Do(func() {
+		var b strings.Builder
+		for _, r := range ix.repos {
+			fmt.Fprintf(&b, "repo %s\n", r.Namespace)
+			for _, name := range r.Names() {
+				def, _ := r.Get(name)
+				fingerprintPackage(&b, def)
 			}
 		}
-		if !stale {
-			return p.fpCache
-		}
-	}
-	var b strings.Builder
-	for _, r := range p.repos {
-		fmt.Fprintf(&b, "repo %s\n", r.Namespace)
-		for _, name := range r.Names() {
-			def, _ := r.Get(name)
-			fingerprintPackage(&b, def)
-		}
-	}
-	sum := sha256.Sum256([]byte(b.String()))
-	p.fpCache = hex.EncodeToString(sum[:])
-	p.fpGens = gens
-	return p.fpCache
+		sum := sha256.Sum256([]byte(b.String()))
+		ix.fp = hex.EncodeToString(sum[:])
+	})
+	return ix.fp
 }
 
 // fingerprintPackage serializes the concretization-relevant directives of

@@ -7,8 +7,8 @@ package repo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/pkg"
@@ -19,8 +19,8 @@ import (
 type Repo struct {
 	Namespace string
 	packages  map[string]*pkg.Package
-	// gen counts mutations (Add calls), letting Path.Fingerprint cache its
-	// serialization until a repository actually changes.
+	// gen counts mutations (Add calls), letting a Path keep its provider
+	// index and fingerprint until a repository actually changes.
 	gen atomic.Uint64
 }
 
@@ -32,6 +32,8 @@ func NewRepo(namespace string) *Repo {
 
 // Add registers a package definition, validating it first. Re-adding a name
 // replaces the previous definition (site repos use fresh Repos instead).
+// The definition must not be mutated afterwards: paths index its provides
+// directives and fingerprint it, and notice only Add.
 func (r *Repo) Add(p *pkg.Package) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -41,8 +43,8 @@ func (r *Repo) Add(p *pkg.Package) error {
 	return nil
 }
 
-// generation returns the mutation counter, used for fingerprint cache
-// invalidation.
+// generation returns the mutation counter, used to invalidate a path's
+// index snapshot.
 func (r *Repo) generation() uint64 { return r.gen.Load() }
 
 // MustAdd is Add for package-set construction code; it panics on error.
@@ -78,11 +80,9 @@ func (r *Repo) Len() int { return len(r.packages) }
 type Path struct {
 	repos []*Repo
 
-	// Fingerprint cache (see fingerprint.go): the serialized-and-hashed
-	// path contents, valid while every repo's generation matches fpGens.
-	fpMu    sync.Mutex
-	fpCache string
-	fpGens  []uint64
+	// idx is the provider index and fingerprint of the current repository
+	// state (index.go).
+	idx atomic.Pointer[index]
 }
 
 // NewPath builds a search path; earlier repositories take precedence.
@@ -135,31 +135,17 @@ func (p *Path) Names() []string {
 // IsVirtual reports whether a name denotes a virtual interface: no package
 // file of that name exists, but at least one package provides it (§3.3).
 func (p *Path) IsVirtual(name string) bool {
-	if _, _, ok := p.Get(name); ok {
-		return false
-	}
-	return len(p.ProviderNames(name)) > 0
+	e := p.index().byVirtual[name]
+	return e != nil && e.virtual
 }
 
 // ProviderNames returns the names of all packages with a provides directive
 // for the virtual, sorted.
 func (p *Path) ProviderNames(virtual string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, r := range p.repos {
-		for _, n := range r.Names() {
-			if seen[n] {
-				continue
-			}
-			def, _ := r.Get(n)
-			if def.ProvidesVirtualName(virtual) {
-				out = append(out, n)
-			}
-			seen[n] = true
-		}
+	if e := p.index().byVirtual[virtual]; e != nil {
+		return slices.Clone(e.names)
 	}
-	sort.Strings(out)
-	return out
+	return nil
 }
 
 // Provider describes one candidate implementation of a virtual spec: the
@@ -175,60 +161,27 @@ type Provider struct {
 	Virtual *spec.Spec
 }
 
-// ProvidersFor builds the reverse index for one virtual constraint: all
+// ProvidersFor answers one virtual constraint from the reverse index: all
 // (package, condition) pairs whose provided interface version list is
 // compatible with the requested virtual spec (Fig. 6's "Resolve Virtual
-// Deps" stage). The result is sorted by package name for determinism.
+// Deps" stage), sorted by package name, conditioned entries first within a
+// package.
 func (p *Path) ProvidersFor(virtual *spec.Spec) []Provider {
+	e := p.index().byVirtual[virtual.Name]
+	if e == nil {
+		return nil
+	}
 	var out []Provider
-	seen := make(map[string]bool)
-	for _, r := range p.repos {
-		for _, name := range r.Names() {
-			if seen[name] {
-				continue
-			}
-			seen[name] = true
-			def, _ := r.Get(name)
-			for _, pr := range def.Provides {
-				if pr.Virtual.Name != virtual.Name {
-					continue
-				}
-				// The provided interface spec must be compatible with the
-				// requested constraint (version lists overlap).
-				if !pr.Virtual.Compatible(virtual) {
-					continue
-				}
-				out = append(out, Provider{Package: def, When: pr.When, Virtual: pr.Virtual.Clone()})
-			}
+	for _, pr := range e.provides {
+		// The provided interface spec must be compatible with the
+		// requested constraint (version lists overlap).
+		if pr.Virtual.Compatible(virtual) {
+			out = append(out, Provider{Package: pr.Package, When: pr.When, Virtual: pr.Virtual.Clone()})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Package.Name != out[j].Package.Name {
-			return out[i].Package.Name < out[j].Package.Name
-		}
-		// More specific (conditioned) entries first within a package.
-		return out[i].When != nil && out[j].When == nil
-	})
 	return out
 }
 
-// Virtuals returns the names of all virtual interfaces visible on the path.
-func (p *Path) Virtuals() []string {
-	set := make(map[string]bool)
-	for _, r := range p.repos {
-		for _, n := range r.Names() {
-			def, _ := r.Get(n)
-			for _, pr := range def.Provides {
-				set[pr.Virtual.Name] = true
-			}
-		}
-	}
-	var out []string
-	for v := range set {
-		if p.IsVirtual(v) {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+// Virtuals returns the names of all virtual interfaces visible on the path,
+// sorted.
+func (p *Path) Virtuals() []string { return slices.Clone(p.index().virtuals) }
