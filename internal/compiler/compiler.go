@@ -128,18 +128,36 @@ func (r *Registry) Find(c spec.Compiler, arch string) []Toolchain {
 	defer r.mu.RUnlock()
 	var out []Toolchain
 	for _, t := range r.toolchains {
-		if c.Name != "" && t.Name != c.Name {
-			continue
+		if t.matches(c, arch) {
+			out = append(out, t)
 		}
-		if !c.Versions.IsAny() && !c.Versions.Contains(t.Version) {
-			continue
-		}
-		if arch != "" && !t.Supports(arch) {
-			continue
-		}
-		out = append(out, t)
 	}
 	return out
+}
+
+// matches is Find's filter: t satisfies constraint c and, when arch is
+// nonempty, targets arch.
+func (t Toolchain) matches(c spec.Compiler, arch string) bool {
+	if c.Name != "" && t.Name != c.Name {
+		return false
+	}
+	if !c.Versions.IsAny() && !c.Versions.Contains(t.Version) {
+		return false
+	}
+	return arch == "" || t.Supports(arch)
+}
+
+// Has reports whether some toolchain Find(c, arch) would return also has
+// every named feature. It copies no toolchain.
+func (r *Registry) Has(c spec.Compiler, arch string, features []string) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, t := range r.toolchains {
+		if t.matches(c, arch) && t.HasFeatures(features) {
+			return true
+		}
+	}
+	return false
 }
 
 // Default returns the preferred fallback toolchain for an architecture:

@@ -240,9 +240,26 @@ func registryOf(ts []Toolchain) *Registry {
 	return r
 }
 
+// featureSets are the feature requirements Has is queried with: none,
+// single features some toolchains lack, a pair, and one no toolchain has.
+var featureSets = [][]string{nil, {"cxx14"}, {"openmp4"}, {"cxx14", "openmp4"}, {"fortran2008"}}
+
+// oracleHas is Has as the concretizer computed it before: filter Find's
+// answer by HasFeatures and test that something is left.
+func oracleHas(found []Toolchain, features []string) bool {
+	n := 0
+	for _, t := range found {
+		if t.HasFeatures(features) {
+			n++
+		}
+	}
+	return n > 0
+}
+
 // TestRegistryInsertionOrder builds the LLNL registry from every ordering
-// of its toolchains: All, Find, Default and Fingerprint must not depend on
-// the order of Add calls, and Find must match the copy-sort-filter oracle.
+// of its toolchains: All, Find, Has, Default and Fingerprint must not
+// depend on the order of Add calls, Find must match the copy-sort-filter
+// oracle, and Has must agree with filtering that answer by features.
 func TestRegistryInsertionOrder(t *testing.T) {
 	ref := LLNLRegistry()
 	all := ref.All()
@@ -253,17 +270,25 @@ func TestRegistryInsertionOrder(t *testing.T) {
 		c    spec.Compiler
 		arch string
 		want string
+		has  []bool // oracleHas per featureSets entry
 	}
 	var queries []query
 	for _, c := range []spec.Compiler{
 		{},
 		{Name: "gcc"},
 		{Name: "gcc", Versions: mustList(t, "4.7:")},
+		{Name: "gcc", Versions: mustList(t, "4.9.2")},
 		{Name: "intel", Versions: mustList(t, ":14")},
+		{Name: "clang", Versions: mustList(t, "3.5.0")},
 		{Name: "nosuchcc"},
 	} {
-		for _, arch := range []string{"", "linux-x86_64", "bgq", "no-such-arch"} {
-			queries = append(queries, query{c, arch, names(oracleFind(all, c, arch))})
+		for _, arch := range []string{"", "linux-x86_64", "bgq", "cray-xe6", "no-such-arch"} {
+			found := oracleFind(all, c, arch)
+			q := query{c: c, arch: arch, want: names(found)}
+			for _, fs := range featureSets {
+				q.has = append(q.has, oracleHas(found, fs))
+			}
+			queries = append(queries, q)
 		}
 	}
 	arches := []string{"linux-x86_64", "bgq", "cray-xe6", "no-such-arch"}
@@ -284,6 +309,11 @@ func TestRegistryInsertionOrder(t *testing.T) {
 			if got := names(r.Find(q.c, q.arch)); got != q.want {
 				t.Fatalf("order %d: Find(%v, %q) = %v, oracle %v", orders, q.c, q.arch, got, q.want)
 			}
+			for i, fs := range featureSets {
+				if got := r.Has(q.c, q.arch, fs); got != q.has[i] {
+					t.Fatalf("order %d: Has(%v, %q, %v) = %v, oracle %v", orders, q.c, q.arch, fs, got, q.has[i])
+				}
+			}
 		}
 		for i, arch := range arches {
 			if got, _ := r.Default(arch); got.CC != defaults[i] {
@@ -296,6 +326,20 @@ func TestRegistryInsertionOrder(t *testing.T) {
 	})
 	if orders != 40320 {
 		t.Errorf("checked %d orders, want 8! = 40320", orders)
+	}
+}
+
+// TestRegistryHasAllocatesNothing: the pinned-compiler check runs at every
+// concrete node of every solve pass, so it must not copy toolchains.
+func TestRegistryHasAllocatesNothing(t *testing.T) {
+	r := LLNLRegistry()
+	c := spec.Compiler{Name: "intel", Versions: mustList(t, "15.0.2")}
+	features := []string{"cxx14", "openmp4"}
+	if !r.Has(c, "linux-x86_64", features) {
+		t.Fatal("intel@15.0.2 with cxx14+openmp4 not found")
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Has(c, "linux-x86_64", features) }); n != 0 {
+		t.Errorf("Has allocates %.0f times per call, want 0", n)
 	}
 }
 

@@ -693,3 +693,27 @@ func TestCrossCompiledDependency(t *testing.T) {
 		t.Errorf("same-arch inheritance broken: %s", got)
 	}
 }
+
+// TestProviderAttachedInSamePass: a provider a node attached earlier in the
+// same pass satisfies that node's later virtual dependency directly, so no
+// virtual node is created and resolved.
+func TestProviderAttachedInSamePass(t *testing.T) {
+	r := repo.NewRepo("samepass")
+	app := pkg.New("app").Describe("a").DependsOn("impl").DependsOn("iface")
+	app.WithVersion("1.0", "x")
+	r.MustAdd(app)
+	impl := pkg.New("impl").Describe("i").ProvidesVirtual("iface", "")
+	impl.WithVersion("1.0", "x")
+	r.MustAdd(impl)
+	c := New(repo.NewPath(r), config.New(), compiler.LLNLRegistry())
+	out, err := c.Concretize(syntax.MustParse("app"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Deps["impl"] == nil || out.Dep("iface") != nil {
+		t.Errorf("app = %s, want impl as the only dependency", out)
+	}
+	if n := c.Stats.VirtualsSeen(); n != 0 {
+		t.Errorf("resolved %d virtual nodes, want 0", n)
+	}
+}

@@ -2,6 +2,7 @@ package concretize
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/compiler"
@@ -156,10 +157,13 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[s
 	// Snapshot nodes first: attaching deps during traversal would mutate
 	// the structure being walked.
 	nodes := root.Nodes()
-	index := make(map[string]*spec.Spec)
-	for _, n := range nodes {
+	index := make(map[string]*spec.Spec, len(nodes))
+	names := make([]string, len(nodes)) // index's keys, sorted
+	for i, n := range nodes {
 		index[n.Name] = n
+		names[i] = n.Name
 	}
+	sort.Strings(names)
 	for _, n := range nodes {
 		if dirty != nil && !dirty[n.Name] && !touched[n.Name] {
 			continue
@@ -182,7 +186,7 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[s
 			// A virtual dependency already satisfied by a provider in the
 			// DAG attaches to that provider rather than re-creating the
 			// virtual node (otherwise resolution would never converge).
-			if prov, found, err := r.dagProviderFor(index, d.Constraint); err != nil {
+			if prov, found, err := r.dagProviderFor(index, names, d.Constraint); err != nil {
 				return changed, err
 			} else if found {
 				if n.Deps == nil {
@@ -222,6 +226,7 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[s
 				n.Deps[depName] = node
 				n.SetDepType(depName, edgeType)
 				index[depName] = node
+				names = slices.Insert(names, sort.SearchStrings(names, depName), depName)
 				changed = true
 				touched[depName] = true
 			}
@@ -231,18 +236,14 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[s
 }
 
 // dagProviderFor looks for a node already in the DAG that provides a
-// virtual dependency constraint. If nodes provide the interface name but
-// none compatibly, that is a conflict: one DAG must not mix two providers
-// of the same interface (the ABI-consistency guarantee of §3.2.1).
-func (r *resolver) dagProviderFor(index map[string]*spec.Spec, dep *spec.Spec) (*spec.Spec, bool, error) {
+// virtual dependency constraint, scanning index in the order of names (its
+// sorted keys). If nodes provide the interface name but none compatibly,
+// that is a conflict: one DAG must not mix two providers of the same
+// interface (the ABI-consistency guarantee of §3.2.1).
+func (r *resolver) dagProviderFor(index map[string]*spec.Spec, names []string, dep *spec.Spec) (*spec.Spec, bool, error) {
 	if !r.c.Path.IsVirtual(dep.Name) {
 		return nil, false, nil
 	}
-	names := make([]string, 0, len(index))
-	for name := range index {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	sawProvider := false
 	for _, name := range names {
 		n := index[name]
@@ -470,7 +471,10 @@ func (r *resolver) concretizeParams(root *spec.Spec, dirty, touched map[string]b
 		changed = true
 		touched[root.Name] = true
 	}
-	for _, n := range root.Nodes() {
+	// inheritCompilers below changes no edges, so one snapshot serves both
+	// loops.
+	nodes := root.Nodes()
+	for _, n := range nodes {
 		if n.Arch == "" {
 			n.Arch = root.Arch
 			changed = true
@@ -484,7 +488,7 @@ func (r *resolver) concretizeParams(root *spec.Spec, dirty, touched map[string]b
 	ch := r.inheritCompilers(root, touched)
 	changed = changed || ch
 
-	for _, n := range root.Nodes() {
+	for _, n := range nodes {
 		if dirty != nil && !dirty[n.Name] && !touched[n.Name] {
 			continue
 		}
@@ -683,7 +687,10 @@ func (r *resolver) concretizeCompiler(n *spec.Spec, features []string) (bool, er
 
 	if n.Compiler.Concrete() {
 		// Verify the pinned compiler exists for this arch and has the
-		// required features.
+		// required features; Find runs only to name what is missing.
+		if r.c.Registry.Has(n.Compiler, n.Arch, features) {
+			return false, nil
+		}
 		found := r.c.Registry.Find(n.Compiler, n.Arch)
 		if len(found) == 0 {
 			return false, &NoCompilerError{Package: n.Name, Constraint: n.Compiler.String(), Arch: n.Arch}

@@ -434,15 +434,24 @@ func (s *Spec) constrainNode(o *Spec) (bool, error) {
 			changed = true
 		}
 	}
+	// Check every variant before setting any: a conflict then names the
+	// least conflicting variant and leaves s's variants alone, whatever
+	// the map order.
+	conflict := ""
 	for name, val := range o.Variants {
-		if cur, ok := s.Variants[name]; ok {
-			if cur != val {
-				return false, &ConflictError{
-					Package: s.Name, Field: "variant " + name,
-					A: variantString(name, bool(cur)), B: variantString(name, bool(val)),
-				}
-			}
-		} else {
+		if cur, ok := s.Variants[name]; ok && cur != val && (conflict == "" || name < conflict) {
+			conflict = name
+		}
+	}
+	if conflict != "" {
+		cur := bool(s.Variants[conflict])
+		return false, &ConflictError{
+			Package: s.Name, Field: "variant " + conflict,
+			A: variantString(conflict, cur), B: variantString(conflict, !cur),
+		}
+	}
+	for name, val := range o.Variants {
+		if _, ok := s.Variants[name]; !ok {
 			s.SetVariant(name, bool(val))
 			changed = true
 		}
@@ -472,8 +481,13 @@ func (s *Spec) constrainNode(o *Spec) (bool, error) {
 
 // Constrain merges all constraints of o into s, package by package across
 // both DAGs (the paper's constraint-intersection step, Fig. 6). Dependency
-// nodes are matched by name regardless of DAG position. On conflict an error
-// is returned and s may be partially updated.
+// nodes are matched by name regardless of DAG position; an anonymous root
+// of o matches s's root. A node of o that s lacks is cloned and attached
+// under each of its parents in o that s has (nodes attached this way
+// count), so a missing subtree is copied below a node both DAGs share.
+// Nodes of o reachable only through nodes s lacks are ignored: so
+// New("hdf5").Constrain of "mpich ^hwloc" changes nothing and returns nil.
+// On conflict an error is returned and s may be partially updated.
 func (s *Spec) Constrain(o *Spec) error {
 	_, err := s.ConstrainChanged(o)
 	return err
@@ -482,6 +496,14 @@ func (s *Spec) Constrain(o *Spec) error {
 // ConstrainChanged is Constrain, also reporting whether anything changed —
 // the concretizer's fixed-point loop uses this to detect quiescence.
 func (s *Spec) ConstrainChanged(o *Spec) (bool, error) {
+	if s.nodeLocal(o) {
+		// Node-local: o can only touch s's root, and has no edges to copy.
+		c, err := s.constrainNode(o)
+		if c || err != nil {
+			s.forgetHash()
+		}
+		return c, err
+	}
 	// Index every node of s's DAG by name.
 	index := make(map[string]*Spec)
 	s.Traverse(func(n *Spec) bool {
@@ -501,9 +523,7 @@ func (s *Spec) ConstrainChanged(o *Spec) (bool, error) {
 	o.Traverse(func(on *Spec) bool {
 		target, ok := index[nodeKey(on)]
 		if !ok {
-			// New dependency subtree: clone and attach under the node that
-			// references it in o, or under the root if unreferenced there.
-			return true // handled in the edge pass below
+			return true // attached by the edge pass below, if o has an edge to it
 		}
 		c, err := target.constrainNode(on)
 		if c || err != nil {
@@ -553,6 +573,15 @@ func (s *Spec) ConstrainChanged(o *Spec) (bool, error) {
 		}
 	}
 	return changed, nil
+}
+
+// nodeLocal reports whether constraint o reads or writes only s's root
+// node: o has no dependencies and names s's package or none. For such an
+// o, ConstrainChanged and Compatible need no index of s's DAG: the general
+// path would look up only index[s.Name], which is s, and find no edges to
+// copy.
+func (s *Spec) nodeLocal(o *Spec) bool {
+	return len(o.Deps) == 0 && (o.Name == "" || o.Name == s.Name)
 }
 
 // cloneNodeOnly copies a node's parameters without its edges.
@@ -632,6 +661,9 @@ func (s *Spec) Satisfies(o *Spec) bool {
 	if !s.satisfiesNode(o) {
 		return false
 	}
+	if len(o.Deps) == 0 {
+		return true // the index below is read only for o's other nodes
+	}
 	index := make(map[string]*Spec)
 	s.Traverse(func(n *Spec) bool {
 		index[n.Name] = n
@@ -655,8 +687,11 @@ func (s *Spec) Satisfies(o *Spec) bool {
 // Compatible reports whether the constraints of s and o can hold at once
 // (their intersection is satisfiable). Unlike Satisfies it is symmetric.
 func (s *Spec) Compatible(o *Spec) bool {
-	c := s.Clone()
-	return c.Constrain(o) == nil
+	if s.nodeLocal(o) {
+		_, err := s.cloneNodeOnly().constrainNode(o)
+		return err == nil
+	}
+	return s.Clone().Constrain(o) == nil
 }
 
 func variantString(name string, on bool) string {

@@ -145,6 +145,29 @@ func TestConstrainVariantConflict(t *testing.T) {
 	}
 }
 
+// TestConstrainVariantConflictDeterministic: with several conflicting
+// variants the error names the least one, and no variant of o is set, so
+// the outcome does not depend on map iteration order.
+func TestConstrainVariantConflictDeterministic(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		a := New("p")
+		for _, v := range []string{"c", "a", "b"} {
+			a.SetVariant(v, false)
+		}
+		b := New("p")
+		for _, v := range []string{"c", "a", "b", "d", "e"} {
+			b.SetVariant(v, true)
+		}
+		err := a.Constrain(b)
+		if err == nil || !strings.Contains(err.Error(), `variant a for package p: "~a" vs "+a"`) {
+			t.Fatalf("Constrain error = %v, want the conflict on variant a", err)
+		}
+		if len(a.Variants) != 3 {
+			t.Fatalf("a = %s: a conflict set variants of o", a)
+		}
+	}
+}
+
 func TestConstrainArchConflict(t *testing.T) {
 	a := New("p")
 	a.Arch = "bgq"
