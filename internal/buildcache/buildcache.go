@@ -319,10 +319,7 @@ func (c *Cache) Push(st *store.Store, s *spec.Spec) (*Entry, error) {
 		StoreRoot: st.Root,
 		Prefix:    rec.Prefix,
 	}
-	specJSON, err := syntax.EncodeJSON(rec.Spec)
-	if err != nil {
-		return fail(KindManifest, err)
-	}
+	specJSON := syntax.EncodeJSON(rec.Spec)
 	ar.SpecJSON = specJSON
 
 	// Dependency prefixes, resolved from the source store — the
@@ -450,8 +447,9 @@ func (c *Cache) PushDAG(st *store.Store, root *spec.Spec) ([]*Entry, error) {
 // root and dependency prefixes (and with them the embedded rpaths) for
 // the target store through the shared relocate engine, and installs
 // through store.InstallTxn — the same singleflight, promotion, and
-// provenance discipline as a source build. Files land via temp + rename,
-// so an I/O failure mid-unpack leaves the partially written prefix to be
+// provenance discipline as a source build. Each file is written once, to
+// its final path, inside the transaction that journaled the prefix, so
+// an I/O failure mid-unpack leaves the partially written prefix to be
 // rolled back by the store and the index untouched. The spec's
 // dependencies must already be installed.
 func (c *Cache) Pull(st *store.Store, s *spec.Spec, explicit bool) (*PullResult, error) {

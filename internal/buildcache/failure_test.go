@@ -101,8 +101,10 @@ func TestPullTamperedRelocationTable(t *testing.T) {
 func TestPullRenameFaultLeavesStoreUnchanged(t *testing.T) {
 	_, cache, concrete := pushedMirror(t, "libelf")
 
-	// The target store's filesystem fails every rename: the first
-	// archived file can be written to its temp path but never committed.
+	// The target store's filesystem fails every rename. Files are written
+	// straight to their final paths, so the first rename is the journal
+	// flush (temp + rename) that must land before the prefix's first byte:
+	// the pull fails there, before anything is unpacked.
 	fs := simfs.New(simfs.TempFS)
 	stB, err := store.New(fs.FailAfter("rename", 0), "/site/store", store.SpackLayout{})
 	if err != nil {
@@ -127,6 +129,60 @@ func TestPullRenameFaultLeavesStoreUnchanged(t *testing.T) {
 	}
 	if _, err := cache.Pull(stB2, concrete, true); err != nil {
 		t.Fatalf("retry after fault: %v", err)
+	}
+}
+
+// TestPullWriteFaultSweep fails the k-th and every later write of a pull
+// of a multi-file archive, for every k until a pull gets through: the
+// journal flushes, each relocated file and the provenance files. Every
+// failed pull must leave no record, no prefix and an empty journal, and
+// a healthy retry on the same tree must succeed.
+func TestPullWriteFaultSweep(t *testing.T) {
+	_, cache, concrete := pushedMirror(t, "libelf")
+	files := 0
+	for k := 0; ; k++ {
+		if k > 200 {
+			t.Fatal("pull still failing after 200 writes")
+		}
+		fs := simfs.New(simfs.TempFS)
+		st, err := store.New(fs.FailAfter("write", k), "/site/store", store.SpackLayout{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cache.Pull(st, concrete, true)
+		if err == nil {
+			files = res.Files
+			if k <= files {
+				t.Fatalf("pull succeeded with the write fault at %d, before its %d files", k, files)
+			}
+			t.Logf("%d write faults swept over a %d-file archive", k, files)
+			break
+		}
+		if kind := buildcache.ErrorKind(err); kind != buildcache.KindIO {
+			t.Fatalf("k=%d: error kind = %q (%v), want %q", k, kind, err, buildcache.KindIO)
+		}
+		if st.Len() != 0 {
+			t.Fatalf("k=%d: index has %d records after a failed pull", k, st.Len())
+		}
+		if exists, _ := fs.Stat(st.Prefix(concrete)); exists {
+			t.Fatalf("k=%d: partial prefix survived the failed pull", k)
+		}
+		if names, err := fs.List(st.JournalDir()); err == nil && len(names) != 0 {
+			t.Fatalf("k=%d: journal left behind: %v", k, names)
+		}
+		healthy, err := store.New(fs, "/site/store", store.SpackLayout{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cache.Pull(healthy, concrete, true); err != nil {
+			t.Fatalf("k=%d: retry after fault: %v", k, err)
+		}
+		if !healthy.IsInstalled(concrete) {
+			t.Fatalf("k=%d: retry did not install", k)
+		}
+	}
+	if files < 2 {
+		t.Errorf("archive has %d files; the sweep needs a multi-file archive", files)
 	}
 }
 

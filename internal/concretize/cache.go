@@ -157,11 +157,7 @@ func (c *Cache) Save(w io.Writer) error {
 	var entries []persistEntry
 	for el := c.order.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*cacheEntry)
-		data, err := syntax.EncodeJSON(e.concrete)
-		if err != nil {
-			c.mu.Unlock()
-			return fmt.Errorf("concretize: encode cache entry: %w", err)
-		}
+		data := syntax.EncodeJSON(e.concrete)
 		entries = append(entries, persistEntry{Key: e.key, Concrete: data})
 	}
 	c.mu.Unlock()

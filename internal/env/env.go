@@ -394,10 +394,7 @@ func (e *Environment) writeLockFor(p *Plan) error {
 		}
 		seen[hash] = true
 		l.Roots = append(l.Roots, LockRoot{Expr: e.Manifest.Specs[i], Hash: hash})
-		data, err := syntax.EncodeJSON(c)
-		if err != nil {
-			return err
-		}
+		data := syntax.EncodeJSON(c)
 		l.Specs[hash] = data
 	}
 	return writeLock(e.fs, e.LockPath(), l)

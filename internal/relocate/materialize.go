@@ -2,7 +2,6 @@ package relocate
 
 import (
 	"fmt"
-	"path"
 	"strings"
 
 	"repro/internal/buildenv"
@@ -144,15 +143,20 @@ type Options struct {
 // Materialize writes a relocated file set into prefix: directories are
 // created as needed, symlink targets are rewritten through the table,
 // and each regular file's bytes are rewritten, verified against the
-// recorded counts, rpath-scanned, and landed via temp + rename — so an
-// I/O failure mid-write never leaves a torn file at its final path.
-// Returns how many files and symlinks were written.
+// recorded counts, rpath-scanned, and written once, to its final path.
+// prefix must be a new tree owned by a transaction that journaled it
+// before its first byte (store.InstallTxn): a failure part-way leaves
+// files behind, and the rollback, or recovery after a crash, removes the
+// whole prefix. Returns how many files and symlinks were written.
 func Materialize(fs *simfs.FS, prefix string, files []File, o Options) (int, error) {
 	made := map[string]bool{prefix: true}
 	n := 0
 	for _, f := range files {
 		target := prefix + "/" + f.Path
-		dir := path.Dir(target)
+		dir := prefix
+		if i := strings.LastIndexByte(f.Path, '/'); i >= 0 {
+			dir = target[:len(prefix)+1+i] // MkdirAll cleans it
+		}
 		if !made[dir] {
 			if err := fs.MkdirAll(dir); err != nil {
 				return n, err
@@ -181,17 +185,7 @@ func Materialize(fs *simfs.FS, prefix string, files []File, o Options) (int, err
 		if err := ScanRPaths(f.Path, out, o.ForbidRoot); err != nil {
 			return n, err
 		}
-		// Temp + rename: a failure mid-write never leaves a torn file at
-		// the final path, and the enclosing transaction rolls the prefix
-		// back. The fixed temp name (not txn.WriteFileAtomic's counter
-		// suffix) is safe because the install leader is the prefix's only
-		// writer, and it saves an allocation per file on the install path.
-		tmp := target + ".rtmp"
-		if err := fs.WriteFile(tmp, out); err != nil {
-			return n, err
-		}
-		if err := fs.Rename(tmp, target); err != nil {
-			_ = fs.Remove(tmp)
+		if err := fs.WriteFile(target, out); err != nil {
 			return n, err
 		}
 		n++

@@ -4,8 +4,8 @@
 // installed prefix between path namespaces: longest-source-first rewrite
 // tables, single-pass byte rewriting with per-source occurrence counts,
 // count verification against a recorded relocation table, an rpath sanity
-// scan, and the temp+rename materialization of a relocated file set into
-// a target prefix.
+// scan, and the materialization of a relocated file set into a new,
+// transaction-owned target prefix, one write per file.
 //
 // Table.Rewrite is the one rewrite path for Push (an identity table, to
 // count), Pull and splice. It does not test every source at every byte:

@@ -289,10 +289,7 @@ func (s *Scheduler) Submit(root *spec.Spec) (JobStatus, error) {
 			j.prebuilt++
 			continue
 		}
-		dag, err := syntax.EncodeJSON(n)
-		if err != nil {
-			return JobStatus{}, fmt.Errorf("sched: encode %s: %w", n.Name, err)
-		}
+		dag := syntax.EncodeJSON(n)
 		nd := &node{
 			hash:        hash,
 			name:        n.Name,

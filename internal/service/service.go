@@ -518,11 +518,7 @@ func (s *Server) handleConcretize(w http.ResponseWriter, r *http.Request) {
 	if cached {
 		s.stats.concretize.hits.Add(1)
 	}
-	dag, err := syntax.EncodeJSON(concrete)
-	if err != nil {
-		http.Error(w, "encode dag: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
+	dag := syntax.EncodeJSON(concrete)
 	writeJSON(w, http.StatusOK, ConcretizeResponse{
 		Spec:     concrete.String(),
 		FullHash: concrete.FullHash(),

@@ -68,10 +68,7 @@ func TestFullHashMemoMatchesRecompute(t *testing.T) {
 		if got := checkMemo(t, s.Name+" clone", s.Clone()); got != h {
 			t.Errorf("%s: clone hash %s, want %s", s.Name, got, h)
 		}
-		data, err := syntax.EncodeJSON(s)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := syntax.EncodeJSON(s)
 		back, err := syntax.DecodeJSON(data)
 		if err != nil {
 			t.Fatal(err)

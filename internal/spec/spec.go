@@ -12,6 +12,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -701,42 +702,61 @@ func variantString(name string, on bool) string {
 	return "~" + name
 }
 
-// format renders one node's constraints in spec syntax.
+// formatNode renders one node's constraints in spec syntax, with the
+// external annotation.
 func (s *Spec) formatNode(b *strings.Builder) {
-	b.WriteString(s.Name)
-	if v := s.Versions.String(); v != "" {
-		b.WriteByte('@')
-		b.WriteString(v)
+	var buf [128]byte
+	b.Write(s.appendNode(buf[:0], true))
+}
+
+// AppendNode appends the node's own constraints in spec syntax to dst:
+// the node as String renders it, without dependency clauses and without
+// the external annotation, which does not parse. Spec JSON records a node
+// this way and carries the external path separately.
+func (s *Spec) AppendNode(dst []byte) []byte { return s.appendNode(dst, false) }
+
+func (s *Spec) appendNode(dst []byte, external bool) []byte {
+	dst = appendVersions(append(dst, s.Name...), s.Versions)
+	if s.Compiler.Name != "" {
+		dst = append(dst, '%')
+		dst = appendVersions(append(dst, s.Compiler.Name...), s.Compiler.Versions)
 	}
-	if c := s.Compiler.String(); c != "" {
-		b.WriteByte('%')
-		b.WriteString(c)
-	}
-	names := make([]string, 0, len(s.Variants))
+	var arr [8]string
+	names := arr[:0]
 	for n := range s.Variants {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, n := range names {
 		if s.Variants[n] {
-			b.WriteByte('+')
+			dst = append(dst, '+')
 		} else {
-			b.WriteByte('~')
+			dst = append(dst, '~')
 		}
-		b.WriteString(n)
+		dst = append(dst, n...)
 	}
 	if s.Arch != "" {
-		b.WriteByte('=')
-		b.WriteString(s.Arch)
+		dst = append(dst, '=')
+		dst = append(dst, s.Arch...)
 	}
-	if s.External {
-		b.WriteString(" [external")
+	if external && s.External {
+		dst = append(dst, " [external"...)
 		if s.Path != "" {
-			b.WriteByte(':')
-			b.WriteString(s.Path)
+			dst = append(dst, ':')
+			dst = append(dst, s.Path...)
 		}
-		b.WriteByte(']')
+		dst = append(dst, ']')
 	}
+	return dst
+}
+
+// appendVersions appends "@" and l's rendering, or nothing for an empty l.
+func appendVersions(dst []byte, l version.List) []byte {
+	n := len(dst)
+	if dst = l.AppendTo(append(dst, '@')); len(dst) == n+1 {
+		return dst[:n]
+	}
+	return dst
 }
 
 // String renders the full spec in the paper's command-line syntax: the root
@@ -769,15 +789,17 @@ func (s *Spec) TreeString() string {
 	seen := make(map[string]bool)
 	var walk func(n *Spec, depth int, edge DepType)
 	walk = func(n *Spec, depth int, edge DepType) {
-		b.WriteString(strings.Repeat("    ", depth))
-		if depth > 0 {
-			b.WriteString("^")
+		for i := 0; i < depth; i++ {
+			b.WriteString("    ")
 		}
-		var nb strings.Builder
-		n.formatNode(&nb)
-		b.WriteString(nb.String())
+		if depth > 0 {
+			b.WriteByte('^')
+		}
+		n.formatNode(&b)
 		if depth > 0 && edge != DepDefault {
-			b.WriteString(" [" + edge.String() + "]")
+			b.WriteString(" [")
+			b.WriteString(edge.String())
+			b.WriteByte(']')
 		}
 		b.WriteByte('\n')
 		if seen[n.Name] {

@@ -490,6 +490,76 @@ func TestTreeString(t *testing.T) {
 	}
 }
 
+// TestTreeStringExact pins TreeString and String byte for byte on a DAG
+// that exercises every part of a node's rendering.
+func TestTreeStringExact(t *testing.T) {
+	s := pinnedTreeDAG()
+	wantTree := "mpileaks@1.0,2.0:2.2%gcc@4.9.2+debug\n" +
+		"    ^cmake@3.0: [external:/usr] [build,run]\n" +
+		"    ^libdwarf@:20130729+a~b+c~d+e~f+g~h+i~j\n" +
+		"        ^cmake@3.0: [external:/usr] [build]\n" +
+		"        ^libelf@0.8.13%gcc@4.7:4.9,5.1=linux-x86_64\n" +
+		"    ^libelf@0.8.13%gcc@4.7:4.9,5.1=linux-x86_64\n" +
+		"    ^python%intel [external] [run]\n"
+	if got := s.TreeString(); got != wantTree {
+		t.Errorf("TreeString =\n%s\nwant\n%s", got, wantTree)
+	}
+	wantString := "mpileaks@1.0,2.0:2.2%gcc@4.9.2+debug ^cmake@3.0: [external:/usr] " +
+		"^libdwarf@:20130729+a~b+c~d+e~f+g~h+i~j ^libelf@0.8.13%gcc@4.7:4.9,5.1=linux-x86_64 " +
+		"^python%intel [external]"
+	if got := s.String(); got != wantString {
+		t.Errorf("String = %q, want %q", got, wantString)
+	}
+	// AppendNode is the node alone: no dependency clauses, no external
+	// annotation.
+	if got := string(s.Dep("cmake").AppendNode([]byte("x:"))); got != "x:cmake@3.0:" {
+		t.Errorf("AppendNode = %q", got)
+	}
+}
+
+// pinnedTreeDAG exercises every part of a node's rendering: version
+// lists, compiler ranges, more variants than fit a small buffer, arch,
+// an external with and without a path, and non-default edge types.
+func pinnedTreeDAG() *Spec {
+	list := func(s string) version.List {
+		l, err := version.ParseList(s)
+		if err != nil {
+			panic(err)
+		}
+		return l
+	}
+	libelf := New("libelf")
+	libelf.Versions = list("0.8.13")
+	libelf.Compiler = Compiler{Name: "gcc", Versions: list("4.7:4.9,5.1")}
+	libelf.Arch = "linux-x86_64"
+	cmake := New("cmake")
+	cmake.Versions = list("3.0:")
+	cmake.External = true
+	cmake.Path = "/usr"
+	python := New("python")
+	python.External = true
+	python.Compiler = Compiler{Name: "intel"}
+	libdwarf := New("libdwarf")
+	libdwarf.Versions = list(":20130729")
+	for i, v := range []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"} {
+		libdwarf.SetVariant(v, i%2 == 0)
+	}
+	libdwarf.AddDep(libelf)
+	libdwarf.AddDep(cmake)
+	libdwarf.SetDepType("cmake", DepBuild)
+	root := New("mpileaks")
+	root.Versions = list("1.0,2.0:2.2")
+	root.Compiler = Compiler{Name: "gcc", Versions: version.ExactList(version.Parse("4.9.2"))}
+	root.SetVariant("debug", true)
+	root.AddDep(libdwarf)
+	root.AddDep(libelf)
+	root.AddDep(python)
+	root.SetDepType("python", DepRun)
+	root.AddDep(cmake)
+	root.SetDepType("cmake", DepBuild|DepRun)
+	return root
+}
+
 func TestVariantHelpers(t *testing.T) {
 	s := New("p")
 	if _, ok := s.Variant("debug"); ok {

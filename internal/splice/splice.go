@@ -410,10 +410,7 @@ func (sp *Splicer) stageEnvRewrites(t *txn.Txn, p *Plan, res *Result) error {
 	if len(p.Envs) == 0 {
 		return nil
 	}
-	specJSON, err := encodeSpec(p.NewRoot)
-	if err != nil {
-		return err
-	}
+	specJSON := json.RawMessage(syntax.EncodeJSON(p.NewRoot))
 	inPlan := make(map[string]bool, len(p.Envs))
 	for _, path := range p.Envs {
 		inPlan[path] = true
@@ -446,12 +443,4 @@ func (sp *Splicer) stageEnvRewrites(t *txn.Txn, p *Plan, res *Result) error {
 		}
 	}
 	return nil
-}
-
-func encodeSpec(s *spec.Spec) (json.RawMessage, error) {
-	data, err := syntax.EncodeJSON(s)
-	if err != nil {
-		return nil, err
-	}
-	return json.RawMessage(data), nil
 }

@@ -108,10 +108,7 @@ func lockEnv(t *testing.T, m *machine, name string, root *spec.Spec) *env.Enviro
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := syntax.EncodeJSON(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := syntax.EncodeJSON(root)
 	hash := root.FullHash()
 	lock := &env.Lock{Version: env.LockVersion,
 		Roots: []env.LockRoot{{Expr: root.Name, Hash: hash}},

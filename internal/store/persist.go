@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/jsonenc"
 	"repro/internal/simfs"
 	"repro/internal/syntax"
 )
@@ -45,26 +46,38 @@ type dbEntry struct {
 	Lineage     []string `json:"lineage,omitempty"`
 }
 
-// encodeEntries renders snapshot records to the JSON format of one shard
-// file.
-func encodeEntries(entries []Record) ([]byte, error) {
-	out := make([]dbEntry, 0, len(entries))
-	for _, e := range entries {
-		encoded, err := syntax.EncodeJSON(e.Spec)
-		if err != nil {
-			return nil, err
+// encodeEntries appends snapshot records to dst in the JSON format of one
+// shard file: a compact array of dbEntry objects, written by hand with
+// each record's spec JSON appended in place by syntax.AppendJSON.
+func encodeEntries(dst []byte, entries []Record) []byte {
+	b := append(dst, '[')
+	for i, e := range entries {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		out = append(out, dbEntry{
-			Spec:        e.Spec.String(),
-			SpecJSON:    encoded,
-			Prefix:      e.Prefix,
-			Explicit:    e.Explicit,
-			Origin:      e.Origin,
-			SplicedFrom: e.SplicedFrom,
-			Lineage:     e.Lineage,
-		})
+		b = append(b, `{"spec":`...)
+		b = jsonenc.String(b, e.Spec.String())
+		b = append(b, `,"spec_json":`...)
+		b = syntax.AppendJSON(b, e.Spec)
+		b = append(b, `,"prefix":`...)
+		b = jsonenc.String(b, e.Prefix)
+		b = append(b, `,"explicit":`...)
+		b = jsonenc.Bool(b, e.Explicit)
+		if e.Origin != "" {
+			b = append(b, `,"origin":`...)
+			b = jsonenc.String(b, e.Origin)
+		}
+		if e.SplicedFrom != "" {
+			b = append(b, `,"spliced_from":`...)
+			b = jsonenc.String(b, e.SplicedFrom)
+		}
+		if len(e.Lineage) > 0 {
+			b = append(b, `,"lineage":`...)
+			b = jsonenc.Strings(b, e.Lineage)
+		}
+		b = append(b, '}')
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return append(b, ']')
 }
 
 // decodeEntries parses a shard file back into records keyed by hash.

@@ -1,10 +1,14 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/simfs"
+	"repro/internal/syntax"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -243,5 +247,65 @@ func TestReindexFromProvenance(t *testing.T) {
 	}
 	if !st2.IsInstalled(a) || !st2.IsInstalled(b) {
 		t.Error("reindex missed records")
+	}
+}
+
+// TestShardEncodingCompatible decodes a shard in the hand-written format
+// and in the indented format encoding/json used to write, and checks that
+// both yield the same records: a database written before or after the
+// change loads either way.
+func TestShardEncodingCompatible(t *testing.T) {
+	a := mustConcrete(t, "libelf@0.8.13")
+	b := mustConcrete(t, "zlib")
+	b.External = true
+	b.Path = "/usr/<vendor> & \"lib\""
+	entries := []Record{
+		{Spec: a, Prefix: "/spack/opt/libelf", Explicit: true, Origin: OriginBinary,
+			SplicedFrom: "abc", Lineage: []string{"abc", "d\\é"}},
+		{Spec: b, Prefix: b.Path, Origin: OriginExternal},
+	}
+	var old []dbEntry
+	for _, e := range entries {
+		data := syntax.EncodeJSON(e.Spec)
+		old = append(old, dbEntry{Spec: e.Spec.String(), SpecJSON: data, Prefix: e.Prefix,
+			Explicit: e.Explicit, Origin: e.Origin, SplicedFrom: e.SplicedFrom, Lineage: e.Lineage})
+	}
+	indented, err := json.MarshalIndent(old, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := encodeEntries(nil, entries)
+	var asEntries []dbEntry
+	if err := json.Unmarshal(written, &asEntries); err != nil {
+		t.Fatalf("shard does not decode: %v\n%s", err, written)
+	}
+	for i := range asEntries {
+		if !bytes.Equal(asEntries[i].SpecJSON, old[i].SpecJSON) {
+			t.Errorf("entry %d: spec_json not copied verbatim", i)
+		}
+		asEntries[i].SpecJSON = old[i].SpecJSON
+	}
+	if !reflect.DeepEqual(asEntries, old) {
+		t.Errorf("decoded entries differ\ngot:  %+v\nwant: %+v", asEntries, old)
+	}
+	for name, data := range map[string][]byte{"hand-written": written, "indented": indented} {
+		recs, err := decodeEntries(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(recs) != len(entries) {
+			t.Fatalf("%s: %d records", name, len(recs))
+		}
+		for _, want := range entries {
+			got := recs[want.Spec.FullHash()]
+			if got == nil {
+				t.Fatalf("%s: %s missing", name, want.Spec.Name)
+			}
+			if got.Prefix != want.Prefix || got.Explicit != want.Explicit || got.Origin != want.Origin ||
+				got.SplicedFrom != want.SplicedFrom || !reflect.DeepEqual(got.Lineage, want.Lineage) ||
+				got.Spec.External != want.Spec.External || got.Spec.Path != want.Spec.Path {
+				t.Errorf("%s: record %+v, want %+v", name, got, want)
+			}
+		}
 	}
 }

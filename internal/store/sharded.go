@@ -241,6 +241,7 @@ func (ix *shardedIndex) Save(fs *simfs.FS, dbDir string) error {
 	var man manifest
 	man.Version = shardedLayoutVersion
 	dirtyWritten := false
+	var buf []byte
 	for i := range ix.shards {
 		sh := &ix.shards[i]
 		sh.mu.RLock()
@@ -252,17 +253,14 @@ func (ix *shardedIndex) Save(fs *simfs.FS, dbDir string) error {
 		prefix := string(hashAlphabet[i])
 		if gen != saved {
 			entries := ix.snapshotShard(i)
-			data, err := encodeEntries(entries)
-			if err != nil {
-				return err
-			}
+			buf = encodeEntries(buf[:0], entries) // WriteFileAtomic copies it
 			if !mkdirDone {
 				if err := fs.MkdirAll(shardsDir); err != nil {
 					return err
 				}
 				mkdirDone = true
 			}
-			if err := txn.WriteFileAtomic(fs, shardsDir+"/"+prefix+".json", data); err != nil {
+			if err := txn.WriteFileAtomic(fs, shardsDir+"/"+prefix+".json", buf); err != nil {
 				return err
 			}
 			count = len(entries)

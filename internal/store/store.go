@@ -303,10 +303,13 @@ func (st *Store) writeProvenance(s *spec.Spec, prefix string, specJSON []byte) e
 	if err := st.FS.MkdirAll(meta); err != nil {
 		return err
 	}
-	if err := st.FS.WriteFile(meta+"/spec", []byte(s.String()+"\n")); err != nil {
+	// The filesystem copies what it writes, so one buffer serves every
+	// rendered file.
+	buf := append(append(make([]byte, 0, 1024), s.String()...), '\n')
+	if err := st.FS.WriteFile(meta+"/spec", buf); err != nil {
 		return err
 	}
-	if err := st.FS.WriteFile(meta+"/spec.tree", []byte(s.TreeString())); err != nil {
+	if err := st.FS.WriteFile(meta+"/spec.tree", append(buf[:0], s.TreeString()...)); err != nil {
 		return err
 	}
 	// spec.json preserves the exact edge structure (the flat spec string
@@ -314,8 +317,8 @@ func (st *Store) writeProvenance(s *spec.Spec, prefix string, specJSON []byte) e
 	if err := st.FS.WriteFile(meta+"/spec.json", specJSON); err != nil {
 		return err
 	}
-	return st.FS.WriteFile(meta+"/build.log",
-		[]byte(fmt.Sprintf("installed %s into %s\n", s.Name, prefix)))
+	buf = append(append(append(buf[:0], "installed "...), s.Name...), " into "...)
+	return st.FS.WriteFile(meta+"/build.log", append(append(buf, prefix...), '\n'))
 }
 
 // ReadProvenance returns the stored concrete spec string for a prefix.

@@ -137,10 +137,7 @@ func (st *Store) installLeader(t *txn.Txn, s *spec.Spec, hash string, meta txn.R
 	}
 
 	// One encoding serves both the provenance file and the index record.
-	specJSON, err := syntax.EncodeJSON(s)
-	if err != nil {
-		return fail(err)
-	}
+	specJSON := syntax.EncodeJSON(s)
 	prefix := st.Prefix(s)
 	ran := false
 	if s.External {

@@ -3,9 +3,10 @@ package syntax
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
+	"repro/internal/jsonenc"
 	"repro/internal/spec"
 )
 
@@ -31,51 +32,150 @@ type specJSON struct {
 }
 
 // EncodeJSON serializes a spec DAG with full edge fidelity.
-func EncodeJSON(s *spec.Spec) ([]byte, error) {
-	out := specJSON{
-		Root:      s.Name,
-		Nodes:     make(map[string]string),
-		Edges:     make(map[string][]string),
-		EdgeTypes: make(map[string]map[string]string),
-		External:  make(map[string]string),
-		Namespace: make(map[string]string),
+func EncodeJSON(s *spec.Spec) []byte { return AppendJSON(nil, s) }
+
+// AppendJSON appends EncodeJSON's encoding of s to dst. The bytes are
+// exactly json.MarshalIndent(specJSON, "", "  "): keys sorted, two-space
+// indentation, empty optional maps omitted. They are written by hand
+// because every install encodes its spec into the provenance file, the
+// journal and the index, and the reflection encoder dominated that cost.
+func AppendJSON(dst []byte, s *spec.Spec) []byte {
+	nodes, deps := encodeOrder(s)
+	dst = append(dst, "{\n  \"root\": "...)
+	dst = jsonenc.String(dst, s.Name)
+	dst = append(dst, ",\n  \"nodes\": {"...)
+	for i, e := range nodes {
+		dst = appendKey(dst, i, 4, e.n.Name)
+		dst = append(dst, '"')
+		start := len(dst)
+		dst = append(jsonenc.Escape(e.n.AppendNode(dst), start), '"')
 	}
-	var fail error
-	s.Traverse(func(n *spec.Spec) bool {
-		// Render the node alone: a copy without edges. Externals render a
-		// non-parseable suffix, so the copy drops it and the path is
-		// recorded separately.
-		node := &spec.Spec{Name: n.Name, Versions: n.Versions, Compiler: n.Compiler,
-			Variants: n.Variants, Arch: n.Arch}
-		out.Nodes[n.Name] = node.String()
-		if n.External {
-			out.External[n.Name] = n.Path
+	dst = closeObject(dst, len(nodes), 2)
+
+	dst = appendSection(dst, nodes, "edges", func(e encNode) bool { return e.lo < e.hi },
+		func(dst []byte, e encNode) []byte {
+			dst = append(dst, '[')
+			for i, d := range deps[e.lo:e.hi] {
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				dst = append(dst, "\n      "...)
+				dst = jsonenc.String(dst, d)
+			}
+			return append(dst, "\n    ]"...)
+		})
+	dst = appendSection(dst, nodes, "edgetypes",
+		func(e encNode) bool {
+			for _, d := range deps[e.lo:e.hi] {
+				if e.n.EdgeType(d) != spec.DepDefault {
+					return true
+				}
+			}
+			return false
+		},
+		func(dst []byte, e encNode) []byte {
+			dst = append(dst, '{')
+			k := 0
+			for _, d := range deps[e.lo:e.hi] {
+				if t := e.n.EdgeType(d); t != spec.DepDefault {
+					dst = appendKey(dst, k, 6, d)
+					dst = jsonenc.String(dst, t.String())
+					k++
+				}
+			}
+			return append(dst, "\n    }"...)
+		})
+	dst = appendSection(dst, nodes, "external", func(e encNode) bool { return e.n.External },
+		func(dst []byte, e encNode) []byte { return jsonenc.String(dst, e.n.Path) })
+	dst = appendSection(dst, nodes, "namespace", func(e encNode) bool { return e.n.Namespace != "" },
+		func(dst []byte, e encNode) []byte { return jsonenc.String(dst, e.n.Namespace) })
+	return append(dst, "\n}"...)
+}
+
+// encNode is one DAG node in encoding order; deps[lo:hi] are the names of
+// its direct dependencies, sorted.
+type encNode struct {
+	n      *spec.Spec
+	lo, hi int
+}
+
+// encodeOrder lists the nodes Traverse visits — root first, dependencies
+// in name order, each name once — sorted by name, with every node's
+// sorted dependency names in one shared slice.
+func encodeOrder(s *spec.Spec) ([]encNode, []string) {
+	var nodes []encNode
+	var deps []string
+	seen := make(map[string]bool)
+	var walk func(n *spec.Spec)
+	walk = func(n *spec.Spec) {
+		if seen[n.Name] {
+			return
 		}
-		if n.Namespace != "" {
-			out.Namespace[n.Name] = n.Namespace
-		}
-		var deps []string
+		seen[n.Name] = true
+		lo := len(deps)
 		for name := range n.Deps {
 			deps = append(deps, name)
 		}
-		sort.Strings(deps)
-		if len(deps) > 0 {
-			out.Edges[n.Name] = deps
+		slices.Sort(deps[lo:])
+		hi := len(deps)
+		nodes = append(nodes, encNode{n: n, lo: lo, hi: hi})
+		for i := lo; i < hi; i++ {
+			walk(n.Deps[deps[i]])
 		}
-		for _, d := range deps {
-			if t := n.EdgeType(d); t != spec.DepDefault {
-				if out.EdgeTypes[n.Name] == nil {
-					out.EdgeTypes[n.Name] = make(map[string]string)
-				}
-				out.EdgeTypes[n.Name][d] = t.String()
-			}
-		}
-		return true
-	})
-	if fail != nil {
-		return nil, fail
 	}
-	return json.MarshalIndent(out, "", "  ")
+	walk(s)
+	slices.SortFunc(nodes, func(a, b encNode) int { return strings.Compare(a.n.Name, b.n.Name) })
+	return nodes, deps
+}
+
+// appendKey opens the i-th member of an indented object: a separator,
+// a newline, indent spaces and the quoted key.
+func appendKey(dst []byte, i, indent int, key string) []byte {
+	if i > 0 {
+		dst = append(dst, ',')
+	}
+	dst = append(dst, '\n')
+	for ; indent > 0; indent-- {
+		dst = append(dst, ' ')
+	}
+	dst = jsonenc.String(dst, key)
+	return append(dst, ": "...)
+}
+
+// closeObject closes an indented object of n members whose closing brace
+// sits at indent.
+func closeObject(dst []byte, n, indent int) []byte {
+	if n == 0 {
+		return append(dst, '}')
+	}
+	dst = append(dst, '\n')
+	for ; indent > 0; indent-- {
+		dst = append(dst, ' ')
+	}
+	return append(dst, '}')
+}
+
+// appendSection appends an optional top-level map (omitted when empty)
+// with one member per node that has, rendered by value.
+func appendSection(dst []byte, nodes []encNode, key string, has func(encNode) bool,
+	value func([]byte, encNode) []byte) []byte {
+	k := 0
+	for _, e := range nodes {
+		if !has(e) {
+			continue
+		}
+		if k == 0 {
+			dst = append(dst, ",\n  \""...)
+			dst = append(dst, key...)
+			dst = append(dst, "\": {"...)
+		}
+		dst = value(appendKey(dst, k, 4, e.n.Name), e)
+		k++
+	}
+	if k > 0 {
+		dst = closeObject(dst, k, 2)
+	}
+	return dst
 }
 
 // DecodeJSON reconstructs a spec DAG serialized by EncodeJSON.

@@ -28,10 +28,7 @@ func buildNested() *spec.Spec {
 
 func TestJSONRoundTripPreservesEdges(t *testing.T) {
 	orig := buildNested()
-	data, err := EncodeJSON(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := EncodeJSON(orig)
 	back, err := DecodeJSON(data)
 	if err != nil {
 		t.Fatal(err)
@@ -69,10 +66,7 @@ func TestJSONExternalsAndNamespace(t *testing.T) {
 	ext.External = true
 	ext.Path = "/opt/vendor"
 	ext.Namespace = "builtin"
-	data, err := EncodeJSON(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := EncodeJSON(s)
 	back, err := DecodeJSON(data)
 	if err != nil {
 		t.Fatal(err)
@@ -89,10 +83,7 @@ func TestJSONExternalsAndNamespace(t *testing.T) {
 func TestJSONEdgeTypesRoundTrip(t *testing.T) {
 	s := buildNested()
 	s.SetDepType("bpkg", spec.DepBuild)
-	data, err := EncodeJSON(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := EncodeJSON(s)
 	if !strings.Contains(string(data), `"bpkg": "build"`) {
 		t.Errorf("edge type not serialized:\n%s", data)
 	}
@@ -131,10 +122,7 @@ func TestDecodeJSONErrors(t *testing.T) {
 }
 
 func TestEncodeJSONReadable(t *testing.T) {
-	data, err := EncodeJSON(buildNested())
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := EncodeJSON(buildNested())
 	text := string(data)
 	for _, want := range []string{`"root": "apkg"`, `"apkg@3.0`, `"edges"`} {
 		if !strings.Contains(text, want) {

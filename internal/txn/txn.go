@@ -14,7 +14,10 @@
 //     mid-apply crash simply replays the whole log — the post-state.
 //
 // The journal is a directory of JSON files, one per in-flight
-// transaction; an empty directory means the system is consistent.
+// transaction; an empty directory means the system is consistent. Each
+// staged op is encoded once, when it is staged; a flush writes the
+// document's header, its created prefixes and those stored encodings
+// compactly, without re-marshalling anything.
 package txn
 
 import (
@@ -24,6 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/jsonenc"
 	"repro/internal/simfs"
 )
 
@@ -98,7 +102,44 @@ type Applier interface {
 	Sync() error
 }
 
-// journalDoc is the persisted form of one transaction.
+// appendOp appends op's journal encoding: the JSON encoding/json gives an
+// Op, compact, with the spec copied in verbatim rather than re-compacted.
+// The spec must therefore be a JSON document (syntax.EncodeJSON's output).
+func appendOp(dst []byte, op Op) []byte {
+	dst = append(dst, `{"kind":`...)
+	dst = jsonenc.String(dst, string(op.Kind))
+	str := func(key, v string) {
+		if v != "" {
+			dst = append(dst, key...)
+			dst = jsonenc.String(dst, v)
+		}
+	}
+	str(`,"hash":`, op.Hash)
+	if len(op.Spec) > 0 {
+		dst = append(dst, `,"spec":`...)
+		dst = append(dst, op.Spec...)
+	}
+	str(`,"prefix":`, op.Prefix)
+	if op.Explicit {
+		dst = append(dst, `,"explicit":true`...)
+	}
+	str(`,"origin":`, op.Origin)
+	str(`,"spliced_from":`, op.SplicedFrom)
+	if len(op.Lineage) > 0 {
+		dst = append(dst, `,"lineage":`...)
+		dst = jsonenc.Strings(dst, op.Lineage)
+	}
+	str(`,"path":`, op.Path)
+	str(`,"target":`, op.Target)
+	if len(op.Content) > 0 {
+		dst = append(dst, `,"content":`...)
+		dst = jsonenc.Bytes(dst, op.Content)
+	}
+	return append(dst, '}')
+}
+
+// journalDoc is the persisted form of one transaction; Recover decodes
+// it with encoding/json.
 type journalDoc struct {
 	ID string `json:"id"`
 	// Status is "active" until the commit point, "committed" after.
@@ -125,9 +166,16 @@ type Txn struct {
 	dir  string // journal directory; "" disables the on-disk journal
 	file string
 
-	mu        sync.Mutex
-	doc       journalDoc
-	flushed   bool // journal file exists on disk
+	mu      sync.Mutex
+	id      string
+	status  string
+	created []string // the undo log: prefixes journaled before creation
+	ops     []Op     // the redo log
+	// encOps holds the journal encodings of ops, comma-separated, each
+	// appended once by Stage.
+	encOps    []byte
+	buf       []byte // flush scratch; the filesystem copies what it writes
+	flushed   bool   // journal file exists on disk
 	committed bool
 	done      bool
 	rollbacks []func() // in-memory undo hooks, run LIFO on Rollback
@@ -140,14 +188,15 @@ type Txn struct {
 // directory).
 func Begin(fs *simfs.FS, dir string) *Txn {
 	id := fmt.Sprintf("txn-%06d", atomic.AddUint64(&txnSeq, 1))
-	t := &Txn{fs: fs, dir: dir, doc: journalDoc{ID: id, Status: statusActive}}
+	t := &Txn{fs: fs, dir: dir, id: id, status: statusActive}
 	if dir != "" {
 		t.file = dir + "/" + id + ".json"
 	}
 	return t
 }
 
-// flushLocked persists the journal document (temp + rename). Callers hold
+// flushLocked persists the journal document (temp + rename): the header,
+// the created prefixes and the ops as Stage encoded them. Callers hold
 // t.mu.
 func (t *Txn) flushLocked() error {
 	if t.dir == "" {
@@ -158,11 +207,21 @@ func (t *Txn) flushLocked() error {
 			return err
 		}
 	}
-	data, err := json.MarshalIndent(&t.doc, "", "  ")
-	if err != nil {
-		return err
+	b := append(t.buf[:0], `{"id":`...)
+	b = jsonenc.String(b, t.id)
+	b = append(b, `,"status":`...)
+	b = jsonenc.String(b, t.status)
+	if len(t.created) > 0 {
+		b = append(b, `,"created":`...)
+		b = jsonenc.Strings(b, t.created)
 	}
-	if err := WriteFileAtomic(t.fs, t.file, data); err != nil {
+	if len(t.ops) > 0 {
+		b = append(b, `,"ops":[`...)
+		b = append(b, t.encOps...)
+		b = append(b, ']')
+	}
+	t.buf = append(b, '}')
+	if err := WriteFileAtomic(t.fs, t.file, t.buf); err != nil {
 		return err
 	}
 	t.flushed = true
@@ -177,20 +236,26 @@ func (t *Txn) RecordPrefix(prefix string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.done {
-		return fmt.Errorf("txn %s: record prefix on a finished transaction", t.doc.ID)
+		return fmt.Errorf("txn %s: record prefix on a finished transaction", t.id)
 	}
-	t.doc.Created = append(t.doc.Created, prefix)
+	t.created = append(t.created, prefix)
 	return t.flushLocked()
 }
 
-// Stage appends a redo operation. Nothing touches disk until Commit.
+// Stage appends a redo operation and its journal encoding. Nothing
+// touches disk until the next flush.
 func (t *Txn) Stage(op Op) {
 	t.mu.Lock()
-	t.doc.Ops = append(t.doc.Ops, op)
+	if len(t.ops) > 0 {
+		t.encOps = append(t.encOps, ',')
+	}
+	t.encOps = appendOp(t.encOps, op)
+	t.ops = append(t.ops, op)
 	t.mu.Unlock()
 }
 
-// StageInsertRecord stages a store index insertion.
+// StageInsertRecord stages a store index insertion. specJSON is the
+// record's syntax.EncodeJSON encoding; the journal carries it verbatim.
 func (t *Txn) StageInsertRecord(hash string, specJSON []byte, prefix string, meta RecordMeta) {
 	t.Stage(Op{Kind: OpInsertRecord, Hash: hash, Spec: specJSON,
 		Prefix: prefix, Explicit: meta.Explicit, Origin: meta.Origin,
@@ -250,7 +315,7 @@ func (t *Txn) OnCommit(fn func()) {
 func (t *Txn) Ops() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.doc.Ops)
+	return len(t.ops)
 }
 
 // CommitError reports a failure after the commit point: the journal is
@@ -277,29 +342,29 @@ func (t *Txn) Commit(ap Applier) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.done {
-		return fmt.Errorf("txn %s: commit on a finished transaction", t.doc.ID)
+		return fmt.Errorf("txn %s: commit on a finished transaction", t.id)
 	}
 	// The commit point. Empty transactions (no ops, nothing created, no
 	// journal on disk) skip straight to the hooks.
-	if len(t.doc.Ops) > 0 || t.flushed {
-		t.doc.Status = statusCommitted
+	if len(t.ops) > 0 || t.flushed {
+		t.status = statusCommitted
 		if err := t.flushLocked(); err != nil {
 			return err
 		}
 		t.committed = true
-		for _, op := range t.doc.Ops {
+		for _, op := range t.ops {
 			if err := applyOp(t.fs, ap, op); err != nil {
-				return &CommitError{ID: t.doc.ID, Err: err}
+				return &CommitError{ID: t.id, Err: err}
 			}
 		}
 		if ap != nil {
 			if err := ap.Sync(); err != nil {
-				return &CommitError{ID: t.doc.ID, Err: err}
+				return &CommitError{ID: t.id, Err: err}
 			}
 		}
 		if t.dir != "" {
 			if err := t.fs.Remove(t.file); err != nil {
-				return &CommitError{ID: t.doc.ID, Err: err}
+				return &CommitError{ID: t.id, Err: err}
 			}
 		}
 	}
@@ -324,13 +389,13 @@ func (t *Txn) Rollback() error {
 		return nil
 	}
 	if t.committed {
-		return fmt.Errorf("txn %s: cannot roll back past the commit point", t.doc.ID)
+		return fmt.Errorf("txn %s: cannot roll back past the commit point", t.id)
 	}
 	t.done = true
 	for i := len(t.rollbacks) - 1; i >= 0; i-- {
 		t.rollbacks[i]()
 	}
-	for _, prefix := range t.doc.Created {
+	for _, prefix := range t.created {
 		_ = t.fs.RemoveAll(prefix)
 	}
 	if t.flushed {

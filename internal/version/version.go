@@ -650,12 +650,22 @@ func (l List) Highest(candidates []Version) (Version, bool) {
 
 // String renders the list in spec syntax ("1.2:1.4,2.0").
 func (l List) String() string {
-	if len(l.ranges) == 0 {
+	switch len(l.ranges) {
+	case 0:
 		return ""
+	case 1:
+		return l.ranges[0].String()
 	}
-	parts := make([]string, len(l.ranges))
+	return string(l.AppendTo(nil))
+}
+
+// AppendTo appends the list's String rendering to dst.
+func (l List) AppendTo(dst []byte) []byte {
 	for i, r := range l.ranges {
-		parts[i] = r.String()
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, r.String()...)
 	}
-	return strings.Join(parts, ",")
+	return dst
 }

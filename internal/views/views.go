@@ -23,33 +23,74 @@ import (
 // ${PACKAGE}, ${VERSION}, ${COMPILER}, ${COMP_VERSION}, ${MPINAME},
 // ${MPIVERSION}, ${ARCH}, ${HASH} — for one concrete spec. isMPI
 // classifies MPI providers for the ${MPINAME} placeholder (nil disables
-// it; specs without MPI render "serial").
+// it; specs without MPI render "serial"). Anything else, an unknown
+// ${NAME} included, is copied verbatim. The template is scanned once, and
+// a value is computed only when its placeholder occurs.
 func ExpandTemplate(tmpl string, s *spec.Spec, isMPI func(string) bool) string {
-	v, _ := s.ConcreteVersion()
-	mpiName, mpiVer := "serial", "none"
-	if isMPI != nil {
-		s.Traverse(func(n *spec.Spec) bool {
-			if n != s && isMPI(n.Name) {
-				mpiName = n.Name
-				if nv, ok := n.ConcreteVersion(); ok {
-					mpiVer = nv.String()
-				}
-				return false
-			}
-			return true
-		})
+	var b strings.Builder
+	b.Grow(len(tmpl) + 32)
+	for {
+		i := strings.Index(tmpl, "${")
+		if i < 0 {
+			break
+		}
+		b.WriteString(tmpl[:i])
+		tmpl = tmpl[i:]
+		end := strings.IndexByte(tmpl, '}')
+		if end < 0 {
+			break
+		}
+		v, ok := placeholder(tmpl[2:end], s, isMPI)
+		if !ok {
+			// Not a placeholder: keep the "$" and rescan from the next
+			// byte, which may open one.
+			b.WriteByte('$')
+			tmpl = tmpl[1:]
+			continue
+		}
+		b.WriteString(v)
+		tmpl = tmpl[end+1:]
 	}
-	r := strings.NewReplacer(
-		"${PACKAGE}", s.Name,
-		"${VERSION}", v.String(),
-		"${COMPILER}", s.Compiler.Name,
-		"${COMP_VERSION}", s.Compiler.Versions.String(),
-		"${MPINAME}", mpiName,
-		"${MPIVERSION}", mpiVer,
-		"${ARCH}", s.Arch,
-		"${HASH}", s.DAGHash(),
-	)
-	return r.Replace(tmpl)
+	b.WriteString(tmpl)
+	return b.String()
+}
+
+// placeholder returns the value of the template placeholder ${name}.
+func placeholder(name string, s *spec.Spec, isMPI func(string) bool) (string, bool) {
+	switch name {
+	case "PACKAGE":
+		return s.Name, true
+	case "VERSION":
+		v, _ := s.ConcreteVersion()
+		return v.String(), true
+	case "COMPILER":
+		return s.Compiler.Name, true
+	case "COMP_VERSION":
+		return s.Compiler.Versions.String(), true
+	case "MPINAME", "MPIVERSION":
+		mpiName, mpiVer := "serial", "none"
+		if isMPI != nil {
+			s.Traverse(func(n *spec.Spec) bool {
+				if n != s && isMPI(n.Name) {
+					mpiName = n.Name
+					if nv, ok := n.ConcreteVersion(); ok {
+						mpiVer = nv.String()
+					}
+					return false
+				}
+				return true
+			})
+		}
+		if name == "MPINAME" {
+			return mpiName, true
+		}
+		return mpiVer, true
+	case "ARCH":
+		return s.Arch, true
+	case "HASH":
+		return s.DAGHash(), true
+	}
+	return "", false
 }
 
 // Link records one projected symlink.
