@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all test race bench bench-check crash-race experiments examples vet lint clean
+.PHONY: all test race bench bench-check bench-legs crash-race experiments examples vet lint clean
 
 all: vet test
 
@@ -61,9 +61,15 @@ BENCH_RE_service := ServiceInstallHerd
 BENCH_RE_sched := SchedWorkers
 BENCH_RE_lifecycle := LifecycleGC
 BENCH_RE_splice := SpliceVsRebuild
-# One -cpu value only: benchjson strips the -N suffix from names, so a
-# multi-value -cpu list would collide.
+# A -cpu list is fine: benchjson keeps each value's results apart and
+# derives every figure once per value ("<figure>-<N>").
 BENCH_CPU_store := -cpu 8
+
+# The leg list as a JSON array: CI's bench matrix reads it from here.
+comma := ,
+space := $() $()
+bench-legs:
+	@echo '[$(subst $(space),$(comma),$(patsubst %,"%",$(BENCH_LEGS)))]'
 
 .PHONY: $(addprefix bench-,$(BENCH_LEGS))
 $(addprefix bench-,$(BENCH_LEGS)): bench-%:

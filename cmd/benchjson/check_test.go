@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -187,12 +188,12 @@ func TestDeriveSchedScaling(t *testing.T) {
 }
 
 func TestParseLineCustomMetrics(t *testing.T) {
-	b, procs, ok := parseLine("BenchmarkBuildcacheARES/cached/j8-8 \t 3\t  33796699 ns/op\t 47.00 dag-nodes\t 0.058 virtual-sec")
+	b, ok := parseLine("BenchmarkBuildcacheARES/cached/j8-8 \t 3\t  33796699 ns/op\t 47.00 dag-nodes\t 0.058 virtual-sec")
 	if !ok {
 		t.Fatal("parseLine failed")
 	}
-	if b.Name != "BenchmarkBuildcacheARES/cached/j8" || procs != 8 {
-		t.Errorf("name/procs = %q/%d", b.Name, procs)
+	if b.Name != "BenchmarkBuildcacheARES/cached/j8" || b.Procs != 8 {
+		t.Errorf("name/procs = %q/%d", b.Name, b.Procs)
 	}
 	if b.Metrics["virtual-sec"] != 0.058 || b.Metrics["dag-nodes"] != 47 {
 		t.Errorf("metrics = %v", b.Metrics)
@@ -239,5 +240,51 @@ func TestCheckMessagesCarryUnits(t *testing.T) {
 	}
 	if len(fails) != 1 || !strings.Contains(fails[0], "= 1500.00 installs/s, below the 2000 installs/s bar") {
 		t.Errorf("failures = %v", fails)
+	}
+}
+
+// TestMultiCPUResultsStayDistinct: a -cpu 1,4,8 run keeps each
+// GOMAXPROCS value's results apart, derives every figure once per value,
+// and checks each against the bar.
+func TestMultiCPUResultsStayDistinct(t *testing.T) {
+	const out = `goos: linux
+pkg: repro
+BenchmarkFig8ConcretizeAll         	       8	 140000000 ns/op
+BenchmarkFig8ConcretizeAllWarm     	     100	  10000000 ns/op
+BenchmarkFig8ConcretizeAll-4       	       8	 150000000 ns/op
+BenchmarkFig8ConcretizeAllWarm-4   	     100	  30000000 ns/op
+BenchmarkFig8ConcretizeAll-8       	       8	 160000000 ns/op
+BenchmarkFig8ConcretizeAllWarm-8   	     100	   8000000 ns/op
+PASS
+`
+	rep, err := parseReport(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 6 || rep.Maxprocs != 8 {
+		t.Fatalf("parsed %d benchmarks at maxprocs %d, want 6 at 8", len(rep.Benchmarks), rep.Maxprocs)
+	}
+	seen := map[string]bool{}
+	for _, b := range rep.Benchmarks {
+		id := fmt.Sprintf("%s/%d", b.Name, b.Procs)
+		if seen[id] {
+			t.Errorf("two results named %s", id)
+		}
+		seen[id] = true
+	}
+	want := map[string]float64{
+		"fig8_warm_cache_speedup-1": 14, "fig8_warm_cache_speedup-4": 5, "fig8_warm_cache_speedup-8": 20,
+	}
+	for k, v := range want {
+		if got := rep.Derived[k]; got != v {
+			t.Errorf("%s = %v, want %v (derived %v)", k, got, v, rep.Derived)
+		}
+	}
+	if _, ok := rep.Derived["fig8_warm_cache_speedup"]; ok {
+		t.Errorf("a multi-cpu report derived the unsuffixed figure: %v", rep.Derived)
+	}
+	passes, fails := checkReport("multi.json", &rep)
+	if len(passes) != 2 || len(fails) != 1 || !strings.Contains(fails[0], "fig8_warm_cache_speedup-4 = 5.00x") {
+		t.Errorf("passes %v, failures %v; want the -4 figure alone below the bar", passes, fails)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -21,6 +22,10 @@ import (
 type Benchmark struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped.
 	Name string `json:"name"`
+	// Procs is that suffix (1 when absent; 0 in reports recorded before
+	// it was kept). A -cpu list runs every benchmark once per value, so a
+	// result is identified by Name and Procs together.
+	Procs int `json:"procs,omitempty"`
 	// Iterations is the measured b.N.
 	Iterations int64 `json:"iterations"`
 	// Metrics maps unit -> value, e.g. "ns/op", "B/op", "dag-nodes".
@@ -34,9 +39,9 @@ type Report struct {
 	Goarch string `json:"goarch,omitempty"`
 	Pkg    string `json:"pkg,omitempty"`
 	CPU    string `json:"cpu,omitempty"`
-	// Maxprocs is the -N suffix of the benchmark names (GOMAXPROCS during
-	// the run); 1 when the suffix is absent. Parallel speedups below 1 on
-	// a single-CPU host are expected.
+	// Maxprocs is the largest -N suffix of the benchmark names (GOMAXPROCS
+	// during the run); 1 when the suffix is absent. Parallel speedups below
+	// 1 on a single-CPU host are expected.
 	Maxprocs   int                `json:"maxprocs"`
 	Benchmarks []Benchmark        `json:"benchmarks"`
 	Derived    map[string]float64 `json:"derived,omitempty"`
@@ -55,35 +60,11 @@ func main() {
 		return
 	}
 
-	rep := Report{Date: time.Now().UTC().Format(time.RFC3339)}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "goos: "):
-			rep.Goos = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			rep.Goarch = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "pkg: "):
-			rep.Pkg = strings.TrimPrefix(line, "pkg: ")
-		case strings.HasPrefix(line, "cpu: "):
-			rep.CPU = strings.TrimPrefix(line, "cpu: ")
-		case strings.HasPrefix(line, "Benchmark"):
-			if b, procs, ok := parseLine(line); ok {
-				rep.Benchmarks = append(rep.Benchmarks, b)
-				if procs > rep.Maxprocs {
-					rep.Maxprocs = procs
-				}
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	rep, err := parseReport(os.Stdin)
+	if err != nil {
 		fatal(err)
 	}
-
-	rep.Derived = derive(rep.Benchmarks)
-
+	rep.Date = time.Now().UTC().Format(time.RFC3339)
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -98,13 +79,39 @@ func main() {
 	}
 }
 
+// parseReport reads `go test -bench` output and derives its figures.
+func parseReport(r io.Reader) (Report, error) {
+	var rep Report
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "goos: "):
+			rep.Goos = strings.TrimPrefix(line, "goos: ")
+		case strings.HasPrefix(line, "goarch: "):
+			rep.Goarch = strings.TrimPrefix(line, "goarch: ")
+		case strings.HasPrefix(line, "pkg: "):
+			rep.Pkg = strings.TrimPrefix(line, "pkg: ")
+		case strings.HasPrefix(line, "cpu: "):
+			rep.CPU = strings.TrimPrefix(line, "cpu: ")
+		case strings.HasPrefix(line, "Benchmark"):
+			if b, ok := parseLine(line); ok {
+				rep.Benchmarks = append(rep.Benchmarks, b)
+				rep.Maxprocs = max(rep.Maxprocs, b.Procs)
+			}
+		}
+	}
+	rep.Derived = derive(rep.Benchmarks)
+	return rep, sc.Err()
+}
+
 // parseLine parses one result line of the form
-// "BenchmarkName-8  120  9735 ns/op  245 packages  64 B/op", returning
-// the parsed record and the GOMAXPROCS suffix (1 when absent).
-func parseLine(line string) (Benchmark, int, bool) {
+// "BenchmarkName-8  120  9735 ns/op  245 packages  64 B/op".
+func parseLine(line string) (Benchmark, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return Benchmark{}, 0, false
+		return Benchmark{}, false
 	}
 	name, procs := fields[0], 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
@@ -114,33 +121,54 @@ func parseLine(line string) (Benchmark, int, bool) {
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Benchmark{}, 0, false
+		return Benchmark{}, false
 	}
-	b := Benchmark{Name: name, Iterations: iters, Metrics: map[string]float64{}}
+	b := Benchmark{Name: name, Procs: procs, Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Benchmark{}, 0, false
+			return Benchmark{}, false
 		}
 		b.Metrics[fields[i+1]] = v
 	}
-	return b, procs, true
+	return b, true
 }
 
 // derive computes every figure in the figures table whose inputs are
 // present: num, divided by den when the figure has one, times the 0/1
 // gate flag when it has one. Figures with a missing or zero input are
-// left out.
+// left out. A report run at several -cpu values gets every figure once
+// per value, from that value's results, keyed "<figure>-<procs>".
 func derive(benchmarks []Benchmark) map[string]float64 {
+	procs := map[int]bool{}
+	for _, b := range benchmarks {
+		procs[b.Procs] = true
+	}
+	d := map[string]float64{}
+	for p := range procs {
+		suffix := ""
+		if len(procs) > 1 {
+			suffix = "-" + strconv.Itoa(p)
+		}
+		deriveAt(benchmarks, p, suffix, d)
+	}
+	if len(d) == 0 {
+		return nil
+	}
+	return d
+}
+
+// deriveAt adds to d every figure derivable from the results run at procs,
+// its key followed by suffix.
+func deriveAt(benchmarks []Benchmark, procs int, suffix string, d map[string]float64) {
 	metric := func(m ref) float64 {
 		for _, b := range benchmarks {
-			if b.Name == m.bench {
+			if b.Name == m.bench && b.Procs == procs {
 				return b.Metrics[m.unit]
 			}
 		}
 		return 0
 	}
-	d := map[string]float64{}
 	for _, f := range figures {
 		v := metric(f.num)
 		if v <= 0 {
@@ -156,12 +184,8 @@ func derive(benchmarks []Benchmark) map[string]float64 {
 		if f.gate != (ref{}) {
 			v *= metric(f.gate)
 		}
-		d[f.key] = v
+		d[f.key+suffix] = v
 	}
-	if len(d) == 0 {
-		return nil
-	}
-	return d
 }
 
 func fatal(err error) {

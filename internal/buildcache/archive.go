@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"path"
 	"sort"
 	"strings"
 )
@@ -138,7 +139,8 @@ func sortedKeys[V any](m map[string]V) []string {
 // checksum covers: the format-3 magic line, minimal varints, lengths and
 // counts that fit the manifest, map keys in strictly increasing order, a
 // SpecJSON that is valid JSON, no bytes after the manifest's last field,
-// file sizes that fit the payload, and no bytes after the last body.
+// file sizes that fit the payload, no bytes after the last body, and file
+// and relocation paths inside the prefix (a *PathError otherwise).
 // Strings are substrings of one copy of the manifest; SpecJSON and the
 // file bodies are sub-slices of data.
 func decodeArchive(data []byte) (*Archive, error) {
@@ -210,6 +212,16 @@ func decodeArchive(data []byte) (*Archive, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("corrupt manifest: %w", r.err)
 	}
+	for _, f := range ar.Files {
+		if !insidePrefix(f.Path) {
+			return nil, &PathError{Entry: "file", Path: f.Path}
+		}
+	}
+	for _, rel := range ar.Relocations {
+		if !insidePrefix(rel.Path) {
+			return nil, &PathError{Entry: "relocation", Path: rel.Path}
+		}
+	}
 	if !json.Valid(ar.SpecJSON) {
 		return nil, fmt.Errorf("spec_json is not valid JSON")
 	}
@@ -217,6 +229,26 @@ func decodeArchive(data []byte) (*Archive, error) {
 		return nil, fmt.Errorf("%d trailing bytes after the last file", len(payload))
 	}
 	return ar, nil
+}
+
+// PathError rejects an archive entry whose path is absolute, empty, not
+// in clean form or has a ".." element: unpacked at prefix + "/" + Path,
+// it could land outside the prefix, where no rollback removes it.
+type PathError struct {
+	Entry string // "file" or "relocation"
+	Path  string
+}
+
+func (e *PathError) Error() string {
+	return fmt.Sprintf("%s path %q is not a clean path inside the prefix", e.Entry, e.Path)
+}
+
+// insidePrefix reports whether p names an entry strictly inside a prefix:
+// in clean form (so not empty), relative, not ".", and without a leading
+// ".." (a clean path has no other ".." element).
+func insidePrefix(p string) bool {
+	return path.Clean(p) == p && !path.IsAbs(p) && p != "." &&
+		p != ".." && !strings.HasPrefix(p, "../")
 }
 
 // manifestReader walks a format-3 manifest. b and s hold the same bytes:

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"path"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/buildcache"
@@ -126,33 +130,64 @@ func damagedArchives(t testing.TB) (payload []byte, damaged map[string][]byte) {
 	}
 	pairA, pairB := cat(str("a"), str("/src/a")), cat(str("b"), str("/src/b"))
 
+	// Entry paths that would unpack outside the prefix.
+	withFilePath := func(p string) []byte {
+		return encoded(func(a *buildcache.Archive) {
+			a.Files = slices.Clone(a.Files)
+			a.Files[f0].Path = p
+		})
+	}
+	if len(ar.Relocations) == 0 {
+		t.Fatal("archive has no relocation table entry")
+	}
+	escapingReloc := encoded(func(a *buildcache.Archive) {
+		a.Relocations = slices.Clone(a.Relocations)
+		a.Relocations[0].Path = "../" + a.Relocations[0].Path
+	})
+
 	// The package name's length is the manifest's second field, after
 	// the one-byte format number.
 	_, pw := binary.Uvarint(manifest[1:])
 	lengthPast := cat(manifest[:1], binary.AppendUvarint(nil, uint64(len(manifest))), manifest[1+pw:])
 
 	return payload, map[string][]byte{
-		"JSON document, no magic":       format1(t, ar),
-		"format-2 archive":              format2(t, ar),
-		"bad magic":                     frame("spack-go buildcache archive 4\n", n, manifest, body),
-		"truncated":                     payload[:len(payload)/2],
-		"truncated length":              payload[:len(magic)],
-		"trailing byte":                 append(append([]byte(nil), payload...), 'x'),
-		"manifest length too long":      frame(magic, n+1, manifest, body),
-		"manifest length overflows":     frame(magic, 1<<63, manifest, body),
-		"non-minimal manifest length":   cat([]byte(magic), padded(n), manifest, body),
-		"file size past the payload":    withSize(binary.AppendUvarint(nil, uint64(len(file.Data)+len(body)))),
-		"negative file size":            withSize(binary.AppendUvarint(nil, ^uint64(0))),
-		"non-minimal varint":            withSize(padded(uint64(len(file.Data)))),
-		"non-canonical manifest":        reframe(format1(t, ar)),
-		"unsorted keys":                 replace(twoDeps, cat(pairA, pairB), cat(pairB, pairA)),
-		"duplicate keys":                replace(twoDeps, cat(pairA, pairB), cat(pairA, pairA)),
-		"string length past manifest":   reframe(lengthPast),
-		"trailing manifest bytes":       reframe(append(append([]byte(nil), manifest...), 0)),
-		"invalid spec_json":             encoded(func(a *buildcache.Archive) { a.SpecJSON = []byte(`{"root":`) }),
-		"empty spec_json":               encoded(func(a *buildcache.Archive) { a.SpecJSON = nil }),
-		"unsupported format in a frame": encoded(func(a *buildcache.Archive) { a.Format = 4 }),
+		"JSON document, no magic":          format1(t, ar),
+		"format-2 archive":                 format2(t, ar),
+		"bad magic":                        frame("spack-go buildcache archive 4\n", n, manifest, body),
+		"truncated":                        payload[:len(payload)/2],
+		"truncated length":                 payload[:len(magic)],
+		"trailing byte":                    append(append([]byte(nil), payload...), 'x'),
+		"manifest length too long":         frame(magic, n+1, manifest, body),
+		"manifest length overflows":        frame(magic, 1<<63, manifest, body),
+		"non-minimal manifest length":      cat([]byte(magic), padded(n), manifest, body),
+		"file size past the payload":       withSize(binary.AppendUvarint(nil, uint64(len(file.Data)+len(body)))),
+		"negative file size":               withSize(binary.AppendUvarint(nil, ^uint64(0))),
+		"non-minimal varint":               withSize(padded(uint64(len(file.Data)))),
+		"non-canonical manifest":           reframe(format1(t, ar)),
+		"unsorted keys":                    replace(twoDeps, cat(pairA, pairB), cat(pairB, pairA)),
+		"duplicate keys":                   replace(twoDeps, cat(pairA, pairB), cat(pairA, pairA)),
+		"string length past manifest":      reframe(lengthPast),
+		"trailing manifest bytes":          reframe(append(append([]byte(nil), manifest...), 0)),
+		"invalid spec_json":                encoded(func(a *buildcache.Archive) { a.SpecJSON = []byte(`{"root":`) }),
+		"empty spec_json":                  encoded(func(a *buildcache.Archive) { a.SpecJSON = nil }),
+		"unsupported format in a frame":    encoded(func(a *buildcache.Archive) { a.Format = 4 }),
+		unsafePath + "escaping file":       withFilePath("../../../../../../../etc/evil"),
+		unsafePath + "absolute file":       withFilePath("/etc/evil"),
+		unsafePath + "empty file":          withFilePath(""),
+		unsafePath + "the prefix itself":   withFilePath("."),
+		unsafePath + "non-clean file":      withFilePath("lib/../../evil"),
+		unsafePath + "escaping relocation": escapingReloc,
 	}
+}
+
+// unsafePath prefixes the names of the damaged archives whose only damage
+// is an entry path outside the prefix; they must fail with a PathError.
+const unsafePath = "unsafe path: "
+
+// escapes reports whether unpacking an entry at prefix + "/" + p could
+// touch anything but a path strictly inside the prefix.
+func escapes(p string) bool {
+	return !strings.HasPrefix(path.Join("/prefix", p), "/prefix/")
 }
 
 // TestDecodeArchiveRejectsDamage: every damaged variant fails to decode,
@@ -164,8 +199,13 @@ func TestDecodeArchiveRejectsDamage(t *testing.T) {
 		t.Fatalf("intact archive: %v", err)
 	}
 	for name, data := range damaged {
-		if _, err := buildcache.DecodeArchive(data); err == nil {
+		_, err := buildcache.DecodeArchive(data)
+		if err == nil {
 			t.Errorf("%s: decoded without error", name)
+		}
+		var pe *buildcache.PathError
+		if strings.HasPrefix(name, unsafePath) && !errors.As(err, &pe) {
+			t.Errorf("%s: error %v, want a PathError", name, err)
 		}
 	}
 
@@ -193,7 +233,8 @@ func TestDecodeArchiveRejectsDamage(t *testing.T) {
 // FuzzDecodeArchive feeds archive bytes from an untrusted cache to the
 // decoder. Decoding must never panic, and the decoder accepts only the
 // canonical encoding: re-encoding any archive it accepts gives back the
-// exact input bytes, which are what the checksum and signature cover.
+// exact input bytes, which are what the checksum and signature cover. No
+// file or relocation path of an accepted archive escapes the prefix.
 func FuzzDecodeArchive(f *testing.F) {
 	payload, damaged := damagedArchives(f)
 	f.Add(payload)
@@ -207,6 +248,16 @@ func FuzzDecodeArchive(f *testing.F) {
 		}
 		if again := buildcache.EncodeArchive(ar); !bytes.Equal(again, data) {
 			t.Fatalf("re-encode differs from the accepted input:\n in %q\nout %q", data, again)
+		}
+		for _, f := range ar.Files {
+			if escapes(f.Path) {
+				t.Fatalf("accepted file path %q escapes the prefix", f.Path)
+			}
+		}
+		for _, rel := range ar.Relocations {
+			if escapes(rel.Path) {
+				t.Fatalf("accepted relocation path %q escapes the prefix", rel.Path)
+			}
 		}
 	})
 }

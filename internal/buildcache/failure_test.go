@@ -1,6 +1,7 @@
 package buildcache_test
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -254,5 +255,78 @@ func TestErrorStringAndKind(t *testing.T) {
 	}
 	if buildcache.ErrorKind(nil) != "" {
 		t.Error("ErrorKind(nil) should be empty")
+	}
+}
+
+// trustAll is a keyring that trusts every signature, so under the enforce
+// policy a crafted archive "signed by a trusted key" reaches the decoder.
+type trustAll struct{}
+
+func (trustAll) VerifySignature(string, []byte) error { return nil }
+
+// TestPullRefusesEscapingPath re-encodes libelf's archive with one entry
+// renamed to climb out of the prefix, re-records its checksum and pulls it
+// into a fresh store under every trust policy. Each pull must fail as a
+// manifest failure carrying a PathError, write nothing outside the store,
+// record nothing and leave an empty journal.
+func TestPullRefusesEscapingPath(t *testing.T) {
+	const evil = "../../../../../../../etc/evil"
+	for _, policy := range []buildcache.TrustPolicy{buildcache.TrustOff, buildcache.TrustWarn, buildcache.TrustEnforce} {
+		mirror, cache, concrete := pushedMirror(t, "libelf")
+		hash := concrete.FullHash()
+		payload, _ := mirror.Blob(archiveBlob(hash))
+		ar, err := buildcache.DecodeArchive(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		renamed := false
+		for i := range ar.Files {
+			if ar.Files[i].Path == ".spack/build.log" {
+				ar.Files[i].Path, renamed = evil, true
+			}
+		}
+		if !renamed {
+			t.Fatal("libelf's archive has no .spack/build.log")
+		}
+		// Its relocation entry follows, so only the path is wrong.
+		for i := range ar.Relocations {
+			if ar.Relocations[i].Path == ".spack/build.log" {
+				ar.Relocations[i].Path = evil
+			}
+		}
+		crafted := buildcache.EncodeArchive(ar)
+		mirror.PutBlob(archiveBlob(hash), crafted)
+		mirror.PutBlob(checksumBlob(hash), []byte(buildcache.ChecksumOf(crafted)+"\n"))
+		mirror.PutBlob("build_cache/"+hash+".sig", []byte("{}"))
+		cache.Policy, cache.Verifier = policy, trustAll{}
+
+		fs := simfs.New(simfs.TempFS)
+		st, err := store.New(fs, "/site/store", store.SpackLayout{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = cache.Pull(st, concrete, true)
+		var pe *buildcache.PathError
+		if !errors.As(err, &pe) || buildcache.ErrorKind(err) != buildcache.KindManifest {
+			t.Fatalf("policy %q: pull error %v, want a %s failure carrying a PathError", policy, err, buildcache.KindManifest)
+		}
+		if exists, _ := fs.Stat("/etc/evil"); exists {
+			t.Errorf("policy %q: the crafted entry was written to /etc/evil", policy)
+		}
+		fs.Walk("/", func(p string, _ bool) error {
+			if p != "/" && !strings.HasPrefix(p, "/site") {
+				t.Errorf("policy %q: pull wrote %s outside the store", policy, p)
+			}
+			return nil
+		})
+		if st.Len() != 0 {
+			t.Errorf("policy %q: index has %d records after a refused pull", policy, st.Len())
+		}
+		if exists, _ := fs.Stat(st.Prefix(concrete)); exists {
+			t.Errorf("policy %q: prefix exists after a refused pull", policy)
+		}
+		if names, err := fs.List(st.JournalDir()); err == nil && len(names) != 0 {
+			t.Errorf("policy %q: journal left behind: %v", policy, names)
+		}
 	}
 }

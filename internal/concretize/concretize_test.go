@@ -484,7 +484,7 @@ func TestSingleNodePerName(t *testing.T) {
 		}
 		seen[n] = true
 		counts[n.Name]++
-		for _, d := range n.Deps {
+		for _, d := range n.DirectDeps() {
 			count(d, seen)
 		}
 	}
@@ -710,7 +710,7 @@ func TestProviderAttachedInSamePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Deps["impl"] == nil || out.Dep("iface") != nil {
+	if out.DirectDep("impl") == nil || out.Dep("iface") != nil {
 		t.Errorf("app = %s, want impl as the only dependency", out)
 	}
 	if n := c.Stats.VirtualsSeen(); n != 0 {

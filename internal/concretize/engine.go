@@ -110,8 +110,8 @@ func (r *resolver) nextWorklist(root *spec.Spec, touched map[string]bool) map[st
 			dirty[n.Name] = true
 			continue
 		}
-		for depName := range n.Deps {
-			if touched[depName] {
+		for _, d := range n.DirectDeps() {
+			if touched[d.Name] {
 				dirty[n.Name] = true
 				break
 			}
@@ -189,12 +189,8 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[s
 			if prov, found, err := r.dagProviderFor(index, names, d.Constraint); err != nil {
 				return changed, err
 			} else if found {
-				if n.Deps == nil {
-					n.Deps = make(map[string]*spec.Spec)
-				}
-				if _, has := n.Deps[prov.Name]; !has {
-					n.Deps[prov.Name] = prov
-					n.SetDepType(prov.Name, edgeType)
+				if n.DirectDep(prov.Name) == nil {
+					n.SetDep(prov, edgeType)
 					changed = true
 					touched[n.Name] = true
 				}
@@ -209,22 +205,14 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[s
 					changed = true
 					touched[depName] = true
 				}
-				if n.Deps == nil {
-					n.Deps = make(map[string]*spec.Spec)
-				}
-				if _, has := n.Deps[depName]; !has {
-					n.Deps[depName] = existing
-					n.SetDepType(depName, edgeType)
+				if n.DirectDep(depName) == nil {
+					n.SetDep(existing, edgeType)
 					changed = true
 					touched[n.Name] = true
 				}
 			} else {
 				node := d.Constraint.Clone()
-				if n.Deps == nil {
-					n.Deps = make(map[string]*spec.Spec)
-				}
-				n.Deps[depName] = node
-				n.SetDepType(depName, edgeType)
+				n.SetDep(node, edgeType)
 				index[depName] = node
 				names = slices.Insert(names, sort.SearchStrings(names, depName), depName)
 				changed = true
@@ -430,26 +418,18 @@ func (r *resolver) constrainProviderForVirtual(provider, vnode *spec.Spec) error
 // parents are recorded in touched.
 func (r *resolver) replaceNode(root, old, repl *spec.Spec, touched map[string]bool) {
 	root.Traverse(func(n *spec.Spec) bool {
-		if n.Deps == nil {
-			return true
-		}
-		if cur, ok := n.Deps[old.Name]; ok && cur == old {
+		if n.DirectDep(old.Name) == old {
 			t := n.EdgeType(old.Name)
-			delete(n.Deps, old.Name)
-			n.SetDepType(old.Name, spec.DepDefault) // clear old entry
-			n.Deps[repl.Name] = repl
-			n.SetDepType(repl.Name, t)
+			n.RemoveDep(old.Name)
+			n.SetDep(repl, t)
 			touched[n.Name] = true
 		}
 		return true
 	})
 	// The virtual node's own dependencies (rare) migrate to the provider.
-	for name, d := range old.Deps {
-		if repl.Deps == nil {
-			repl.Deps = make(map[string]*spec.Spec)
-		}
-		if _, has := repl.Deps[name]; !has {
-			repl.Deps[name] = d
+	for _, d := range old.DirectDeps() {
+		if repl.DirectDep(d.Name) == nil {
+			repl.SetDep(d, spec.DepDefault)
 		}
 	}
 }

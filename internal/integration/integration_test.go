@@ -219,7 +219,7 @@ func TestPropertyConcretizationSound(t *testing.T) {
 			}
 			seen[n] = true
 			names[n.Name]++
-			for _, d := range n.Deps {
+			for _, d := range n.DirectDeps() {
 				walk(d)
 			}
 		}

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/version"
@@ -48,9 +49,9 @@ func TestAddDepTyped(t *testing.T) {
 	if got := s.EdgeType("cmake"); got != DepBuild|DepRun {
 		t.Errorf("merged cmake edge = %v", got)
 	}
-	// Default entries are not materialized (canonical hash input).
-	if _, ok := s.DepTypes["zlib"]; ok {
-		t.Error("default edge type should not be stored")
+	// Default edges carry no annotation in the canonical hash input.
+	if canon, _ := s.canonicalDAG(); strings.Contains(canon, "zlib[") {
+		t.Errorf("default edge type should not be rendered: %q", canon)
 	}
 }
 

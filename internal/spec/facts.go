@@ -80,15 +80,10 @@ func (s *Spec) Constraints() []NodeConstraint {
 				Detail: n.Name + "=" + n.Arch,
 			})
 		}
-		depNames := make([]string, 0, len(n.Deps))
-		for name := range n.Deps {
-			depNames = append(depNames, name)
-		}
-		sort.Strings(depNames)
-		for _, name := range depNames {
+		for _, d := range n.deps {
 			out = append(out, NodeConstraint{
-				Node: n.Name, Kind: ConstraintDep, Dep: name,
-				Detail: n.Name + " ^" + name,
+				Node: n.Name, Kind: ConstraintDep, Dep: d.Name,
+				Detail: n.Name + " ^" + d.Name,
 			})
 		}
 	}
@@ -118,8 +113,7 @@ func (s *Spec) DropConstraint(c NodeConstraint) *Spec {
 	case ConstraintArch:
 		node.Arch = ""
 	case ConstraintDep:
-		delete(node.Deps, c.Dep)
-		node.SetDepType(c.Dep, DepDefault)
+		node.RemoveDep(c.Dep)
 	}
 	return out
 }

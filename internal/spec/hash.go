@@ -3,7 +3,7 @@ package spec
 import (
 	"crypto/sha256"
 	"encoding/base32"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -26,7 +26,8 @@ func (s *Spec) FullHash() string {
 	if h := s.hash.Load(); h != nil {
 		return *h
 	}
-	canon, concrete := s.canonicalDAG()
+	var buf [2048]byte
+	canon, concrete := s.appendCanonical(buf[:0], true)
 	h := hashOf(canon)
 	if concrete {
 		s.hash.Store(&h)
@@ -34,48 +35,75 @@ func (s *Spec) FullHash() string {
 	return h
 }
 
+var hashEncoding = base32.StdEncoding.WithPadding(base32.NoPadding)
+
 // hashOf renders the SHA-256 of a canonical DAG string in lower-case
 // unpadded base32.
-func hashOf(canon string) string {
-	sum := sha256.Sum256([]byte(canon))
-	enc := base32.StdEncoding.WithPadding(base32.NoPadding)
-	return strings.ToLower(enc.EncodeToString(sum[:]))
+func hashOf(canon []byte) string {
+	sum := sha256.Sum256(canon)
+	var out [(8*sha256.Size + 4) / 5]byte
+	hashEncoding.Encode(out[:], sum[:])
+	for i, c := range out {
+		if 'A' <= c && c <= 'Z' {
+			out[i] = c + 'a' - 'A'
+		}
+	}
+	return string(out[:])
 }
 
-// forgetHash drops the node's memoized FullHash; every exported mutator
-// calls it on each node it changes.
-func (s *Spec) forgetHash() { s.hash.Store(nil) }
+// forgetHash drops the node's memoized FullHash and canonical line; every
+// mutator calls it on each node it changes.
+func (s *Spec) forgetHash() {
+	s.hash.Store(nil)
+	s.line.Store(nil)
+}
 
-// canonicalDAG serializes the DAG with explicit edges: the plain String()
+// appendCanonical appends the DAG's canonical serialization to dst: one
+// line per node, root first and the rest in name order, each the node in
+// spec syntax followed by its explicit edges. (The plain String()
 // rendering flattens dependencies, which would identify DAGs with equal
-// node sets but different edge structure. It also reports whether every
-// node is concrete (Concrete), from the same walk.
-func (s *Spec) canonicalDAG() (string, bool) {
-	var b strings.Builder
+// node sets but different edge structure.) It also reports whether every
+// node is concrete. With memo, a node's memoized line is reused, and the
+// lines of a concrete DAG are memoized, so hashing every node of a DAG
+// formats each node once.
+func (s *Spec) appendCanonical(dst []byte, memo bool) ([]byte, bool) {
+	var buf [inlineNodes]*Spec
+	nodes := s.appendSortedNodes(buf[:0])
 	concrete := true
-	for _, n := range sortedNodes(s) {
+	for _, n := range nodes {
 		concrete = concrete && n.NodeConcrete()
-		n.formatNode(&b)
-		b.WriteString(" ->")
-		for _, d := range n.DirectDeps() {
-			b.WriteByte(' ')
-			b.WriteString(d.Name)
-			if t := n.EdgeType(d.Name); t != DepDefault {
-				b.WriteByte('[')
-				b.WriteString(t.String())
-				b.WriteByte(']')
+	}
+	for _, n := range nodes {
+		if l := n.line.Load(); memo && l != nil {
+			dst = append(dst, *l...)
+			continue
+		}
+		start := len(dst)
+		dst = append(n.appendNode(dst, true), " ->"...)
+		for i, d := range n.deps {
+			dst = append(append(dst, ' '), d.Name...)
+			if t := n.depTypes[i]; t != DepDefault {
+				dst = append(append(append(dst, '['), t.String()...), ']')
 			}
 		}
-		b.WriteByte('\n')
+		dst = append(dst, '\n')
+		if memo && concrete {
+			l := string(dst[start:])
+			n.line.Store(&l)
+		}
 	}
-	return b.String(), concrete
+	return dst, concrete
 }
 
-func sortedNodes(s *Spec) []*Spec {
-	nodes := s.Nodes()
-	// Keep root first; sort the rest by name for stability (names are
-	// unique within a DAG, so the order is total).
-	rest := nodes[1:]
-	sort.Slice(rest, func(i, j int) bool { return rest[i].Name < rest[j].Name })
-	return nodes
+// appendSortedNodes appends the DAG's nodes to dst, root first and the
+// rest sorted by name (names are unique within a DAG, so the order is
+// total).
+func (s *Spec) appendSortedNodes(dst []*Spec) []*Spec {
+	start := len(dst)
+	s.Traverse(func(n *Spec) bool {
+		dst = append(dst, n)
+		return true
+	})
+	slices.SortFunc(dst[start+1:], func(a, b *Spec) int { return strings.Compare(a.Name, b.Name) })
+	return dst
 }

@@ -98,7 +98,8 @@ func TestFullHashMemoMatchesRecompute(t *testing.T) {
 }
 
 // TestMutatorsDropHashMemo: each exported mutator, applied to a hashed
-// concrete node, changes that node's hash to the fresh recompute.
+// concrete node, changes that node's hash to the fresh recompute, which
+// reads no memoized canonical line.
 func TestMutatorsDropHashMemo(t *testing.T) {
 	const expr = "callpath@1.2%gcc@4.9.2=linux-x86_64 ^mpich@3.1.4%gcc@4.9.2=linux-x86_64"
 	for _, tc := range []struct {
@@ -110,6 +111,18 @@ func TestMutatorsDropHashMemo(t *testing.T) {
 		{"AddDepTyped", func(t *testing.T, s *spec.Spec) {
 			d := syntax.MustParse("libelf@0.8.13%gcc@4.9.2=linux-x86_64")
 			if err := s.AddDepTyped(d, spec.DepLink); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"SetDep", func(t *testing.T, s *spec.Spec) {
+			s.SetDep(syntax.MustParse("libelf@0.8.13%gcc@4.9.2=linux-x86_64"), spec.DepBuild)
+		}},
+		{"SetDep replacing", func(t *testing.T, s *spec.Spec) {
+			s.SetDep(syntax.MustParse("mpich@3.0.4%gcc@4.9.2=linux-x86_64"), spec.DepDefault)
+		}},
+		{"RemoveDep", func(t *testing.T, s *spec.Spec) { s.RemoveDep("mpich") }},
+		{"Constrain", func(t *testing.T, s *spec.Spec) {
+			if err := s.Constrain(syntax.MustParse("callpath ^libelf@0.8.13%gcc@4.9.2=linux-x86_64")); err != nil {
 				t.Fatal(err)
 			}
 		}},

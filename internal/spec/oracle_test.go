@@ -77,24 +77,16 @@ func oracleConstrainChanged(s, o *Spec) (bool, error) {
 		for _, od := range on.DirectDeps() {
 			oType := on.EdgeType(od.Name)
 			if existing, ok := index[od.Name]; ok {
-				if parent.Deps == nil {
-					parent.Deps = make(map[string]*Spec)
-				}
-				if _, has := parent.Deps[od.Name]; !has {
-					parent.Deps[od.Name] = existing
-					parent.SetDepType(od.Name, oType)
+				if parent.DirectDep(od.Name) == nil {
+					parent.SetDep(existing, oType)
 					changed = true
 				} else if merged := parent.EdgeType(od.Name) | oType; merged != parent.EdgeType(od.Name) {
 					parent.SetDepType(od.Name, merged)
 					changed = true
 				}
 			} else {
-				clone := od.cloneNodeOnly()
-				if parent.Deps == nil {
-					parent.Deps = make(map[string]*Spec)
-				}
-				parent.Deps[od.Name] = clone
-				parent.SetDepType(od.Name, oType)
+				clone := od.copyNode(new(Spec))
+				parent.SetDep(clone, oType)
 				index[od.Name] = clone
 				changed = true
 			}
@@ -333,7 +325,7 @@ func TestConstrainIgnoresUnreachableNodes(t *testing.T) {
 	if !changed || err != nil {
 		t.Fatalf("ConstrainChanged = %v, %v; want true, nil", changed, err)
 	}
-	if s.Deps["mpich"].Deps["hwloc"] == nil {
+	if s.DirectDep("mpich").DirectDep("hwloc") == nil {
 		t.Errorf("s = %q, want hwloc attached under mpich", s)
 	}
 }

@@ -43,22 +43,9 @@ const (
 const DepDefault = DepBuild | DepLink
 
 // String renders the type set ("build,link").
-func (t DepType) String() string {
-	var parts []string
-	if t&DepBuild != 0 {
-		parts = append(parts, "build")
-	}
-	if t&DepLink != 0 {
-		parts = append(parts, "link")
-	}
-	if t&DepRun != 0 {
-		parts = append(parts, "run")
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
-}
+func (t DepType) String() string { return depTypeNames[t&(DepBuild|DepLink|DepRun)] }
+
+var depTypeNames = [...]string{"none", "build", "link", "build,link", "run", "build,run", "link,run", "build,link,run"}
 
 // Compiler constrains the toolchain used to build a node: a name like "gcc"
 // and an optional version list. The zero Compiler is unconstrained.
@@ -140,15 +127,18 @@ func (e *ConflictError) Error() string {
 }
 
 // A Spec is one node of a build-specification DAG together with its
-// dependency edges. The root Spec represents the package being requested;
-// Deps maps dependency package names to their (shared) nodes.
+// dependency edges. The root Spec represents the package being requested.
+// A node's edges are private: they are read through DirectDeps, DirectDep,
+// EdgeType and EachDep, and written only through AddDep, AddDepTyped,
+// SetDep, RemoveDep, SetDepType and Constrain.
 //
-// FullHash memoizes its result on a concrete node. The mutators
-// (SetVariant, AddDep, AddDepTyped, SetDepType, Constrain,
-// ConstrainChanged) drop the memo of each node they change, but not of
-// that node's ancestors, and assigning a field directly drops nothing. So
-// do not mutate a concrete DAG once it has been hashed: derive a new one
-// (Clone, SpliceDep) and change that instead.
+// FullHash memoizes its result on a concrete node, and the node's
+// canonical line (see appendCanonical) beside it. Every mutator drops the
+// memos of each node it changes; with the edges private, no edge write can
+// skip that. The hash also covers the sub-DAG below its node, and a change
+// there drops no ancestor's memo, so do not mutate a concrete DAG once it
+// has been hashed: derive a new one (Clone, SpliceDep) and change that
+// instead.
 type Spec struct {
 	Name      string
 	Versions  version.List
@@ -157,34 +147,28 @@ type Spec struct {
 	Arch      string
 	Namespace string // repository namespace that provided the package, once resolved
 
-	Deps map[string]*Spec
-	// DepTypes classifies edges by dependency name; names absent from the
-	// map use DepDefault (build+link).
-	DepTypes map[string]DepType
+	// deps are the direct dependency nodes sorted by name and depTypes
+	// their edge types, index for index: one edge list (an edge's name is
+	// its child's Name) kept in two columns so DirectDeps can hand out the
+	// node column as stored.
+	deps     []*Spec
+	depTypes []DepType
 
 	// External marks a node satisfied by a system install outside the store
 	// (e.g. a vendor MPI); Path records where.
 	External bool
 	Path     string
 
-	// hash memoizes FullHash on a concrete node. It is atomic because
-	// concurrent builders hash shared nodes of one DAG.
+	// hash memoizes FullHash on a concrete node and line its canonical
+	// line. They are atomic because concurrent builders hash shared nodes
+	// of one DAG.
 	hash atomic.Pointer[string]
+	line atomic.Pointer[string]
 }
 
 // New returns an empty abstract spec for a package name.
 func New(name string) *Spec {
 	return &Spec{Name: name}
-}
-
-// EnsureMaps lazily allocates the Variants and Deps maps.
-func (s *Spec) EnsureMaps() {
-	if s.Variants == nil {
-		s.Variants = make(map[string]VariantValue)
-	}
-	if s.Deps == nil {
-		s.Deps = make(map[string]*Spec)
-	}
 }
 
 // SetVariant records an explicit +name or ~name setting.
@@ -202,51 +186,6 @@ func (s *Spec) Variant(name string) (bool, bool) {
 	return bool(v), ok
 }
 
-// AddDep attaches (or merges) a dependency node by name, preserving the
-// single-node-per-name invariant. If a node of the same name exists, the
-// constraints are intersected. The edge gets the default build+link type.
-func (s *Spec) AddDep(d *Spec) error {
-	return s.AddDepTyped(d, DepDefault)
-}
-
-// AddDepTyped is AddDep with an explicit edge type; merging an existing
-// edge unions the type sets.
-func (s *Spec) AddDepTyped(d *Spec, t DepType) error {
-	if s.Deps == nil {
-		s.Deps = make(map[string]*Spec)
-	}
-	if existing, ok := s.Deps[d.Name]; ok {
-		s.SetDepType(d.Name, s.EdgeType(d.Name)|t)
-		return existing.Constrain(d)
-	}
-	s.Deps[d.Name] = d
-	s.SetDepType(d.Name, t)
-	return nil
-}
-
-// EdgeType returns the classification of the edge to a direct dependency
-// (DepDefault when unrecorded).
-func (s *Spec) EdgeType(name string) DepType {
-	if t, ok := s.DepTypes[name]; ok {
-		return t
-	}
-	return DepDefault
-}
-
-// SetDepType records an edge classification; setting the default removes
-// the entry so hashes stay canonical.
-func (s *Spec) SetDepType(name string, t DepType) {
-	s.forgetHash()
-	if t == DepDefault {
-		delete(s.DepTypes, name)
-		return
-	}
-	if s.DepTypes == nil {
-		s.DepTypes = make(map[string]DepType)
-	}
-	s.DepTypes[name] = t
-}
-
 // LinkDeps returns the nodes reachable from s through link-type edges
 // (excluding s), name-sorted: the set whose lib directories belong in
 // RPATHs and -L flags (§3.5.2).
@@ -255,11 +194,8 @@ func (s *Spec) LinkDeps() []*Spec {
 	var out []*Spec
 	var walk func(n *Spec)
 	walk = func(n *Spec) {
-		for _, d := range n.DirectDeps() {
-			if n.EdgeType(d.Name)&DepLink == 0 {
-				continue
-			}
-			if seen[d.Name] {
+		for i, d := range n.deps {
+			if n.depTypes[i]&DepLink == 0 || seen[d.Name] {
 				continue
 			}
 			seen[d.Name] = true
@@ -284,82 +220,6 @@ func (s *Spec) Dep(name string) *Spec {
 		return true
 	})
 	return found
-}
-
-// DirectDeps returns the direct dependency nodes sorted by name.
-func (s *Spec) DirectDeps() []*Spec {
-	names := make([]string, 0, len(s.Deps))
-	for n := range s.Deps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]*Spec, len(names))
-	for i, n := range names {
-		out[i] = s.Deps[n]
-	}
-	return out
-}
-
-// Traverse visits every node of the DAG (root first, then dependencies in
-// name order) exactly once. The visitor returns false to stop early.
-func (s *Spec) Traverse(visit func(*Spec) bool) {
-	seen := make(map[string]bool)
-	var walk func(*Spec) bool
-	walk = func(n *Spec) bool {
-		if seen[n.Name] {
-			return true
-		}
-		seen[n.Name] = true
-		if !visit(n) {
-			return false
-		}
-		for _, d := range n.DirectDeps() {
-			if !walk(d) {
-				return false
-			}
-		}
-		return true
-	}
-	walk(s)
-}
-
-// Nodes returns all nodes of the DAG in deterministic pre-order.
-func (s *Spec) Nodes() []*Spec {
-	var out []*Spec
-	s.Traverse(func(n *Spec) bool {
-		out = append(out, n)
-		return true
-	})
-	return out
-}
-
-// Size returns the number of nodes in the DAG.
-func (s *Spec) Size() int {
-	n := 0
-	s.Traverse(func(*Spec) bool { n++; return true })
-	return n
-}
-
-// TopoOrder returns the nodes bottom-up: every node appears after all of its
-// dependencies, so installing in slice order satisfies prerequisites
-// (§3.4's bottom-up install traversal).
-func (s *Spec) TopoOrder() []*Spec {
-	var out []*Spec
-	state := make(map[string]int) // 0 unvisited, 1 visiting, 2 done
-	var walk func(*Spec)
-	walk = func(n *Spec) {
-		if state[n.Name] != 0 {
-			return
-		}
-		state[n.Name] = 1
-		for _, d := range n.DirectDeps() {
-			walk(d)
-		}
-		state[n.Name] = 2
-		out = append(out, n)
-	}
-	walk(s)
-	return out
 }
 
 // ConcreteVersion returns the pinned version of a concrete node.
@@ -547,28 +407,18 @@ func (s *Spec) ConstrainChanged(o *Spec) (bool, error) {
 		if !ok {
 			continue // will be attached when its parent edge is processed
 		}
-		for _, od := range on.DirectDeps() {
-			oType := on.EdgeType(od.Name)
-			if existing, ok := index[od.Name]; ok {
-				if parent.Deps == nil {
-					parent.Deps = make(map[string]*Spec)
-				}
-				if _, has := parent.Deps[od.Name]; !has {
-					parent.Deps[od.Name] = existing
-					parent.SetDepType(od.Name, oType)
-					changed = true
-				} else if merged := parent.EdgeType(od.Name) | oType; merged != parent.EdgeType(od.Name) {
-					parent.SetDepType(od.Name, merged)
-					changed = true
-				}
-			} else {
-				clone := od.cloneNodeOnly()
-				if parent.Deps == nil {
-					parent.Deps = make(map[string]*Spec)
-				}
-				parent.Deps[od.Name] = clone
-				parent.SetDepType(od.Name, oType)
+		for i, od := range on.deps {
+			oType := on.depTypes[i]
+			if existing, ok := index[od.Name]; !ok {
+				clone := od.copyNode(new(Spec))
+				parent.SetDep(clone, oType)
 				index[od.Name] = clone
+				changed = true
+			} else if j, has := parent.depIndex(od.Name); !has {
+				parent.SetDep(existing, oType)
+				changed = true
+			} else if merged := parent.depTypes[j] | oType; merged != parent.depTypes[j] {
+				parent.SetDepType(od.Name, merged)
 				changed = true
 			}
 		}
@@ -582,20 +432,14 @@ func (s *Spec) ConstrainChanged(o *Spec) (bool, error) {
 // path would look up only index[s.Name], which is s, and find no edges to
 // copy.
 func (s *Spec) nodeLocal(o *Spec) bool {
-	return len(o.Deps) == 0 && (o.Name == "" || o.Name == s.Name)
+	return len(o.deps) == 0 && (o.Name == "" || o.Name == s.Name)
 }
 
-// cloneNodeOnly copies a node's parameters without its edges.
-func (s *Spec) cloneNodeOnly() *Spec {
-	c := &Spec{
-		Name:      s.Name,
-		Versions:  s.Versions,
-		Compiler:  s.Compiler,
-		Arch:      s.Arch,
-		Namespace: s.Namespace,
-		External:  s.External,
-		Path:      s.Path,
-	}
+// copyNode copies a node's parameters, without its edges, into c and
+// returns c.
+func (s *Spec) copyNode(c *Spec) *Spec {
+	c.Name, c.Versions, c.Compiler = s.Name, s.Versions, s.Compiler
+	c.Arch, c.Namespace, c.External, c.Path = s.Arch, s.Namespace, s.External, s.Path
 	if s.Variants != nil {
 		c.Variants = make(map[string]VariantValue, len(s.Variants))
 		for k, v := range s.Variants {
@@ -603,30 +447,6 @@ func (s *Spec) cloneNodeOnly() *Spec {
 		}
 	}
 	return c
-}
-
-// Clone deep-copies the DAG, preserving node sharing.
-func (s *Spec) Clone() *Spec {
-	clones := make(map[string]*Spec)
-	var walk func(*Spec) *Spec
-	walk = func(n *Spec) *Spec {
-		if c, ok := clones[n.Name]; ok {
-			return c
-		}
-		c := n.cloneNodeOnly()
-		clones[n.Name] = c
-		for name, d := range n.Deps {
-			if c.Deps == nil {
-				c.Deps = make(map[string]*Spec)
-			}
-			c.Deps[name] = walk(d)
-		}
-		for name, t := range n.DepTypes {
-			c.SetDepType(name, t)
-		}
-		return c
-	}
-	return walk(s)
 }
 
 // satisfiesNode checks node-level entailment: does s's (tighter) constraint
@@ -662,7 +482,7 @@ func (s *Spec) Satisfies(o *Spec) bool {
 	if !s.satisfiesNode(o) {
 		return false
 	}
-	if len(o.Deps) == 0 {
+	if len(o.deps) == 0 {
 		return true // the index below is read only for o's other nodes
 	}
 	index := make(map[string]*Spec)
@@ -689,7 +509,7 @@ func (s *Spec) Satisfies(o *Spec) bool {
 // (their intersection is satisfiable). Unlike Satisfies it is symmetric.
 func (s *Spec) Compatible(o *Spec) bool {
 	if s.nodeLocal(o) {
-		_, err := s.cloneNodeOnly().constrainNode(o)
+		_, err := s.copyNode(new(Spec)).constrainNode(o)
 		return err == nil
 	}
 	return s.Clone().Constrain(o) == nil
@@ -766,15 +586,8 @@ func appendVersions(dst []byte, l version.List) []byte {
 func (s *Spec) String() string {
 	var b strings.Builder
 	s.formatNode(&b)
-	rest := make([]*Spec, 0)
-	s.Traverse(func(n *Spec) bool {
-		if n != s {
-			rest = append(rest, n)
-		}
-		return true
-	})
-	sort.Slice(rest, func(i, j int) bool { return rest[i].Name < rest[j].Name })
-	for _, n := range rest {
+	var buf [inlineNodes]*Spec
+	for _, n := range s.appendSortedNodes(buf[:0])[1:] {
 		b.WriteString(" ^")
 		n.formatNode(&b)
 	}
@@ -806,8 +619,8 @@ func (s *Spec) TreeString() string {
 			return
 		}
 		seen[n.Name] = true
-		for _, d := range n.DirectDeps() {
-			walk(d, depth+1, n.EdgeType(d.Name))
+		for i, d := range n.deps {
+			walk(d, depth+1, n.depTypes[i])
 		}
 	}
 	walk(s, 0, DepDefault)

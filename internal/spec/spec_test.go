@@ -77,7 +77,7 @@ func TestDAGStructure(t *testing.T) {
 		t.Errorf("Size = %d, want 6", s.Size())
 	}
 	// libelf must be a single shared node.
-	if s.Dep("libdwarf").Deps["libelf"] != s.Dep("dyninst").Deps["libelf"] {
+	if s.Dep("libdwarf").DirectDep("libelf") != s.Dep("dyninst").DirectDep("libelf") {
 		t.Error("libelf node must be shared within the DAG")
 	}
 	topo := s.TopoOrder()
@@ -187,7 +187,7 @@ func TestConstrainAddsDeps(t *testing.T) {
 	if err := a.Constrain(b); err != nil {
 		t.Fatal(err)
 	}
-	got := a.Deps["callpath"]
+	got := a.DirectDep("callpath")
 	if got == nil || got.Versions.String() != "1.1" {
 		t.Errorf("callpath dep = %v", got)
 	}
@@ -381,7 +381,7 @@ func TestCloneIndependence(t *testing.T) {
 		t.Error("strings should differ after mutation")
 	}
 	// Sharing structure preserved in the clone.
-	if c.Dep("libdwarf").Deps["libelf"] != c.Dep("dyninst").Deps["libelf"] {
+	if c.Dep("libdwarf").DirectDep("libelf") != c.Dep("dyninst").DirectDep("libelf") {
 		t.Error("clone lost node sharing")
 	}
 }

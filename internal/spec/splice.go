@@ -46,10 +46,9 @@ func SpliceDep(root *Spec, target string, repl *Spec) (*Spec, error) {
 	}
 	var cuts []cutEdge
 	for _, n := range nr.Nodes() {
-		if _, ok := n.Deps[target]; ok {
-			cuts = append(cuts, cutEdge{parent: n, etype: n.EdgeType(target)})
-			delete(n.Deps, target)
-			n.SetDepType(target, DepDefault)
+		if i, ok := n.depIndex(target); ok {
+			cuts = append(cuts, cutEdge{parent: n, etype: n.depTypes[i]})
+			n.RemoveDep(target)
 		}
 	}
 
@@ -72,9 +71,9 @@ func SpliceDep(root *Spec, target string, repl *Spec) (*Spec, error) {
 			}
 			grafted[rn.Name] = ex
 		} else {
-			for name, d := range rn.Deps {
-				if u := grafted[name]; u != nil && u != d {
-					rn.Deps[name] = u
+			for i, d := range rn.deps {
+				if u := grafted[d.Name]; u != nil && u != d {
+					rn.SetDep(u, rn.depTypes[i])
 				}
 			}
 			grafted[rn.Name] = rn
@@ -86,11 +85,7 @@ func SpliceDep(root *Spec, target string, repl *Spec) (*Spec, error) {
 
 	// Reattach: every cut edge now points at the replacement root.
 	for _, c := range cuts {
-		if c.parent.Deps == nil {
-			c.parent.Deps = make(map[string]*Spec)
-		}
-		c.parent.Deps[graftedRoot.Name] = graftedRoot
-		c.parent.SetDepType(graftedRoot.Name, c.etype)
+		c.parent.SetDep(graftedRoot, c.etype)
 	}
 	// The collision checks above hashed nodes mid-rewire; none of those
 	// memos describes the result.
@@ -117,7 +112,7 @@ func SpliceCone(root *Spec, target string) []string {
 		}
 		memo[n.Name] = false // break cycles defensively; DAGs have none
 		hit := false
-		for _, d := range n.Deps {
+		for _, d := range n.deps {
 			if walk(d) {
 				hit = true
 			}

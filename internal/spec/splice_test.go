@@ -50,7 +50,7 @@ func TestSpliceDepRewiresEveryEdge(t *testing.T) {
 		t.Errorf("spliced zlib version = %s, want 1.2.8", v)
 	}
 	// Both parents see the same replacement node (sharing preserved).
-	if spliced.Deps["zlib"] != spliced.Dep("mid").Deps["zlib"] {
+	if spliced.DirectDep("zlib") != spliced.Dep("mid").DirectDep("zlib") {
 		t.Error("replacement node not shared between parents")
 	}
 	// Edge types carried over.
@@ -106,7 +106,7 @@ func TestSpliceDepUnifiesEqualTransitives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spliced.Deps["zlib"] != spliced.Dep("mid").Deps["zlib"] {
+	if spliced.DirectDep("zlib") != spliced.Dep("mid").DirectDep("zlib") {
 		t.Error("equal transitive dependency not unified into one node")
 	}
 }

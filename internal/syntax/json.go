@@ -40,92 +40,58 @@ func EncodeJSON(s *spec.Spec) []byte { return AppendJSON(nil, s) }
 // because every install encodes its spec into the provenance file, the
 // journal and the index, and the reflection encoder dominated that cost.
 func AppendJSON(dst []byte, s *spec.Spec) []byte {
-	nodes, deps := encodeOrder(s)
+	// The nodes Traverse visits (each name once), sorted by name.
+	nodes := s.Nodes()
+	slices.SortFunc(nodes, func(a, b *spec.Spec) int { return strings.Compare(a.Name, b.Name) })
 	dst = append(dst, "{\n  \"root\": "...)
 	dst = jsonenc.String(dst, s.Name)
 	dst = append(dst, ",\n  \"nodes\": {"...)
-	for i, e := range nodes {
-		dst = appendKey(dst, i, 4, e.n.Name)
+	for i, n := range nodes {
+		dst = appendKey(dst, i, 4, n.Name)
 		dst = append(dst, '"')
 		start := len(dst)
-		dst = append(jsonenc.Escape(e.n.AppendNode(dst), start), '"')
+		dst = append(jsonenc.Escape(n.AppendNode(dst), start), '"')
 	}
 	dst = closeObject(dst, len(nodes), 2)
 
-	dst = appendSection(dst, nodes, "edges", func(e encNode) bool { return e.lo < e.hi },
-		func(dst []byte, e encNode) []byte {
+	dst = appendSection(dst, nodes, "edges", func(n *spec.Spec) bool { return len(n.DirectDeps()) > 0 },
+		func(dst []byte, n *spec.Spec) []byte {
 			dst = append(dst, '[')
-			for i, d := range deps[e.lo:e.hi] {
+			for i, d := range n.DirectDeps() {
 				if i > 0 {
 					dst = append(dst, ',')
 				}
 				dst = append(dst, "\n      "...)
-				dst = jsonenc.String(dst, d)
+				dst = jsonenc.String(dst, d.Name)
 			}
 			return append(dst, "\n    ]"...)
 		})
 	dst = appendSection(dst, nodes, "edgetypes",
-		func(e encNode) bool {
-			for _, d := range deps[e.lo:e.hi] {
-				if e.n.EdgeType(d) != spec.DepDefault {
+		func(n *spec.Spec) bool {
+			for _, d := range n.DirectDeps() {
+				if n.EdgeType(d.Name) != spec.DepDefault {
 					return true
 				}
 			}
 			return false
 		},
-		func(dst []byte, e encNode) []byte {
+		func(dst []byte, n *spec.Spec) []byte {
 			dst = append(dst, '{')
 			k := 0
-			for _, d := range deps[e.lo:e.hi] {
-				if t := e.n.EdgeType(d); t != spec.DepDefault {
-					dst = appendKey(dst, k, 6, d)
+			n.EachDep(func(d *spec.Spec, t spec.DepType) {
+				if t != spec.DepDefault {
+					dst = appendKey(dst, k, 6, d.Name)
 					dst = jsonenc.String(dst, t.String())
 					k++
 				}
-			}
+			})
 			return append(dst, "\n    }"...)
 		})
-	dst = appendSection(dst, nodes, "external", func(e encNode) bool { return e.n.External },
-		func(dst []byte, e encNode) []byte { return jsonenc.String(dst, e.n.Path) })
-	dst = appendSection(dst, nodes, "namespace", func(e encNode) bool { return e.n.Namespace != "" },
-		func(dst []byte, e encNode) []byte { return jsonenc.String(dst, e.n.Namespace) })
+	dst = appendSection(dst, nodes, "external", func(n *spec.Spec) bool { return n.External },
+		func(dst []byte, n *spec.Spec) []byte { return jsonenc.String(dst, n.Path) })
+	dst = appendSection(dst, nodes, "namespace", func(n *spec.Spec) bool { return n.Namespace != "" },
+		func(dst []byte, n *spec.Spec) []byte { return jsonenc.String(dst, n.Namespace) })
 	return append(dst, "\n}"...)
-}
-
-// encNode is one DAG node in encoding order; deps[lo:hi] are the names of
-// its direct dependencies, sorted.
-type encNode struct {
-	n      *spec.Spec
-	lo, hi int
-}
-
-// encodeOrder lists the nodes Traverse visits — root first, dependencies
-// in name order, each name once — sorted by name, with every node's
-// sorted dependency names in one shared slice.
-func encodeOrder(s *spec.Spec) ([]encNode, []string) {
-	var nodes []encNode
-	var deps []string
-	seen := make(map[string]bool)
-	var walk func(n *spec.Spec)
-	walk = func(n *spec.Spec) {
-		if seen[n.Name] {
-			return
-		}
-		seen[n.Name] = true
-		lo := len(deps)
-		for name := range n.Deps {
-			deps = append(deps, name)
-		}
-		slices.Sort(deps[lo:])
-		hi := len(deps)
-		nodes = append(nodes, encNode{n: n, lo: lo, hi: hi})
-		for i := lo; i < hi; i++ {
-			walk(n.Deps[deps[i]])
-		}
-	}
-	walk(s)
-	slices.SortFunc(nodes, func(a, b encNode) int { return strings.Compare(a.n.Name, b.n.Name) })
-	return nodes, deps
 }
 
 // appendKey opens the i-th member of an indented object: a separator,
@@ -157,11 +123,11 @@ func closeObject(dst []byte, n, indent int) []byte {
 
 // appendSection appends an optional top-level map (omitted when empty)
 // with one member per node that has, rendered by value.
-func appendSection(dst []byte, nodes []encNode, key string, has func(encNode) bool,
-	value func([]byte, encNode) []byte) []byte {
+func appendSection(dst []byte, nodes []*spec.Spec, key string, has func(*spec.Spec) bool,
+	value func([]byte, *spec.Spec) []byte) []byte {
 	k := 0
-	for _, e := range nodes {
-		if !has(e) {
+	for _, n := range nodes {
+		if !has(n) {
 			continue
 		}
 		if k == 0 {
@@ -169,7 +135,7 @@ func appendSection(dst []byte, nodes []encNode, key string, has func(encNode) bo
 			dst = append(dst, key...)
 			dst = append(dst, "\": {"...)
 		}
-		dst = value(appendKey(dst, k, 4, e.n.Name), e)
+		dst = value(appendKey(dst, k, 4, n.Name), n)
 		k++
 	}
 	if k > 0 {
@@ -215,15 +181,14 @@ func DecodeJSON(data []byte) (*spec.Spec, error) {
 			if !ok {
 				return nil, fmt.Errorf("syntax: edge to unknown node %q", d)
 			}
-			parent.EnsureMaps()
-			parent.Deps[d] = child
+			t := spec.DepDefault
 			if ts, ok := in.EdgeTypes[name][d]; ok {
-				t, err := parseDepType(ts)
-				if err != nil {
+				var err error
+				if t, err = parseDepType(ts); err != nil {
 					return nil, err
 				}
-				parent.SetDepType(d, t)
 			}
+			parent.SetDep(child, t)
 		}
 	}
 	root, ok := nodes[in.Root]

@@ -31,8 +31,8 @@ func encodeJSONOracle(s *spec.Spec) ([]byte, error) {
 			out.Namespace[n.Name] = n.Namespace
 		}
 		var deps []string
-		for name := range n.Deps {
-			deps = append(deps, name)
+		for _, d := range n.DirectDeps() {
+			deps = append(deps, d.Name)
 		}
 		sort.Strings(deps)
 		if len(deps) > 0 {

@@ -41,11 +41,11 @@ func TestJSONRoundTripPreservesEdges(t *testing.T) {
 	if back.FullHash() != orig.FullHash() {
 		t.Error("hash changed across JSON round trip")
 	}
-	if back.Dep("bpkg").Deps["cpkg"] == nil {
+	if back.Dep("bpkg").DirectDep("cpkg") == nil {
 		t.Error("nested edge b->c lost")
 	}
 	// Node sharing preserved: one cpkg node.
-	if back.Dep("bpkg").Deps["cpkg"] != back.Deps["cpkg"] {
+	if back.Dep("bpkg").DirectDep("cpkg") != back.DirectDep("cpkg") {
 		t.Error("node sharing lost")
 	}
 }

@@ -36,7 +36,7 @@ func Parse(input string) (*spec.Spec, error) {
 		return nil, &SyntaxError{Input: input, Pos: t.pos, Msg: "unexpected " + t.kind.String()}
 	}
 	if root.Name == "" && len(root.Variants) == 0 && root.Versions.IsAny() &&
-		root.Compiler.IsZero() && root.Arch == "" && len(root.Deps) == 0 {
+		root.Compiler.IsZero() && root.Arch == "" && len(root.DirectDeps()) == 0 {
 		return nil, &SyntaxError{Input: input, Pos: 0, Msg: "empty spec"}
 	}
 	return root, nil

@@ -14,7 +14,7 @@ func TestTable2Examples(t *testing.T) {
 	// Row 1: mpileaks — no constraints.
 	s := MustParse("mpileaks")
 	if s.Name != "mpileaks" || !s.Versions.IsAny() || !s.Compiler.IsZero() ||
-		len(s.Variants) != 0 || s.Arch != "" || len(s.Deps) != 0 {
+		len(s.Variants) != 0 || s.Arch != "" || len(s.DirectDeps()) != 0 {
 		t.Errorf("row 1: unexpected constraints in %q", s)
 	}
 
@@ -50,7 +50,7 @@ func TestTable2Examples(t *testing.T) {
 
 	// Row 6: [email protected] ^[email protected].
 	s = MustParse("mpileaks@1.1.2 ^mvapich2@1.9")
-	d := s.Deps["mvapich2"]
+	d := s.DirectDep("mvapich2")
 	if d == nil {
 		t.Fatal("row 6: missing mvapich2 dep")
 	}
@@ -74,11 +74,11 @@ func TestTable2Examples(t *testing.T) {
 	if s.Arch != "bgq" {
 		t.Errorf("row 7: arch = %q", s.Arch)
 	}
-	cp := s.Deps["callpath"]
+	cp := s.DirectDep("callpath")
 	if cp == nil || cp.Versions.String() != "1.1" || cp.Compiler.String() != "gcc@4.7.2" {
 		t.Errorf("row 7: callpath = %v", cp)
 	}
-	om := s.Deps["openmpi"]
+	om := s.DirectDep("openmpi")
 	if om == nil || om.Versions.String() != "1.4.7" {
 		t.Errorf("row 7: openmpi = %v", om)
 	}
@@ -144,7 +144,7 @@ func TestDuplicateDepMerges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merging duplicate dep clauses should succeed: %v", err)
 	}
-	b := s.Deps["b"]
+	b := s.DirectDep("b")
 	if b.Versions.String() != "1.2" || b.Compiler.Name != "gcc" {
 		t.Errorf("merged dep = %v", b)
 	}
