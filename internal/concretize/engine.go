@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/compiler"
 	"repro/internal/concretize/solve"
@@ -31,6 +32,48 @@ type resolver struct {
 	// pinApplied records pins already attempted, so a pin is constrained
 	// in at most once per run.
 	pinApplied map[string]bool
+
+	// dag is the DAG's nodes in pre-order (root.Nodes()) with their
+	// package definitions, and byName the same entries sorted by name.
+	// The phases of a pass share them; dagValid is cleared whenever an
+	// edge is attached or rewired, and snapshot rebuilds them on next use.
+	dag, byName []dagNode
+	dagValid    bool
+	// stack is inheritCompilers' walk, kept to reuse its storage.
+	stack []inhFrame
+}
+
+// dagNode is one node of the DAG under concretization with the package
+// definition its name resolves to (nil for a virtual node).
+type dagNode struct {
+	n   *spec.Spec
+	def *pkg.Package
+}
+
+// snapshot returns the DAG's nodes in pre-order, rebuilding r.dag and
+// r.byName if the structure changed since they were taken.
+func (r *resolver) snapshot(root *spec.Spec) []dagNode {
+	if r.dagValid {
+		return r.dag
+	}
+	r.dag = r.dag[:0]
+	root.Traverse(func(n *spec.Spec) bool {
+		def, _, _ := r.c.Path.Get(n.Name)
+		r.dag = append(r.dag, dagNode{n: n, def: def})
+		return true
+	})
+	r.byName = append(r.byName[:0], r.dag...)
+	slices.SortFunc(r.byName, func(a, b dagNode) int { return strings.Compare(a.n.Name, b.n.Name) })
+	r.dagValid = true
+	return r.dag
+}
+
+// findByName looks a name up in r.byName: its position, and whether a node
+// of that name is there.
+func (r *resolver) findByName(name string) (int, bool) {
+	return slices.BinarySearchFunc(r.byName, name, func(e dagNode, name string) int {
+		return strings.Compare(e.n.Name, name)
+	})
 }
 
 // run performs one propagation pass to a fixed point: the Fig. 6 cycle,
@@ -102,11 +145,12 @@ func (r *resolver) nextWorklist(root *spec.Spec, touched map[string]bool) map[st
 	for name := range touched {
 		dirty[name] = true
 	}
-	for _, n := range root.Nodes() {
+	for _, dn := range r.snapshot(root) {
+		n := dn.n
 		if dirty[n.Name] {
 			continue
 		}
-		if r.c.hasConditionalDirectives(n.Name) {
+		if dn.def != nil && dn.def.HasConditionalDirectives() {
 			dirty[n.Name] = true
 			continue
 		}
@@ -120,32 +164,6 @@ func (r *resolver) nextWorklist(root *spec.Spec, touched map[string]bool) map[st
 	return dirty
 }
 
-// hasConditionalDirectives reports whether a package definition carries any
-// when= gated dependency, provides, or feature directive — the directives
-// whose activation can flip as other nodes concretize.
-func (c *Concretizer) hasConditionalDirectives(name string) bool {
-	def, _, ok := c.Path.Get(name)
-	if !ok {
-		return false // virtual node; resolveVirtuals scans the DAG anyway
-	}
-	for _, d := range def.Dependencies {
-		if d.When != nil {
-			return true
-		}
-	}
-	for _, pr := range def.Provides {
-		if pr.When != nil {
-			return true
-		}
-	}
-	for _, f := range def.Features {
-		if f.When != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // applyPackageConstraints merges directive constraints from package files
 // into the DAG: for every resolved (non-virtual) node, the dependencies
 // active under its current configuration are intersected in, with new edges
@@ -154,30 +172,28 @@ func (c *Concretizer) hasConditionalDirectives(name string) bool {
 // pass) are visited. Changed nodes are recorded in touched.
 func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[string]bool) (bool, error) {
 	changed := false
-	// Snapshot nodes first: attaching deps during traversal would mutate
-	// the structure being walked.
-	nodes := root.Nodes()
-	index := make(map[string]*spec.Spec, len(nodes))
-	names := make([]string, len(nodes)) // index's keys, sorted
-	for i, n := range nodes {
-		index[n.Name] = n
-		names[i] = n.Name
-	}
-	sort.Strings(names)
-	for _, n := range nodes {
+	// The loop walks the snapshot taken before it attaches anything; a node
+	// it attaches joins r.byName (and so is found by name) but is visited
+	// on the next pass. Directive specs are read in place: a definition is
+	// shared by every solve, so only a node attached to the DAG is cloned.
+	for _, dn := range r.snapshot(root) {
+		n, def := dn.n, dn.def
 		if dirty != nil && !dirty[n.Name] && !touched[n.Name] {
 			continue
 		}
-		def, ns, ok := r.c.Path.Get(n.Name)
-		if !ok {
+		if def == nil {
 			continue // virtual; resolved separately
 		}
 		if n.Namespace == "" {
-			n.Namespace = ns
+			_, n.Namespace, _ = r.c.Path.Get(n.Name)
 			changed = true
 			touched[n.Name] = true
 		}
-		for _, d := range def.DependenciesFor(n) {
+		for i := range def.Dependencies {
+			d := &def.Dependencies[i]
+			if !d.ActiveFor(n) {
+				continue
+			}
 			depName := d.Constraint.Name
 			edgeType := spec.DepDefault
 			if d.BuildOnly {
@@ -186,17 +202,19 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[s
 			// A virtual dependency already satisfied by a provider in the
 			// DAG attaches to that provider rather than re-creating the
 			// virtual node (otherwise resolution would never converge).
-			if prov, found, err := r.dagProviderFor(index, names, d.Constraint); err != nil {
+			if prov, found, err := r.dagProviderFor(d.Constraint); err != nil {
 				return changed, err
 			} else if found {
 				if n.DirectDep(prov.Name) == nil {
 					n.SetDep(prov, edgeType)
+					r.dagValid = false
 					changed = true
 					touched[n.Name] = true
 				}
 				continue
 			}
-			if existing, ok := index[depName]; ok {
+			if at, ok := r.findByName(depName); ok {
+				existing := r.byName[at].n
 				ch, err := existing.ConstrainChanged(d.Constraint)
 				if err != nil {
 					return changed, err
@@ -204,17 +222,22 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[s
 				if ch {
 					changed = true
 					touched[depName] = true
+					if len(d.Constraint.DirectDeps()) > 0 {
+						r.dagValid = false // it may have attached nodes below existing
+					}
 				}
 				if n.DirectDep(depName) == nil {
 					n.SetDep(existing, edgeType)
+					r.dagValid = false
 					changed = true
 					touched[n.Name] = true
 				}
 			} else {
 				node := d.Constraint.Clone()
 				n.SetDep(node, edgeType)
-				index[depName] = node
-				names = slices.Insert(names, sort.SearchStrings(names, depName), depName)
+				def, _, _ := r.c.Path.Get(depName)
+				r.byName = slices.Insert(r.byName, at, dagNode{n: node, def: def})
+				r.dagValid = false
 				changed = true
 				touched[depName] = true
 			}
@@ -224,19 +247,18 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[s
 }
 
 // dagProviderFor looks for a node already in the DAG that provides a
-// virtual dependency constraint, scanning index in the order of names (its
-// sorted keys). If nodes provide the interface name but none compatibly,
-// that is a conflict: one DAG must not mix two providers of the same
-// interface (the ABI-consistency guarantee of §3.2.1).
-func (r *resolver) dagProviderFor(index map[string]*spec.Spec, names []string, dep *spec.Spec) (*spec.Spec, bool, error) {
+// virtual dependency constraint, scanning r.byName in order. If nodes
+// provide the interface name but none compatibly, that is a conflict: one
+// DAG must not mix two providers of the same interface (the
+// ABI-consistency guarantee of §3.2.1).
+func (r *resolver) dagProviderFor(dep *spec.Spec) (*spec.Spec, bool, error) {
 	if !r.c.Path.IsVirtual(dep.Name) {
 		return nil, false, nil
 	}
 	sawProvider := false
-	for _, name := range names {
-		n := index[name]
-		def, _, ok := r.c.Path.Get(n.Name)
-		if !ok {
+	for _, dn := range r.byName {
+		n, def := dn.n, dn.def
+		if def == nil {
 			continue
 		}
 		providesName := false
@@ -272,7 +294,7 @@ func (r *resolver) dagProviderFor(index map[string]*spec.Spec, names []string, d
 func (r *resolver) resolveVirtuals(root *spec.Spec, touched map[string]bool) (bool, error) {
 	changed := false
 	for {
-		vnode := r.findVirtualNode(root)
+		vnode := r.findVirtualNode(r.snapshot(root))
 		if vnode == nil {
 			return changed, nil
 		}
@@ -282,22 +304,21 @@ func (r *resolver) resolveVirtuals(root *spec.Spec, touched map[string]bool) (bo
 			return changed, err
 		}
 		r.replaceNode(root, vnode, provider, touched)
+		r.dagValid = false
 		touched[provider.Name] = true
 		changed = true
 	}
 }
 
-// findVirtualNode returns some virtual node of the DAG, or nil.
-func (r *resolver) findVirtualNode(root *spec.Spec) *spec.Spec {
-	var found *spec.Spec
-	root.Traverse(func(n *spec.Spec) bool {
-		if r.c.Path.IsVirtual(n.Name) {
-			found = n
-			return false
+// findVirtualNode returns the first virtual node of the DAG in pre-order,
+// or nil.
+func (r *resolver) findVirtualNode(nodes []dagNode) *spec.Spec {
+	for _, dn := range nodes {
+		if dn.def == nil && r.c.Path.IsVirtual(dn.n.Name) {
+			return dn.n
 		}
-		return true
-	})
-	return found
+	}
+	return nil
 }
 
 // providerFact reifies one candidate into the solver's ranking attributes:
@@ -451,10 +472,11 @@ func (r *resolver) concretizeParams(root *spec.Spec, dirty, touched map[string]b
 		changed = true
 		touched[root.Name] = true
 	}
-	// inheritCompilers below changes no edges, so one snapshot serves both
-	// loops.
-	nodes := root.Nodes()
-	for _, n := range nodes {
+	// Nothing below attaches an edge before the last loop, which walks the
+	// snapshot taken here even if an external's constraint attaches one.
+	nodes := r.snapshot(root)
+	for _, dn := range nodes {
+		n := dn.n
 		if n.Arch == "" {
 			n.Arch = root.Arch
 			changed = true
@@ -465,15 +487,15 @@ func (r *resolver) concretizeParams(root *spec.Spec, dirty, touched map[string]b
 	// Compiler inheritance: children without a constraint build with their
 	// parent's compiler, so one toolchain is used consistently across a DAG
 	// unless overridden per node.
-	ch := r.inheritCompilers(root, touched)
+	ch := r.inheritCompilers(nodes, touched)
 	changed = changed || ch
 
-	for _, n := range nodes {
+	for _, dn := range nodes {
+		n, def := dn.n, dn.def
 		if dirty != nil && !dirty[n.Name] && !touched[n.Name] {
 			continue
 		}
-		def, _, ok := r.c.Path.Get(n.Name)
-		if !ok {
+		if def == nil {
 			continue // unresolved virtual: next iteration
 		}
 
@@ -483,6 +505,9 @@ func (r *resolver) concretizeParams(root *spec.Spec, dirty, touched map[string]b
 			if ext, ok := r.c.Config.ExternalFor(n, n.Arch); ok {
 				if err := n.Constrain(ext.Constraint); err != nil {
 					return changed, err
+				}
+				if len(ext.Constraint.DirectDeps()) > 0 {
+					r.dagValid = false // it may have attached nodes below n
 				}
 				n.External = true
 				n.Path = ext.Path
@@ -556,43 +581,66 @@ func (r *resolver) applyReusePin(n *spec.Spec, touched map[string]bool) (bool, e
 	return ch, nil
 }
 
-// inheritCompilers propagates compiler constraints from parents to
-// children that have none. Returns whether anything changed; changed nodes
-// are recorded in touched.
-func (r *resolver) inheritCompilers(root *spec.Spec, touched map[string]bool) bool {
-	changed := false
-	type inh struct {
-		comp spec.Compiler
-		arch string
+// inhFrame is one node on inheritCompilers' walk: the compiler and
+// architecture its dependencies inherit, and the index of its next edge.
+type inhFrame struct {
+	n    *spec.Spec
+	comp spec.Compiler
+	arch string
+	next int
+}
+
+// frameFor returns n's frame given what n inherited: its own compiler
+// (with its architecture) once it has one, else the inherited compiler on
+// n's architecture when n has one.
+func frameFor(n *spec.Spec, comp spec.Compiler, arch string) inhFrame {
+	if !n.Compiler.IsZero() {
+		return inhFrame{n: n, comp: n.Compiler, arch: n.Arch}
 	}
-	var walk func(n *spec.Spec, inherited inh)
-	seen := make(map[string]bool)
-	walk = func(n *spec.Spec, inherited inh) {
+	if n.Arch != "" {
+		arch = n.Arch
+	}
+	return inhFrame{n: n, comp: comp, arch: arch}
+}
+
+// inheritCompilers propagates compiler constraints from parents to
+// children that have none, depth first from the root with dependencies in
+// name order. Every edge offers the parent's compiler, but a node's own
+// dependencies are walked once, from its first parent. nodes is the DAG in
+// pre-order, the order in which this walk first reaches each node, so a
+// node is reached for the first time exactly when it is the next one in
+// nodes. Returns whether anything changed; changed nodes are recorded in
+// touched.
+func (r *resolver) inheritCompilers(nodes []dagNode, touched map[string]bool) bool {
+	changed := false
+	stack := append(r.stack[:0], frameFor(nodes[0].n, spec.Compiler{}, ""))
+	reached := 1
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		deps := top.n.DirectDeps()
+		if top.next == len(deps) {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		d := deps[top.next]
+		top.next++
 		// A node on a different architecture than its parent (the
 		// front-end/back-end split of §3.2.3) must not inherit the
 		// parent's toolchain: cross toolchains differ per platform, so the
 		// node picks its own arch-appropriate compiler instead.
-		sameArch := inherited.arch == "" || n.Arch == "" || n.Arch == inherited.arch
-		if n.Compiler.IsZero() && !inherited.comp.IsZero() && !n.External && sameArch {
-			n.Compiler = inherited.comp
+		sameArch := top.arch == "" || d.Arch == "" || d.Arch == top.arch
+		if d.Compiler.IsZero() && !top.comp.IsZero() && !d.External && sameArch {
+			d.Compiler = top.comp
 			changed = true
-			touched[n.Name] = true
+			touched[d.Name] = true
 		}
-		if seen[n.Name] {
-			return
+		if reached == len(nodes) || nodes[reached].n != d {
+			continue // reached before
 		}
-		seen[n.Name] = true
-		eff := inherited
-		if !n.Compiler.IsZero() {
-			eff = inh{comp: n.Compiler, arch: n.Arch}
-		} else if n.Arch != "" {
-			eff.arch = n.Arch
-		}
-		for _, d := range n.DirectDeps() {
-			walk(d, eff)
-		}
+		reached++
+		stack = append(stack, frameFor(d, top.comp, top.arch))
 	}
-	walk(root, inh{})
+	r.stack = stack
 	return changed
 }
 

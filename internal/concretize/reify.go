@@ -91,7 +91,7 @@ func (c *Concretizer) reify(abstract *spec.Spec, snap *reuseSnapshot, trail *sol
 		}
 		pf := &solve.PackageFacts{
 			Name:        name,
-			Conditional: c.hasConditionalDirectives(name),
+			Conditional: def.HasConditionalDirectives(),
 			Variants:    make(map[string][]bool, len(def.Variants)),
 		}
 		// Version domain: declared versions admitted by the input node's

@@ -175,22 +175,24 @@ func New() *Config {
 	return &Config{Site: NewScope(), User: NewScope()}
 }
 
-// scopes returns the active scopes in precedence order.
-func (c *Config) scopes() []*Scope {
-	var out []*Scope
-	if c.User != nil {
-		out = append(out, c.User)
+// scopes returns the active scopes in precedence order: the first n
+// entries of all. An array rather than a slice, so that the lookups the
+// concretizer makes per node on every pass allocate nothing.
+func (c *Config) scopes() (all [2]*Scope, n int) {
+	for _, s := range [...]*Scope{c.User, c.Site} {
+		if s != nil {
+			all[n] = s
+			n++
+		}
 	}
-	if c.Site != nil {
-		out = append(out, c.Site)
-	}
-	return out
+	return all, n
 }
 
 // DefaultArch resolves the default architecture, falling back to
 // "linux-x86_64" when neither scope sets one.
 func (c *Config) DefaultArch() string {
-	for _, s := range c.scopes() {
+	all, n := c.scopes()
+	for _, s := range all[:n] {
 		if s.DefaultArch != "" {
 			return s.DefaultArch
 		}
@@ -203,7 +205,8 @@ func (c *Config) DefaultArch() string {
 func (c *Config) CompilerOrder() []spec.Compiler {
 	var out []spec.Compiler
 	seen := make(map[string]bool)
-	for _, s := range c.scopes() {
+	all, n := c.scopes()
+	for _, s := range all[:n] {
 		for _, comp := range s.CompilerOrder {
 			if seen[comp.Name] {
 				continue
@@ -237,7 +240,8 @@ func (c *Config) CompilerRank(candidate spec.Compiler) int {
 func (c *Config) ProviderOrder(virtual string) []string {
 	var out []string
 	seen := make(map[string]bool)
-	for _, s := range c.scopes() {
+	all, n := c.scopes()
+	for _, s := range all[:n] {
 		for _, p := range s.ProviderOrder[virtual] {
 			if !seen[p] {
 				seen[p] = true
@@ -263,7 +267,8 @@ func (c *Config) ProviderRank(virtual, provider string) int {
 
 // PreferredVersion returns the configured version preference for a package.
 func (c *Config) PreferredVersion(pkgName string) (version.List, bool) {
-	for _, s := range c.scopes() {
+	all, n := c.scopes()
+	for _, s := range all[:n] {
 		if l, ok := s.PreferredVersions[pkgName]; ok {
 			return l, true
 		}
@@ -273,7 +278,8 @@ func (c *Config) PreferredVersion(pkgName string) (version.List, bool) {
 
 // VariantDefault resolves a variant override for a package.
 func (c *Config) VariantDefault(pkgName, variant string) (bool, bool) {
-	for _, s := range c.scopes() {
+	all, n := c.scopes()
+	for _, s := range all[:n] {
 		if m, ok := s.VariantDefaults[pkgName]; ok {
 			if v, ok := m[variant]; ok {
 				return v, true
@@ -287,7 +293,8 @@ func (c *Config) VariantDefault(pkgName, variant string) (bool, bool) {
 // node's name and constraints must be compatible with the registration and
 // the architectures must match.
 func (c *Config) ExternalFor(node *spec.Spec, arch string) (External, bool) {
-	for _, s := range c.scopes() {
+	all, n := c.scopes()
+	for _, s := range all[:n] {
 		for _, e := range s.Externals {
 			if e.Constraint.Name != node.Name {
 				continue
@@ -307,7 +314,8 @@ func (c *Config) ExternalFor(node *spec.Spec, arch string) (External, bool) {
 // LinkRules returns all link rules, user scope first.
 func (c *Config) LinkRules() []LinkRule {
 	var out []LinkRule
-	for _, s := range c.scopes() {
+	all, n := c.scopes()
+	for _, s := range all[:n] {
 		out = append(out, s.LinkRules...)
 	}
 	return out
@@ -315,7 +323,8 @@ func (c *Config) LinkRules() []LinkRule {
 
 // ArchDescription resolves a platform description (user scope first).
 func (c *Config) ArchDescription(arch string) (*ArchDescription, bool) {
-	for _, s := range c.scopes() {
+	all, n := c.scopes()
+	for _, s := range all[:n] {
 		if d, ok := s.ArchDescriptions[arch]; ok {
 			return d, true
 		}
@@ -327,7 +336,8 @@ func (c *Config) ArchDescription(arch string) (*ArchDescription, bool) {
 // reporting.
 func (c *Config) Externals() []External {
 	var out []External
-	for _, s := range c.scopes() {
+	all, n := c.scopes()
+	for _, s := range all[:n] {
 		out = append(out, s.Externals...)
 	}
 	sort.Slice(out, func(i, j int) bool {

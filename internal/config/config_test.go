@@ -1,6 +1,10 @@
 package config
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/spec"
@@ -182,4 +186,99 @@ func TestExternalsSorted(t *testing.T) {
 	if len(exts) != 2 || exts[0].Constraint.Name != "bgq-mpi" {
 		t.Errorf("externals = %v", exts)
 	}
+}
+
+// TestScopeLookupsAllocateNothing: the lookups the concretizer makes for
+// every node on every pass walk the scopes without allocating, whichever
+// scopes are set.
+func TestScopeLookupsAllocateNothing(t *testing.T) {
+	full := New()
+	full.Site.DefaultArch = "bgq"
+	if err := full.User.AddExternal("mvapich2@1.9", "bgq", "/usr/local"); err != nil {
+		t.Fatal(err)
+	}
+	if err := full.Site.PreferVersion("hdf5", "1.8:"); err != nil {
+		t.Fatal(err)
+	}
+	full.Site.SetVariantDefault("hdf5", "mpi", false)
+	siteOnly := New()
+	siteOnly.User = nil
+	node := spec.New("libelf")
+	for _, c := range []*Config{full, siteOnly, {}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			c.DefaultArch()
+			c.PreferredVersion("libelf")
+			c.VariantDefault("hdf5", "mpi")
+			c.ExternalFor(node, "bgq")
+			c.ArchDescription("bgq")
+		})
+		if allocs != 0 {
+			t.Errorf("scope lookups allocate %v times per call", allocs)
+		}
+	}
+	if got := siteOnly.DefaultArch(); got != "linux-x86_64" {
+		t.Errorf("site-only default arch = %q", got)
+	}
+	if _, ok := full.PreferredVersion("hdf5"); !ok {
+		t.Error("site preference not found under a user scope")
+	}
+}
+
+// fingerprintOracle is Fingerprint as first written, with fmt: the hash
+// must not move, or persisted memo caches would all turn into misses.
+func fingerprintOracle(c *Config) string {
+	var b strings.Builder
+	all, n := c.scopes()
+	for i, s := range all[:n] {
+		fmt.Fprintf(&b, "scope %d\n", i)
+		fmt.Fprintf(&b, "  default_arch %s\n", s.DefaultArch)
+		for _, comp := range s.CompilerOrder {
+			fmt.Fprintf(&b, "  compiler_order %s\n", comp)
+		}
+		for _, virtual := range sortedKeys(s.ProviderOrder) {
+			fmt.Fprintf(&b, "  provider_order %s = %s\n",
+				virtual, strings.Join(s.ProviderOrder[virtual], ","))
+		}
+		for _, name := range sortedKeys(s.PreferredVersions) {
+			fmt.Fprintf(&b, "  preferred_version %s @%s\n", name, s.PreferredVersions[name])
+		}
+		for _, name := range sortedKeys(s.VariantDefaults) {
+			m := s.VariantDefaults[name]
+			for _, variant := range sortedKeys(m) {
+				fmt.Fprintf(&b, "  variant_default %s %s=%v\n", name, variant, m[variant])
+			}
+		}
+		for _, e := range s.Externals {
+			fmt.Fprintf(&b, "  external %s arch=%s path=%s\n", e.Constraint, e.Arch, e.Path)
+		}
+	}
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:])
+}
+
+func TestFingerprintMatchesOracle(t *testing.T) {
+	c := New()
+	check := func(stage string) {
+		t.Helper()
+		if got, want := c.Fingerprint(), fingerprintOracle(c); got != want {
+			t.Errorf("%s: Fingerprint = %s, oracle %s", stage, got, want)
+		}
+	}
+	check("empty")
+	c.Site.DefaultArch = "bgq"
+	if err := c.User.SetCompilerOrder("icc,gcc@4.6.1"); err != nil {
+		t.Fatal(err)
+	}
+	c.Site.SetProviderOrder("mpi", "mvapich2", "openmpi")
+	if err := c.User.PreferVersion("hdf5", "1.8:1.10"); err != nil {
+		t.Fatal(err)
+	}
+	c.Site.SetVariantDefault("hdf5", "mpi", false)
+	c.Site.SetVariantDefault("hdf5", "fortran", true)
+	if err := c.Site.AddExternal("mvapich2@1.9%gcc@4.9.2", "bgq", "/usr/local/mpi"); err != nil {
+		t.Fatal(err)
+	}
+	check("populated")
+	c.User = nil
+	check("site only")
 }

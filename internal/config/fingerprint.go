@@ -3,8 +3,8 @@ package config
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -18,11 +18,15 @@ import (
 // concretizer's choices.
 //
 // Scopes are small and mutable in place (fields are public), so the
-// serialization is recomputed on every call rather than cached.
+// serialization is recomputed on every call rather than cached; the memo
+// cache computes it on every hit, so it is written without fmt.
 func (c *Config) Fingerprint() string {
 	var b strings.Builder
-	for i, s := range c.scopes() {
-		fmt.Fprintf(&b, "scope %d\n", i)
+	all, n := c.scopes()
+	for i, s := range all[:n] {
+		b.WriteString("scope ")
+		b.WriteString(strconv.Itoa(i))
+		b.WriteByte('\n')
 		fingerprintScope(&b, s)
 	}
 	sum := sha256.Sum256([]byte(b.String()))
@@ -30,26 +34,36 @@ func (c *Config) Fingerprint() string {
 }
 
 func fingerprintScope(b *strings.Builder, s *Scope) {
-	fmt.Fprintf(b, "  default_arch %s\n", s.DefaultArch)
+	fingerprintLine(b, "default_arch", s.DefaultArch)
 	for _, comp := range s.CompilerOrder {
-		fmt.Fprintf(b, "  compiler_order %s\n", comp)
+		fingerprintLine(b, "compiler_order", comp.String())
 	}
 	for _, virtual := range sortedKeys(s.ProviderOrder) {
-		fmt.Fprintf(b, "  provider_order %s = %s\n",
-			virtual, strings.Join(s.ProviderOrder[virtual], ","))
+		fingerprintLine(b, "provider_order", virtual, "=", strings.Join(s.ProviderOrder[virtual], ","))
 	}
 	for _, name := range sortedKeys(s.PreferredVersions) {
-		fmt.Fprintf(b, "  preferred_version %s @%s\n", name, s.PreferredVersions[name])
+		fingerprintLine(b, "preferred_version", name, "@"+s.PreferredVersions[name].String())
 	}
 	for _, name := range sortedKeys(s.VariantDefaults) {
 		m := s.VariantDefaults[name]
 		for _, variant := range sortedKeys(m) {
-			fmt.Fprintf(b, "  variant_default %s %s=%v\n", name, variant, m[variant])
+			fingerprintLine(b, "variant_default", name, variant+"="+strconv.FormatBool(m[variant]))
 		}
 	}
 	for _, e := range s.Externals {
-		fmt.Fprintf(b, "  external %s arch=%s path=%s\n", e.Constraint, e.Arch, e.Path)
+		fingerprintLine(b, "external", e.Constraint.String(), "arch="+e.Arch, "path="+e.Path)
 	}
+}
+
+// fingerprintLine writes one setting: indented, its words separated by
+// spaces.
+func fingerprintLine(b *strings.Builder, words ...string) {
+	b.WriteByte(' ')
+	for _, w := range words {
+		b.WriteByte(' ')
+		b.WriteString(w)
+	}
+	b.WriteByte('\n')
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -12,6 +12,7 @@ package pkg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -107,7 +108,12 @@ type installCase struct {
 	fn   InstallFunc
 }
 
-// Package is the compiled form of a package definition.
+// Package is the compiled form of a package definition. Directives are
+// written only through the builder methods, which keep the facts derived
+// from them (KnownVersions, HasConditionalDirectives) in step; the
+// directive fields are exported for reading. Once added to a repository a
+// definition is fixed, and concurrent solves read its directive specs in
+// place.
 type Package struct {
 	Name        string
 	Description string
@@ -138,6 +144,13 @@ type Package struct {
 
 	installs   []installCase
 	defaultIns InstallFunc
+
+	// known is KnownVersions' answer, kept sorted as versions are
+	// declared: the concretizer asks for it per node on every pass.
+	known []version.Version
+	// conditional records whether a dependency, provides or feature
+	// directive carries a when= predicate (HasConditionalDirectives).
+	conditional bool
 }
 
 // New begins a package definition.
@@ -165,6 +178,12 @@ func (p *Package) WithVersion(v, md5 string, opts ...VersionOption) *Package {
 		o(&vi)
 	}
 	p.VersionInfos = append(p.VersionInfos, vi)
+	if !vi.Deprecated {
+		// Insert after every version not older, so equal versions keep
+		// declaration order.
+		i := sort.Search(len(p.known), func(i int) bool { return p.known[i].Compare(vi.Version) < 0 })
+		p.known = slices.Insert(p.known, i, vi.Version)
+	}
 	return p
 }
 
@@ -190,6 +209,7 @@ func (p *Package) DependsOn(constraint string, opts ...DepOption) *Package {
 		o(&d)
 	}
 	p.Dependencies = append(p.Dependencies, d)
+	p.conditional = p.conditional || d.When != nil
 	return p
 }
 
@@ -217,6 +237,7 @@ func (p *Package) ProvidesVirtual(virtual, when string) *Package {
 	pr := Provided{Virtual: v}
 	if when != "" {
 		pr.When = syntax.MustParse(when)
+		p.conditional = true
 	}
 	p.Provides = append(p.Provides, pr)
 	return p
@@ -245,6 +266,7 @@ func (p *Package) RequiresCompilerFeature(feature, when string) *Package {
 	fr := FeatureRequirement{Feature: feature}
 	if when != "" {
 		fr.When = syntax.MustParse(when)
+		p.conditional = true
 	}
 	p.Features = append(p.Features, fr)
 	return p
@@ -308,29 +330,17 @@ func (p *Package) OnInstallWhen(predicate string, fn InstallFunc) *Package {
 // KnownVersions returns the declared, non-deprecated versions sorted
 // descending (newest first), the order concretization policies prefer.
 // Deprecated versions are excluded: they remain installable by explicit
-// pin but are never chosen automatically.
+// pin but are never chosen automatically. The slice is the package's own,
+// capped so that appending to it copies; callers must not write its
+// elements.
 func (p *Package) KnownVersions() []version.Version {
-	out := make([]version.Version, 0, len(p.VersionInfos))
-	for _, vi := range p.VersionInfos {
-		if vi.Deprecated {
-			continue
-		}
-		out = append(out, vi.Version)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) > 0 })
-	return out
+	return p.known[:len(p.known):len(p.known)]
 }
 
-// AllVersions returns every declared version including deprecated ones,
-// newest first.
-func (p *Package) AllVersions() []version.Version {
-	out := make([]version.Version, len(p.VersionInfos))
-	for i, vi := range p.VersionInfos {
-		out[i] = vi.Version
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) > 0 })
-	return out
-}
+// HasConditionalDirectives reports whether the package carries any when=
+// gated dependency, provides, or feature directive: the directives whose
+// activation can flip as other nodes of a DAG concretize.
+func (p *Package) HasConditionalDirectives() bool { return p.conditional }
 
 // URLFor computes the download URL for a version: a per-version override
 // when declared, otherwise the package's URL template extrapolated from
@@ -386,22 +396,11 @@ func (p *Package) VersionInfo(v version.Version) (VersionInfo, bool) {
 	return VersionInfo{}, false
 }
 
-// DependenciesFor evaluates the when-conditions of every dependency against
-// a (partially concretized) spec and returns the active constraints. The
-// returned specs are clones safe to mutate.
-func (p *Package) DependenciesFor(s *spec.Spec) []Dependency {
-	var out []Dependency
-	for _, d := range p.Dependencies {
-		if d.When != nil && !s.Satisfies(d.When) {
-			continue
-		}
-		out = append(out, Dependency{
-			Constraint: d.Constraint.Clone(),
-			When:       d.When,
-			BuildOnly:  d.BuildOnly,
-		})
-	}
-	return out
+// ActiveFor reports whether the dependency applies to a (partially
+// concretized) configuration s of the depending package: its when=
+// predicate is absent or satisfied.
+func (d *Dependency) ActiveFor(s *spec.Spec) bool {
+	return d.When == nil || s.Satisfies(d.When)
 }
 
 // ProvidesFor returns the virtual specs this package provides under

@@ -52,21 +52,21 @@ func TestConditionalDependencies(t *testing.T) {
 
 	gcc4 := spec.New("rose")
 	gcc4.Compiler = spec.Compiler{Name: "gcc", Versions: mustList(t, "4.9.2")}
-	deps := p.DependenciesFor(gcc4)
+	deps := activeDeps(p, gcc4)
 	if len(deps) != 1 || deps[0].Constraint.Versions.String() != "1.54.0" {
 		t.Errorf("gcc4 deps = %v", deps)
 	}
 
 	gcc5 := spec.New("rose")
 	gcc5.Compiler = spec.Compiler{Name: "gcc", Versions: mustList(t, "5.2.0")}
-	deps = p.DependenciesFor(gcc5)
+	deps = activeDeps(p, gcc5)
 	if len(deps) != 1 || deps[0].Constraint.Versions.String() != "1.59.0" {
 		t.Errorf("gcc5 deps = %v", deps)
 	}
 
 	// Unresolved compiler: neither condition holds yet.
 	bare := spec.New("rose")
-	if deps := p.DependenciesFor(bare); len(deps) != 0 {
+	if deps := activeDeps(p, bare); len(deps) != 0 {
 		t.Errorf("bare deps = %v", deps)
 	}
 }
@@ -78,27 +78,27 @@ func TestVariantGatedDependency(t *testing.T) {
 		DependsOn("zlib")
 	s := spec.New("hdf5")
 	s.SetVariant("mpi", true)
-	deps := p.DependenciesFor(s)
+	deps := activeDeps(p, s)
 	if len(deps) != 2 {
 		t.Fatalf("with +mpi: %d deps", len(deps))
 	}
 	s2 := spec.New("hdf5")
 	s2.SetVariant("mpi", false)
-	deps = p.DependenciesFor(s2)
+	deps = activeDeps(p, s2)
 	if len(deps) != 1 || deps[0].Constraint.Name != "zlib" {
 		t.Errorf("with ~mpi: %v", deps)
 	}
 }
 
-func TestDependenciesForReturnsClones(t *testing.T) {
-	p := New("a").DependsOn("b@1.0")
-	s := spec.New("a")
-	d1 := p.DependenciesFor(s)[0].Constraint
-	d1.Arch = "bgq"
-	d2 := p.DependenciesFor(s)[0].Constraint
-	if d2.Arch == "bgq" {
-		t.Error("DependenciesFor must return fresh clones")
+// activeDeps returns the dependency directives that apply to s.
+func activeDeps(p *Package, s *spec.Spec) []Dependency {
+	var out []Dependency
+	for _, d := range p.Dependencies {
+		if d.ActiveFor(s) {
+			out = append(out, d)
+		}
 	}
+	return out
 }
 
 func TestProvidesVersioned(t *testing.T) {
@@ -316,11 +316,10 @@ func TestDeprecatedVersions(t *testing.T) {
 	if len(known) != 2 || known[0].String() != "1.5" {
 		t.Errorf("KnownVersions = %v (deprecated 2.0 must be excluded)", known)
 	}
-	all := p.AllVersions()
-	if len(all) != 3 || all[0].String() != "2.0" {
-		t.Errorf("AllVersions = %v", all)
+	// Still declared, and resolvable when pinned explicitly.
+	if len(p.VersionInfos) != 3 {
+		t.Errorf("VersionInfos = %v", p.VersionInfos)
 	}
-	// Still resolvable when pinned explicitly.
 	if _, ok := p.VersionInfo(version.Parse("2.0")); !ok {
 		t.Error("deprecated version lost its directive")
 	}
