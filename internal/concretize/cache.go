@@ -102,28 +102,23 @@ func (c *Cache) Get(key Key) (*spec.Spec, bool) {
 }
 
 // Put stores a deep clone of a concrete DAG under a key, evicting the least
-// recently used entry when the bound is exceeded. It returns the number of
-// evictions this insertion caused (0 or 1), so callers can fold the count
-// into their own statistics.
-func (c *Cache) Put(key Key, concrete *spec.Spec) int64 {
+// recently used entry when the bound is exceeded.
+func (c *Cache) Put(key Key, concrete *spec.Spec) {
 	clone := concrete.Clone()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*cacheEntry).concrete = clone
 		c.order.MoveToFront(el)
-		return 0
+		return
 	}
 	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, concrete: clone})
-	var evicted int64
 	for c.order.Len() > c.max {
 		back := c.order.Back()
 		c.order.Remove(back)
 		delete(c.entries, back.Value.(*cacheEntry).key)
 		c.stats.Evictions++
-		evicted++
 	}
-	return evicted
 }
 
 // Len reports the number of live entries.

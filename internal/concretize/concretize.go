@@ -5,24 +5,26 @@
 // Since the v2 refactor the package is a layered pipeline behind the
 // Concretize/ConcretizeCached seam:
 //
-//	reify  (reify.go)  — walk repo directives + config + the abstract spec
-//	                     into typed fact domains (solve.Problem) and reuse
-//	                     pins from the attached ReuseSource;
-//	solve  (solve/)    — optimizing backtracking with unit propagation over
-//	                     those domains, lexicographic criteria: satisfy >
-//	                     reuse installed/cached hashes > newest versions >
-//	                     preferred providers > fewest rebuilds;
-//	engine (engine.go) — the propagation oracle the solver evaluates: the
-//	                     incremental fixed-point cycle of Fig. 6;
+//	engine (engine.go) — the incremental fixed-point cycle of Fig. 6: it
+//	                     picks versions, variants and compilers greedily,
+//	                     with reuse pins from the attached ReuseSource;
+//	reify  (reify.go)  — after a greedy conflict only: the ranked provider
+//	                     domain of every virtual (solve.Problem) and the
+//	                     trail lines that explain the failure;
+//	solve  (solve/)    — backtracking over virtual→provider assignments in
+//	                     criteria order (satisfy > reuse installed/cached
+//	                     hashes > preferred providers), each leaf one
+//	                     engine run;
 //	decode (decode.go) — validate the chosen model into the exact-edge
 //	                     concrete spec.Spec the rest of the system consumes.
 //
-// The default mode evaluates only the criteria-optimal leaf, which is the
-// paper's greedy algorithm: it never revisits a policy choice, and raises a
-// conflict error the user must resolve by being more explicit (§3.4, §4.5).
-// The Backtracking field enables the full search. On UNSAT, unsat.go shrinks
-// the user's input constraints to a minimal core and renders a "why not"
-// chain (see UnsatError).
+// Only provider assignments are searched; versions, variants and compilers
+// stay greedy (ROADMAP item 9). The default mode evaluates only the greedy
+// leaf, which is the paper's algorithm: it never revisits a policy choice,
+// and raises a conflict error the user must resolve by being more explicit
+// (§3.4, §4.5). The Backtracking field enables the provider search. On
+// UNSAT, unsat.go shrinks the user's input constraints to a minimal core
+// and renders a "why not" chain (see UnsatError).
 package concretize
 
 import (
@@ -85,19 +87,14 @@ type Concretizer struct {
 // Stats counts concretizer work. Counters are atomic so one Concretizer
 // may serve concurrent goroutines (parallel installs share an instance).
 type Stats struct {
-	runs           atomic.Int64
-	iterations     atomic.Int64
-	backtracks     atomic.Int64
-	virtualsSeen   atomic.Int64
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-	cacheEvictions atomic.Int64
-	solvedNodes    atomic.Int64
-	reusedNodes    atomic.Int64
+	iterations   atomic.Int64
+	backtracks   atomic.Int64
+	virtualsSeen atomic.Int64
+	cacheHits    atomic.Int64
+	cacheMisses  atomic.Int64
+	solvedNodes  atomic.Int64
+	reusedNodes  atomic.Int64
 }
-
-// Runs reports completed Concretize calls.
-func (s *Stats) Runs() int { return int(s.runs.Load()) }
 
 // Iterations reports fixed-point rounds across all runs.
 func (s *Stats) Iterations() int { return int(s.iterations.Load()) }
@@ -114,10 +111,6 @@ func (s *Stats) CacheHits() int { return int(s.cacheHits.Load()) }
 // CacheMisses reports Concretize calls that required a full solve while a
 // cache was attached.
 func (s *Stats) CacheMisses() int { return int(s.cacheMisses.Load()) }
-
-// CacheEvictions reports LRU evictions caused by this concretizer's
-// insertions.
-func (s *Stats) CacheEvictions() int { return int(s.cacheEvictions.Load()) }
 
 // SolvedNodes reports concrete nodes produced by successful solves — the
 // numerator of the benchmark harness's solved-nodes/sec metric.
@@ -265,7 +258,7 @@ func (c *Concretizer) ConcretizeCached(abstract *spec.Spec) (*spec.Spec, bool, e
 	if err != nil {
 		return nil, false, err
 	}
-	c.Stats.cacheEvictions.Add(c.Cache.Put(key, out))
+	c.Cache.Put(key, out)
 	return out, false, nil
 }
 
@@ -288,41 +281,34 @@ func (c *Concretizer) concretizeUncached(abstract *spec.Spec, snap *reuseSnapsho
 	return out, nil
 }
 
-// solveAbstract runs reify → solve without unsat-core post-processing; the
-// unsat-core minimizer itself probes through this entry point to test
-// whether a weakened input is satisfiable.
+// solveAbstract runs the greedy leaf and, only if it conflicts, reify →
+// solve, without unsat-core post-processing; the unsat-core minimizer
+// itself probes through this entry point to test whether a weakened input
+// is satisfiable. A satisfiable greedy input builds no domain and writes
+// nothing to the trail.
 func (c *Concretizer) solveAbstract(abstract *spec.Spec, snap *reuseSnapshot, trail *solve.Trail) (*spec.Spec, error) {
-	prob, err := c.reify(abstract, snap, trail)
-	if err != nil {
+	if err := c.checkNames(abstract); err != nil {
 		return nil, err
 	}
 	var pins map[string]*spec.Spec
 	if snap != nil {
 		pins = snap.pins
 	}
-	s := &solve.Solver{
-		Problem: prob,
-		Eval:    &oracle{c: c, abstract: abstract, pins: pins},
-		Trail:   trail,
-		Branch:  c.Backtracking,
-		OnAttempt: func() {
-			c.Stats.backtracks.Add(1)
-		},
+	out, greedyErr := c.evalOnce(abstract, nil, pins)
+	if greedyErr == nil {
+		return out, nil
 	}
-	return s.Search()
-}
-
-// oracle adapts the propagation engine to the solver core's Evaluator
-// interface: one Try is one full fixed-point run under a forced
-// virtual-provider assignment, with reuse-pin retraction on conflict.
-type oracle struct {
-	c        *Concretizer
-	abstract *spec.Spec
-	pins     map[string]*spec.Spec
-}
-
-func (o *oracle) Try(forced map[string]string) (*spec.Spec, error) {
-	return o.c.evalOnce(o.abstract, forced, o.pins)
+	s := &solve.Solver{
+		Problem: c.reify(abstract, snap, trail),
+		// Every leaf past the greedy one is a backtrack.
+		Eval: func(forced map[string]string) (*spec.Spec, error) {
+			c.Stats.backtracks.Add(1)
+			return c.evalOnce(abstract, forced, pins)
+		},
+		Trail:  trail,
+		Branch: c.Backtracking,
+	}
+	return s.Search(greedyErr)
 }
 
 // evalOnce runs the propagation engine, retracting reuse pins that cause

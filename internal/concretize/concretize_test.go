@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/concretize/solve"
 	"repro/internal/config"
 	"repro/internal/pkg"
 	"repro/internal/repo"
@@ -555,6 +556,59 @@ func TestBacktrackingFindsSolution(t *testing.T) {
 	}
 }
 
+// TestTrailOnlyOnConflict: a satisfiable greedy solve returns from the
+// greedy leaf. reify, which always writes its summary line, never runs, so
+// the trail stays empty and no backtrack is counted. A failing solve writes
+// the reify, greedy-conflict and search lines in order, and counts every
+// leaf past the greedy one as a backtrack.
+func TestTrailOnlyOnConflict(t *testing.T) {
+	for _, tc := range []struct {
+		env  func() *Concretizer
+		expr string
+	}{
+		{testEnv, "mpileaks"},
+		{testEnv, "hdf5"},
+		{backtrackEnv, "ptool ^bbbnet"},
+	} {
+		c := tc.env()
+		c.Backtracking = true
+		trail := solve.NewTrail()
+		if _, err := c.solveAbstract(syntax.MustParse(tc.expr), nil, trail); err != nil {
+			t.Fatalf("%s: %v", tc.expr, err)
+		}
+		if lines := trail.Lines(); len(lines) != 0 {
+			t.Errorf("%s: satisfiable solve wrote a trail: %q", tc.expr, lines)
+		}
+		if got := c.Stats.Backtracks(); got != 0 {
+			t.Errorf("%s: satisfiable solve counted %d backtracks", tc.expr, got)
+		}
+	}
+
+	c := backtrackEnv()
+	c.Backtracking = true
+	trail := solve.NewTrail()
+	if _, err := c.solveAbstract(syntax.MustParse("ptool ^hwloc2@1.7"), nil, trail); err == nil {
+		t.Fatal("ptool ^hwloc2@1.7 should be UNSAT")
+	}
+	conflict := `concretize "ptool ^hwloc2@1.7": spec: conflicting version for package hwloc2: "1.7" vs "1.9"`
+	want := []string{
+		"reify: hwloc2@1.7 extrapolated (unknown exact version)",
+		"reify: 4 package domains, 1/1 virtuals reachable",
+		"greedy pass conflicts: " + conflict,
+		"decide: net -> aaanet",
+		"retract: net -> aaanet (" + conflict + ")",
+		"decide: net -> bbbnet",
+		"retract: net -> bbbnet (" + conflict + ")",
+	}
+	if got := trail.Lines(); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("trail:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	// The unforced leaf, then aaanet, then bbbnet.
+	if got := c.Stats.Backtracks(); got != 3 {
+		t.Errorf("Backtracks = %d, want 3", got)
+	}
+}
+
 // TestBacktrackingUnsolvable: when no assignment works the original greedy
 // error is reported.
 func TestBacktrackingUnsolvable(t *testing.T) {
@@ -570,8 +624,8 @@ func TestBacktrackingUnsolvable(t *testing.T) {
 func TestStats(t *testing.T) {
 	c := testEnv()
 	mustConcretize(t, c, "mpileaks")
-	if c.Stats.Runs() != 1 || c.Stats.Iterations() == 0 || c.Stats.VirtualsSeen() == 0 {
-		t.Errorf("stats = runs %d iters %d virtuals %d", c.Stats.Runs(), c.Stats.Iterations(), c.Stats.VirtualsSeen())
+	if c.Stats.Iterations() == 0 || c.Stats.VirtualsSeen() == 0 {
+		t.Errorf("stats = iters %d virtuals %d", c.Stats.Iterations(), c.Stats.VirtualsSeen())
 	}
 }
 

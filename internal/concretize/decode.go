@@ -34,7 +34,6 @@ func (r *resolver) decode(abstract, root *spec.Spec) (*spec.Spec, error) {
 	if finalErr != nil {
 		return nil, &Error{Spec: abstract.String(), Err: finalErr}
 	}
-	r.c.Stats.runs.Add(1)
 	r.c.Stats.solvedNodes.Add(int64(nodes))
 	return root, nil
 }

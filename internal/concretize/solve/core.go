@@ -6,8 +6,6 @@
 // and no proper subset suffices.
 package solve
 
-import "strings"
-
 // Fact is one removable input constraint, reified from the abstract spec.
 type Fact struct {
 	// ID is the fact's stable index within its problem.
@@ -23,15 +21,6 @@ type Fact struct {
 
 // String returns the human rendering of the fact.
 func (f Fact) String() string { return f.Detail }
-
-// RenderFacts joins fact renderings for one-line display.
-func RenderFacts(facts []Fact) string {
-	parts := make([]string, len(facts))
-	for i, f := range facts {
-		parts[i] = f.Detail
-	}
-	return strings.Join(parts, ", ")
-}
 
 // MinimizeCore shrinks candidates to a 1-minimal correction set: a subset
 // whose removal makes the problem satisfiable, such that removing any

@@ -1,25 +1,27 @@
-// Package solve is the concretizer's solver core: the search and
-// optimization layer of the v2 pipeline (reify → solve → decode).
+// Package solve is the concretizer's solver core: the search layer of the
+// v2 pipeline (reify → solve → decode).
 //
-// The concretizer reifies repository directives, configuration policy, and
-// the abstract input spec into a Problem — typed fact domains for versions,
-// variants, compilers, and virtual providers — and supplies an Evaluator:
-// the propagation engine that, given a (possibly empty) forced assignment of
-// virtual interfaces to providers, runs constraint propagation to a fixed
-// point and either produces a concrete model or reports the conflict.
+// What is searched is one thing: the assignment of virtual interfaces to
+// provider packages. Versions, variants and compilers are greedy — the
+// propagation engine picks them on its way to a fixed point, and the Solver
+// never branches on them (a complete search over them is ROADMAP item 9). The
+// concretizer evaluates the greedy leaf, nothing forced, before it builds
+// anything. Only when that leaf conflicts does it reify a Problem — each
+// virtual's provider candidates, ranked by the criteria (reuse of installed
+// or cached hashes, then configured policy rank, then name) and marked
+// reachable or not from the root — and hand the conflict to the Solver,
+// together with Eval: the engine run under a forced provider assignment.
 //
-// The Solver performs optimizing backtracking over that oracle. Choices are
-// enumerated in lexicographic criteria order — satisfiability first, then
-// reuse of already-installed or cached hashes, then newest versions, then
-// policy-preferred providers, then fewest rebuilds — so the first model
-// found is the best one under the criteria. Unit propagation over the
-// reified domains prunes the search before any evaluator call: virtuals
-// unreachable from the root are never branched on, single-candidate virtuals
-// are committed as units, and empty domains are reported on the trail.
+// With branching enabled the Solver explores provider assignments
+// depth-first in criteria order, so the first model found is the best one
+// under the criteria. Unit propagation over the provider domains prunes the
+// search before any Eval call: virtuals unreachable from the root are never
+// branched on, single-candidate virtuals are recorded as units, and empty
+// domains are reported on the trail.
 //
-// The implication Trail records every propagation step and choice; on UNSAT
-// the concretizer walks it, together with MinimizeCore (core.go), into a
-// minimal "why not" explanation.
+// The implication Trail records every reified fact, propagation step and
+// choice of a failed solve; the concretizer walks it, together with
+// MinimizeCore (core.go), into a minimal "why not" explanation.
 package solve
 
 import (
@@ -76,23 +78,6 @@ func RankProviders(ps []Provider) {
 	}
 }
 
-// PackageFacts is the reified domain of one package node: what the
-// directives and the abstract input admit before any search.
-type PackageFacts struct {
-	// Name is the package name.
-	Name string
-	// Versions is the admitted version domain, newest first (after
-	// intersecting the declared versions with the input constraint;
-	// includes a single extrapolated version for exact unknown pins).
-	Versions []string
-	// Variants maps declared variant names to their admitted values.
-	Variants map[string][]bool
-	// Conditional marks packages whose directives carry when= predicates;
-	// their activation can flip as other domains narrow, so they stay on
-	// the propagation worklist.
-	Conditional bool
-}
-
 // VirtualFacts is the reified domain of one virtual interface: its
 // candidate providers in criteria order.
 type VirtualFacts struct {
@@ -106,23 +91,14 @@ type VirtualFacts struct {
 	Reachable bool
 }
 
-// Problem is a reified concretization instance.
+// Problem is a reified concretization instance: the provider domains the
+// solver branches on.
 type Problem struct {
 	// Root is the root package name.
 	Root string
-	// Packages holds per-package fact domains, keyed by name.
-	Packages map[string]*PackageFacts
 	// Virtuals lists every virtual interface visible to the solve, in
 	// deterministic (name) order.
 	Virtuals []VirtualFacts
-}
-
-// Evaluator is the propagation oracle the concretizer supplies: it runs the
-// constraint-propagation engine to a fixed point under a forced assignment
-// of virtual names to provider package names, returning the decoded
-// concrete model or the conflict that stopped it.
-type Evaluator interface {
-	Try(forced map[string]string) (*spec.Spec, error)
 }
 
 // Trail is the implication trail: an append-only record of reified facts,
@@ -152,49 +128,34 @@ func (t *Trail) Lines() []string {
 	return t.lines
 }
 
-// Solver searches the space of virtual-provider assignments over an
-// Evaluator oracle.
+// Solver searches the space of virtual-provider assignments over the
+// propagation oracle Eval.
 type Solver struct {
 	// Problem is the reified instance.
 	Problem *Problem
-	// Eval is the propagation oracle.
-	Eval Evaluator
+	// Eval is the propagation oracle the concretizer supplies: it runs the
+	// constraint-propagation engine to a fixed point under a forced
+	// assignment of virtual names to provider package names, returning the
+	// decoded concrete model or the conflict that stopped it.
+	Eval func(forced map[string]string) (*spec.Spec, error)
 	// Trail, when non-nil, records propagation and search steps.
 	Trail *Trail
 	// Branch enables the backtracking search over provider assignments;
-	// when false only the single criteria-optimal leaf (every choice left
-	// to propagation's first-ranked pick) is evaluated, which is the
+	// when false the greedy conflict is reported as is, which is the
 	// greedy algorithm of the paper's §3.4.
 	Branch bool
-	// OnAttempt, when non-nil, is called before every evaluator attempt
-	// after the first — the concretizer's backtrack counter.
-	OnAttempt func()
 }
 
-// Search runs the solve. The first leaf evaluated is always the all-unforced
-// assignment — every domain decided by propagation's criteria-ranked first
-// choice — so a satisfiable greedy instance costs exactly one oracle call
-// and the model equals the greedy algorithm's. When branching is enabled
-// and the first leaf conflicts, alternative provider assignments are
-// explored depth-first in criteria order; the first model found is returned.
-// On exhaustion the first (greedy) conflict is reported, since it names the
-// constraint the user most directly controls.
-func (s *Solver) Search() (*spec.Spec, error) {
+// Search continues a solve whose greedy leaf — the all-unforced assignment,
+// every domain decided by propagation's criteria-ranked first choice —
+// conflicted with greedyErr. The caller evaluates that leaf before it
+// reifies anything, so a satisfiable greedy instance never reaches the
+// solver. When branching is enabled, alternative provider assignments are
+// explored depth-first in criteria order; the first model found is
+// returned. On exhaustion the greedy conflict is reported, since it names
+// the constraint the user most directly controls.
+func (s *Solver) Search(greedyErr error) (*spec.Spec, error) {
 	branch := s.propagate()
-
-	attempts := 0
-	try := func(forced map[string]string) (*spec.Spec, error) {
-		attempts++
-		if attempts > 1 && s.OnAttempt != nil {
-			s.OnAttempt()
-		}
-		return s.Eval.Try(forced)
-	}
-
-	out, greedyErr := try(nil)
-	if greedyErr == nil {
-		return out, nil
-	}
 	s.Trail.Addf("greedy pass conflicts: %v", greedyErr)
 	if !s.Branch || len(branch) == 0 {
 		return nil, greedyErr
@@ -206,7 +167,7 @@ func (s *Solver) Search() (*spec.Spec, error) {
 	var dfs func(i int) (*spec.Spec, error)
 	dfs = func(i int) (*spec.Spec, error) {
 		if i == len(branch) {
-			return try(forced)
+			return s.Eval(forced)
 		}
 		v := branch[i]
 		if out, err := dfs(i + 1); err == nil {
@@ -237,22 +198,13 @@ func (s *Solver) Search() (*spec.Spec, error) {
 	return nil, greedyErr
 }
 
-// propagate performs unit propagation over the reified domains before any
-// search: empty domains and unit (single-candidate) virtuals are recorded
-// on the trail, and the branchable virtual set is pruned to reachable
-// interfaces with at least one candidate. Units stay in the branch list —
-// re-forcing the only candidate is how a unit's conflict gets attributed —
-// but contribute no extra search width.
+// propagate performs unit propagation over the provider domains before any
+// search: unreachable virtuals, empty domains and unit (single-candidate)
+// virtuals are recorded on the trail, and the branchable virtual set is
+// pruned to reachable interfaces with at least one candidate. Units stay in
+// the branch list — re-forcing the only candidate is how a unit's conflict
+// gets attributed — but contribute no extra search width.
 func (s *Solver) propagate() []VirtualFacts {
-	if s.Problem == nil {
-		return nil
-	}
-	for _, name := range sortedPackageNames(s.Problem.Packages) {
-		pf := s.Problem.Packages[name]
-		if len(pf.Versions) == 0 {
-			s.Trail.Addf("unit: %s has an empty version domain", pf.Name)
-		}
-	}
 	var branch []VirtualFacts
 	for _, v := range s.Problem.Virtuals {
 		if !v.Reachable {
@@ -269,18 +221,4 @@ func (s *Solver) propagate() []VirtualFacts {
 		branch = append(branch, v)
 	}
 	return branch
-}
-
-func sortedPackageNames(m map[string]*PackageFacts) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	// Small insertion sort; avoids importing sort for one call site.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	return names
 }

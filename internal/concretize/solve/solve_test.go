@@ -88,7 +88,7 @@ func TestMinimizeCoreMinimal(t *testing.T) {
 		got[f.ID] = true
 	}
 	if !reflect.DeepEqual(got, map[int]bool{0: true, 2: true}) {
-		t.Errorf("core = %v, want facts 0 and 2", RenderFacts(core))
+		t.Errorf("core = %v, want facts 0 and 2", core)
 	}
 }
 
@@ -132,29 +132,30 @@ func TestTrailNilSafe(t *testing.T) {
 	}
 }
 
-// scriptedEval fails a fixed number of leading attempts, recording the
-// forced assignment of each.
-type scriptedEval struct {
-	failures int
-	calls    []map[string]string
+// scriptedEval returns an Eval that fails a fixed number of leading
+// attempts, and the record of each attempt's forced assignment.
+func scriptedEval(failures int) (func(map[string]string) (*spec.Spec, error), *[]map[string]string) {
+	var calls []map[string]string
+	eval := func(forced map[string]string) (*spec.Spec, error) {
+		cp := make(map[string]string, len(forced))
+		for k, v := range forced {
+			cp[k] = v
+		}
+		calls = append(calls, cp)
+		if len(calls) <= failures {
+			return nil, errors.New("conflict")
+		}
+		return spec.New("ok"), nil
+	}
+	return eval, &calls
 }
 
-func (e *scriptedEval) Try(forced map[string]string) (*spec.Spec, error) {
-	cp := make(map[string]string, len(forced))
-	for k, v := range forced {
-		cp[k] = v
-	}
-	e.calls = append(e.calls, cp)
-	if len(e.calls) <= e.failures {
-		return nil, errors.New("conflict")
-	}
-	return spec.New("ok"), nil
-}
+// errGreedy stands for the conflict of the greedy leaf the caller evaluated.
+var errGreedy = errors.New("greedy conflict")
 
 func testProblem() *Problem {
 	return &Problem{
-		Root:     "root",
-		Packages: map[string]*PackageFacts{"root": {Name: "root", Versions: []string{"1.0"}}},
+		Root: "root",
 		Virtuals: []VirtualFacts{
 			{Name: "mpi", Reachable: true, Providers: []Provider{{Name: "openmpi"}, {Name: "mpich"}}},
 			{Name: "blas", Reachable: false, Providers: []Provider{{Name: "openblas"}}},
@@ -162,39 +163,45 @@ func testProblem() *Problem {
 	}
 }
 
-// TestSearchGreedyFirst: a satisfiable instance costs exactly one oracle
-// call with nothing forced, and no backtrack is counted.
+// TestSearchGreedyFirst: the solver starts from the greedy conflict its
+// caller hands over. The first leaf it evaluates forces nothing, like the
+// greedy leaf, and the conflict opens the trail's search section.
 func TestSearchGreedyFirst(t *testing.T) {
-	eval := &scriptedEval{}
-	backtracks := 0
-	s := &Solver{Problem: testProblem(), Eval: eval, Branch: true, OnAttempt: func() { backtracks++ }}
-	if _, err := s.Search(); err != nil {
+	eval, calls := scriptedEval(0)
+	tr := NewTrail()
+	s := &Solver{Problem: testProblem(), Eval: eval, Trail: tr, Branch: true}
+	if _, err := s.Search(errGreedy); err != nil {
 		t.Fatal(err)
 	}
-	if len(eval.calls) != 1 || len(eval.calls[0]) != 0 {
-		t.Errorf("greedy instance made %d calls, first forced %v", len(eval.calls), eval.calls[0])
+	if len(*calls) != 1 || len((*calls)[0]) != 0 {
+		t.Errorf("made %d calls, first forced %v; want one unforced call", len(*calls), (*calls)[0])
 	}
-	if backtracks != 0 {
-		t.Errorf("greedy success counted %d backtracks", backtracks)
+	want := []string{
+		"prune: virtual blas unreachable from root",
+		"greedy pass conflicts: greedy conflict",
+	}
+	if got := tr.Lines(); !reflect.DeepEqual(got, want) {
+		t.Errorf("trail = %q, want %q", got, want)
 	}
 }
 
-// TestSearchBacktracks: when the greedy leaf conflicts, branching explores
-// provider assignments in criteria order and counts attempts past the first.
+// TestSearchBacktracks: after a greedy conflict, branching explores
+// provider assignments in criteria order; every evaluation is a backtrack.
 func TestSearchBacktracks(t *testing.T) {
-	eval := &scriptedEval{failures: 2}
-	backtracks := 0
+	eval, calls := scriptedEval(2)
 	tr := NewTrail()
-	s := &Solver{Problem: testProblem(), Eval: eval, Trail: tr, Branch: true, OnAttempt: func() { backtracks++ }}
-	if _, err := s.Search(); err != nil {
+	s := &Solver{Problem: testProblem(), Eval: eval, Trail: tr, Branch: true}
+	if _, err := s.Search(errGreedy); err != nil {
 		t.Fatal(err)
 	}
-	if backtracks == 0 {
-		t.Error("no backtracks counted after a greedy conflict")
+	// Unforced, then openmpi (fails), then mpich (succeeds).
+	want := []map[string]string{{}, {"mpi": "openmpi"}, {"mpi": "mpich"}}
+	if !reflect.DeepEqual(*calls, want) {
+		t.Errorf("attempts = %v, want %v", *calls, want)
 	}
 	// Only the reachable virtual is branched on; the unreachable one never
 	// appears in a forced assignment.
-	for _, call := range eval.calls {
+	for _, call := range *calls {
 		if _, ok := call["blas"]; ok {
 			t.Errorf("unreachable virtual was branched on: %v", call)
 		}
@@ -205,28 +212,26 @@ func TestSearchBacktracks(t *testing.T) {
 }
 
 // TestSearchExhaustionReportsGreedyError: on a fully UNSAT instance the
-// first (greedy) conflict is what the caller sees.
+// greedy conflict is what the caller sees, not the last leaf's.
 func TestSearchExhaustionReportsGreedyError(t *testing.T) {
-	eval := &scriptedEval{failures: 1 << 10}
+	eval, _ := scriptedEval(1 << 10)
 	s := &Solver{Problem: testProblem(), Eval: eval, Branch: true}
-	_, err := s.Search()
-	if err == nil {
-		t.Fatal("exhausted search should fail")
-	}
-	if err.Error() != "conflict" {
+	_, err := s.Search(errGreedy)
+	if !errors.Is(err, errGreedy) {
 		t.Errorf("err = %v, want the greedy conflict", err)
 	}
 }
 
-// TestSearchNoBranch: without Branch only the greedy leaf is tried.
+// TestSearchNoBranch: without Branch the greedy conflict is reported and
+// nothing is evaluated.
 func TestSearchNoBranch(t *testing.T) {
-	eval := &scriptedEval{failures: 1}
+	eval, calls := scriptedEval(0)
 	s := &Solver{Problem: testProblem(), Eval: eval}
-	if _, err := s.Search(); err == nil {
-		t.Fatal("greedy-only solver should report the first conflict")
+	if _, err := s.Search(errGreedy); !errors.Is(err, errGreedy) {
+		t.Fatalf("greedy-only solver returned %v, want the greedy conflict", err)
 	}
-	if len(eval.calls) != 1 {
-		t.Errorf("greedy-only solver made %d calls", len(eval.calls))
+	if len(*calls) != 0 {
+		t.Errorf("greedy-only solver made %d calls", len(*calls))
 	}
 }
 

@@ -157,6 +157,125 @@ func TestWhyNotGolden(t *testing.T) {
 	}
 }
 
+// pinEnv is a two-package repository for the WhyNot pin test: vapp needs
+// vlib@1.0 with its shared variant on.
+func pinEnv() *Concretizer {
+	r := repo.NewRepo("test")
+	r.MustAdd(pkg.New("vlib").Describe("lib").WithVersion("1.0", "x").
+		WithVariant("shared", true, "shared libraries"))
+	r.MustAdd(pkg.New("vapp").Describe("app").WithVersion("1.0", "x").
+		DependsOn("vlib@1.0+shared"))
+	return New(repo.NewPath(r), config.New(), compiler.LLNLRegistry())
+}
+
+// TestWhyNotPinned pins the whole rendered "why not" chain, byte for byte,
+// for UNSAT inputs in both modes: any change to the cause line, the core,
+// or the implication trail (its lines and their order) shows here.
+func TestWhyNotPinned(t *testing.T) {
+	cases := []struct {
+		name      string
+		env       func() *Concretizer
+		backtrack bool
+		expr      string
+		want      string
+	}{
+		{
+			name: "unknown compiler",
+			env:  testEnv,
+			expr: "libelf%craycc",
+			want: `why not: concretize "libelf%craycc": no registered compiler satisfies %craycc for libelf on linux-x86_64
+minimal unsat core — removing these input constraints makes the spec satisfiable:
+  - libelf%craycc (compiler constraint on libelf)
+implication trail:
+  reify: 1 package domains, 0/3 virtuals reachable
+  prune: virtual blas unreachable from libelf
+  prune: virtual lapack unreachable from libelf
+  prune: virtual mpi unreachable from libelf
+  greedy pass conflicts: concretize "libelf%craycc": no registered compiler satisfies %craycc for libelf on linux-x86_64`,
+		},
+		{
+			name:      "version pin, backtracking",
+			env:       backtrackEnv,
+			backtrack: true,
+			expr:      "ptool ^hwloc2@1.7",
+			want: `why not: concretize "ptool ^hwloc2@1.7": spec: conflicting version for package hwloc2: "1.7" vs "1.9"
+minimal unsat core — removing these input constraints makes the spec satisfiable:
+  - hwloc2@1.7 (version constraint on hwloc2)
+implication trail:
+  reify: hwloc2@1.7 extrapolated (unknown exact version)
+  reify: 4 package domains, 1/1 virtuals reachable
+  greedy pass conflicts: concretize "ptool ^hwloc2@1.7": spec: conflicting version for package hwloc2: "1.7" vs "1.9"
+  decide: net -> aaanet
+  retract: net -> aaanet (concretize "ptool ^hwloc2@1.7": spec: conflicting version for package hwloc2: "1.7" vs "1.9")
+  decide: net -> bbbnet
+  retract: net -> bbbnet (concretize "ptool ^hwloc2@1.7": spec: conflicting version for package hwloc2: "1.7" vs "1.9")`,
+		},
+		{
+			name: "variant conflict",
+			env:  pinEnv,
+			expr: "vapp ^vlib~shared",
+			want: `why not: concretize "vapp ^vlib~shared": spec: conflicting variant shared for package vlib: "~shared" vs "+shared"
+minimal unsat core — removing these input constraints makes the spec satisfiable:
+  - vlib~shared (variant constraint on vlib)
+implication trail:
+  reify: 2 package domains, 0/0 virtuals reachable
+  greedy pass conflicts: concretize "vapp ^vlib~shared": spec: conflicting variant shared for package vlib: "~shared" vs "+shared"`,
+		},
+		{
+			name: "extrapolated exact version",
+			env:  pinEnv,
+			expr: "vapp ^vlib@1.5",
+			want: `why not: concretize "vapp ^vlib@1.5": spec: conflicting version for package vlib: "1.5" vs "1.0"
+minimal unsat core — removing these input constraints makes the spec satisfiable:
+  - vlib@1.5 (version constraint on vlib)
+implication trail:
+  reify: vlib@1.5 extrapolated (unknown exact version)
+  reify: 2 package domains, 0/0 virtuals reachable
+  greedy pass conflicts: concretize "vapp ^vlib@1.5": spec: conflicting version for package vlib: "1.5" vs "1.0"`,
+		},
+		{
+			// Two extrapolated pins: their trail lines come in name order.
+			name: "two extrapolated exact versions",
+			env:  pinEnv,
+			expr: "vapp@2.0 ^vlib@1.5",
+			want: `why not: concretize "vapp@2.0 ^vlib@1.5": spec: conflicting version for package vlib: "1.5" vs "1.0"
+minimal unsat core — removing these input constraints makes the spec satisfiable:
+  - vlib@1.5 (version constraint on vlib)
+implication trail:
+  reify: vapp@2.0 extrapolated (unknown exact version)
+  reify: vlib@1.5 extrapolated (unknown exact version)
+  reify: 2 package domains, 0/0 virtuals reachable
+  greedy pass conflicts: concretize "vapp@2.0 ^vlib@1.5": spec: conflicting version for package vlib: "1.5" vs "1.0"`,
+		},
+		{
+			name: "empty version domain",
+			env:  pinEnv,
+			expr: "vapp ^vlib@2:",
+			want: `why not: concretize "vapp ^vlib@2:": spec: conflicting version for package vlib: "2:" vs "1.0"
+minimal unsat core — removing these input constraints makes the spec satisfiable:
+  - vlib@2: (version constraint on vlib)
+implication trail:
+  reify: 2 package domains, 0/0 virtuals reachable
+  unit: vlib has an empty version domain
+  greedy pass conflicts: concretize "vapp ^vlib@2:": spec: conflicting version for package vlib: "2:" vs "1.0"`,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.env()
+			c.Backtracking = tc.backtrack
+			_, err := c.Concretize(syntax.MustParse(tc.expr))
+			var unsat *UnsatError
+			if !errors.As(err, &unsat) {
+				t.Fatalf("want UnsatError, got %v", err)
+			}
+			if got := unsat.WhyNot(); got != tc.want {
+				t.Errorf("WhyNot:\n%s\nwant:\n%s", got, tc.want)
+			}
+		})
+	}
+}
+
 // TestDirectiveConflictNoCore: a conflict between package directives alone
 // (no input constraint to blame) reports the plain error, not an UnsatError.
 func TestDirectiveConflictNoCore(t *testing.T) {
