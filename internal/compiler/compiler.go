@@ -163,15 +163,24 @@ func (r *Registry) Has(c spec.Compiler, arch string, features []string) bool {
 // Default returns the preferred fallback toolchain for an architecture:
 // the newest gcc that supports it, else the newest supporting toolchain.
 func (r *Registry) Default(arch string) (Toolchain, bool) {
-	gcc := r.Find(spec.Compiler{Name: "gcc"}, arch)
-	if len(gcc) > 0 {
-		return gcc[0], true
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	first := -1
+	for i, t := range r.toolchains {
+		if !t.matches(spec.Compiler{}, arch) {
+			continue
+		}
+		if t.Name == "gcc" {
+			return t, true
+		}
+		if first < 0 {
+			first = i
+		}
 	}
-	all := r.Find(spec.Compiler{}, arch)
-	if len(all) > 0 {
-		return all[0], true
+	if first < 0 {
+		return Toolchain{}, false
 	}
-	return Toolchain{}, false
+	return r.toolchains[first], true
 }
 
 // Fingerprint returns a stable hash over every registered toolchain —

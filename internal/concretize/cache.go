@@ -55,6 +55,12 @@ type CacheStats struct {
 // Entries are insulated from callers in both directions: Put stores a deep
 // clone and Get returns a fresh deep clone, so mutating either the spec that
 // was inserted or a returned hit cannot poison the cache.
+//
+// Entries are kept hashed: Put hashes every node of its clone, and Get's
+// clone carries each node's FullHash and canonical-line memos, so a hit
+// is never rehashed. A hit is therefore a concrete DAG that has already
+// been hashed, and spec.Spec's contract applies: do not mutate it; derive
+// a new DAG (Clone, SpliceDep) to change one.
 type Cache struct {
 	mu      sync.Mutex
 	max     int
@@ -63,10 +69,12 @@ type Cache struct {
 	stats   CacheStats
 }
 
-// cacheEntry is one LRU slot.
+// cacheEntry is one LRU slot: the hashed DAG and the template every hit
+// copies it from.
 type cacheEntry struct {
 	key      Key
 	concrete *spec.Spec
+	tmpl     *spec.Template
 }
 
 // DefaultCacheSize bounds caches created without an explicit capacity. It
@@ -87,32 +95,45 @@ func NewCache(max int) *Cache {
 	}
 }
 
-// Get returns a deep clone of the cached concrete DAG for a key, if present.
+// Get returns a deep clone of the cached concrete DAG for a key, if
+// present. The clone carries every node's hash memos (spec.CloneHashed)
+// and is copied from the entry's spec.Template, without a walk: it is a
+// hashed concrete DAG, which its holder must not mutate.
 func (c *Cache) Get(key Key) (*spec.Spec, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.stats.Misses++
+		c.mu.Unlock()
 		return nil, false
 	}
 	c.order.MoveToFront(el)
 	c.stats.Hits++
-	return el.Value.(*cacheEntry).concrete.Clone(), true
+	// An entry is never written once stored, so it is copied outside the
+	// lock.
+	tmpl := el.Value.(*cacheEntry).tmpl
+	c.mu.Unlock()
+	return tmpl.Copy(), true
 }
 
-// Put stores a deep clone of a concrete DAG under a key, evicting the least
-// recently used entry when the bound is exceeded.
+// Put stores a deep clone of a concrete DAG under a key, with every node
+// hashed, evicting the least recently used entry when the bound is
+// exceeded.
 func (c *Cache) Put(key Key, concrete *spec.Spec) {
-	clone := concrete.Clone()
+	clone := concrete.CloneHashed()
+	clone.Traverse(func(n *spec.Spec) bool {
+		n.FullHash()
+		return true
+	})
+	entry := &cacheEntry{key: key, concrete: clone, tmpl: spec.NewTemplate(clone)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).concrete = clone
+		el.Value = entry
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, concrete: clone})
+	c.entries[key] = c.order.PushFront(entry)
 	for c.order.Len() > c.max {
 		back := c.order.Back()
 		c.order.Remove(back)

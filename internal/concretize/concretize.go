@@ -239,6 +239,11 @@ func (c *Concretizer) Concretize(abstract *spec.Spec) (*spec.Spec, error) {
 // ConcretizeCached is Concretize, additionally reporting whether the
 // result was answered from the memo cache — the per-request hit signal
 // the buildcache service's /v1/concretize counters expose.
+//
+// A hit is a fresh copy of the cached DAG that carries every node's
+// FullHash memo (see Cache.Get), so hashing it costs nothing. Like any
+// hashed concrete DAG it must not be mutated (see spec.Spec): a caller
+// that needs a changed DAG derives one with Clone or SpliceDep.
 func (c *Concretizer) ConcretizeCached(abstract *spec.Spec) (*spec.Spec, bool, error) {
 	snap, err := c.reuseSnapshot()
 	if err != nil {

@@ -751,7 +751,14 @@ func (r *resolver) concretizeCompiler(n *spec.Spec, features []string) (bool, er
 				break
 			}
 		}
+		// Prefer the registry default when it qualifies; only when it does
+		// not are all toolchains copied, to pick from or to name what is
+		// missing.
 		if len(cands) == 0 {
+			if def, ok := r.c.Registry.Default(n.Arch); ok && def.HasFeatures(features) {
+				n.Compiler = def.Spec()
+				return true, nil
+			}
 			all, missing := requireFeatures(r.c.Registry.Find(spec.Compiler{}, n.Arch))
 			if len(all) == 0 {
 				if missing != "" {
@@ -760,12 +767,7 @@ func (r *resolver) concretizeCompiler(n *spec.Spec, features []string) (bool, er
 				}
 				return false, &NoCompilerError{Package: n.Name, Constraint: "<any>", Arch: n.Arch}
 			}
-			// Prefer the registry default when it qualifies.
-			if def, ok := r.c.Registry.Default(n.Arch); ok && def.HasFeatures(features) {
-				cands = []compiler.Toolchain{def}
-			} else {
-				cands = all
-			}
+			cands = all
 		}
 	}
 	sort.SliceStable(cands, func(i, j int) bool {

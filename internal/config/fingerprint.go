@@ -19,51 +19,51 @@ import (
 //
 // Scopes are small and mutable in place (fields are public), so the
 // serialization is recomputed on every call rather than cached; the memo
-// cache computes it on every hit, so it is written without fmt.
+// cache computes it on every hit, so it is appended by hand into a buffer
+// on the stack.
 func (c *Config) Fingerprint() string {
-	var b strings.Builder
+	var buf [512]byte
+	b := buf[:0]
 	all, n := c.scopes()
 	for i, s := range all[:n] {
-		b.WriteString("scope ")
-		b.WriteString(strconv.Itoa(i))
-		b.WriteByte('\n')
-		fingerprintScope(&b, s)
+		b = append(strconv.AppendInt(append(b, "scope "...), int64(i), 10), '\n')
+		b = appendScope(b, s)
 	}
-	sum := sha256.Sum256([]byte(b.String()))
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-func fingerprintScope(b *strings.Builder, s *Scope) {
-	fingerprintLine(b, "default_arch", s.DefaultArch)
+func appendScope(b []byte, s *Scope) []byte {
+	b = appendLine(b, "default_arch", s.DefaultArch)
 	for _, comp := range s.CompilerOrder {
-		fingerprintLine(b, "compiler_order", comp.String())
+		b = appendLine(b, "compiler_order", comp.String())
 	}
 	for _, virtual := range sortedKeys(s.ProviderOrder) {
-		fingerprintLine(b, "provider_order", virtual, "=", strings.Join(s.ProviderOrder[virtual], ","))
+		b = appendLine(b, "provider_order", virtual, "=", strings.Join(s.ProviderOrder[virtual], ","))
 	}
 	for _, name := range sortedKeys(s.PreferredVersions) {
-		fingerprintLine(b, "preferred_version", name, "@"+s.PreferredVersions[name].String())
+		b = appendLine(b, "preferred_version", name, "@"+s.PreferredVersions[name].String())
 	}
 	for _, name := range sortedKeys(s.VariantDefaults) {
 		m := s.VariantDefaults[name]
 		for _, variant := range sortedKeys(m) {
-			fingerprintLine(b, "variant_default", name, variant+"="+strconv.FormatBool(m[variant]))
+			b = appendLine(b, "variant_default", name, variant+"="+strconv.FormatBool(m[variant]))
 		}
 	}
 	for _, e := range s.Externals {
-		fingerprintLine(b, "external", e.Constraint.String(), "arch="+e.Arch, "path="+e.Path)
+		b = appendLine(b, "external", e.Constraint.String(), "arch="+e.Arch, "path="+e.Path)
 	}
+	return b
 }
 
-// fingerprintLine writes one setting: indented, its words separated by
+// appendLine appends one setting: indented, its words separated by
 // spaces.
-func fingerprintLine(b *strings.Builder, words ...string) {
-	b.WriteByte(' ')
+func appendLine(b []byte, words ...string) []byte {
+	b = append(b, ' ')
 	for _, w := range words {
-		b.WriteByte(' ')
-		b.WriteString(w)
+		b = append(append(b, ' '), w...)
 	}
-	b.WriteByte('\n')
+	return append(b, '\n')
 }
 
 func sortedKeys[V any](m map[string]V) []string {

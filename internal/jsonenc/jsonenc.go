@@ -1,9 +1,10 @@
-// Package jsonenc appends JSON values to byte slices by hand. The
-// metadata encoders on the install path — spec JSON, the transaction
-// journal and the store's index shards — use it instead of encoding/json's
-// reflection. Every value it writes is byte-identical to what
-// encoding/json writes for the same Go value: a string that needs any
-// escaping is handed to json.Marshal.
+// Package jsonenc writes and reads JSON by hand. The metadata encoders on
+// the install path — spec JSON, the transaction journal and the store's
+// index shards — and the daemon's /v1/concretize answer append with it
+// instead of encoding/json's reflection. Every value it writes is
+// byte-identical to what encoding/json writes for the same Go value: a
+// string that needs any escaping is handed to json.Marshal. Its Reader
+// is the matching decoder, for spec JSON and the /v1/concretize answer.
 package jsonenc
 
 import (

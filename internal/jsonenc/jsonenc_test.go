@@ -42,3 +42,39 @@ func TestMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestReaderAcceptsWhatEncodingJSONAccepts: Skip then End accepts exactly
+// the documents json.Valid accepts, and Str reads back every string
+// String writes, as json.Unmarshal does.
+func TestReaderAcceptsWhatEncodingJSONAccepts(t *testing.T) {
+	docs := []string{
+		``, ` `, `null`, `true`, `false`, `nul`, `truex`, `0`, `-0`, `01`, `-`, `1.`, `1.5`, `1e`,
+		`1e+5`, `-2.5E-3`, `""`, `"a`, `"\q"`, `"\u12"`, `"ካ"`, "\"\x01\"", "\"\xff\"",
+		`[]`, `[1,]`, `[,1]`, `[1 2]`, `[[[]]]`, `{}`, `{"a"}`, `{"a":}`, `{"a":1,}`, `{,}`,
+		`{"a":1 "b":2}`, `{1:2}`, ` {"a" : [1, {"b": null}] } `, `{} {}`, "{}\x00", `[1]]`,
+		`{"a":"𐀀"}`, `"\/\b\f\n\r\t\"\\"`, `[1x]`, `1.5.3`, `--1`, `1e5e5`, `0x10`, `[1-2]`, `+1`, `.5`,
+		`[-0.0e-0]`, `"\ud800"`, `"\u00e9\u0041"`, `"\`, `"a\"`,
+	}
+	for _, doc := range docs {
+		r := NewReader([]byte(doc))
+		r.Skip()
+		if got, want := r.End() == nil, json.Valid([]byte(doc)); got != want {
+			t.Errorf("%q: Reader accepts=%v, json.Valid=%v", doc, got, want)
+		}
+	}
+	for _, doc := range []string{`"`, `"abc`, `"a\`, "\"\x01\"", `5`} {
+		r := NewReader([]byte(doc))
+		if got := r.Str(); got != nil || r.End() == nil {
+			t.Errorf("Str of %q = %q, %v; want an error", doc, got, r.End())
+		}
+	}
+	for _, s := range []string{"", "plain", `quote " and \ backslash`, "<html> & co", "tab\tnew\nline\x00nul",
+		"héllo", "bad utf8 \xff\xfe", "emoji 🙂"} {
+		r := NewReader(String(nil, s))
+		var want string
+		json.Unmarshal(String(nil, s), &want)
+		if got := r.Str(); string(got) != want || r.End() != nil {
+			t.Errorf("Str of %q = %q (%v), want %q", s, got, r.End(), want)
+		}
+	}
+}

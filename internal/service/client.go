@@ -16,9 +16,8 @@ import (
 	"time"
 
 	"repro/internal/buildcache"
+	"repro/internal/jsonenc"
 	"repro/internal/sched"
-	"repro/internal/spec"
-	"repro/internal/syntax"
 )
 
 // cachePrefix namespaces buildcache archives among the daemon's blobs,
@@ -185,19 +184,67 @@ func drain(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// Concretize resolves an abstract spec expression on the server.
+// Concretize resolves an abstract spec expression on the server. It is
+// the one JSON call read by hand: the body is read once, in one
+// allocation when its length is declared, and the answer's DAG is a
+// validated sub-slice of it, for syntax.DecodeJSON to restore.
 func (c *Client) Concretize(expr string) (*ConcretizeResponse, error) {
-	return call[ConcretizeResponse](c, http.MethodPost, "/v1/concretize", ConcretizeRequest{Spec: expr})
-}
-
-// ConcretizeSpec resolves an expression and decodes the returned DAG
-// into a full spec (edges and hashes intact).
-func (c *Client) ConcretizeSpec(expr string) (*spec.Spec, error) {
-	resp, err := c.Concretize(expr)
+	const path = "/v1/concretize"
+	body := append(jsonenc.String([]byte(`{"spec":`), expr), '}')
+	resp, err := c.do(http.MethodPost, path, body, jsonHeader)
 	if err != nil {
 		return nil, err
 	}
-	return syntax.DecodeJSON(resp.DAG)
+	defer drain(resp)
+	var data []byte
+	if n := resp.ContentLength; n >= 0 && n <= maxJSONBody {
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	} else {
+		data, err = io.ReadAll(resp.Body)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("service: POST %s: read: %w", path, err)
+	}
+	out, err := decodeConcretizeResponse(data)
+	if err != nil {
+		return nil, fmt.Errorf("service: POST %s: decode: %w", path, err)
+	}
+	return out, nil
+}
+
+// concretizeFields are ConcretizeResponse's JSON keys, in field order.
+var concretizeFields = []string{"spec", "full_hash", "dag", "cached"}
+
+// decodeConcretizeResponse decodes a /v1/concretize answer as
+// json.Unmarshal would into a ConcretizeResponse: unknown keys skipped, a
+// repeated key's last value kept, null leaving a field unset (and read as
+// the raw "null" for DAG). A key matching a field name only up to case is
+// an error (see jsonenc.Reader.Field). DAG is a sub-slice of data.
+func decodeConcretizeResponse(data []byte) (*ConcretizeResponse, error) {
+	out := new(ConcretizeResponse)
+	r := jsonenc.NewReader(data)
+	if !r.Null() && r.Object() {
+		for key, ok := r.Key(); ok; key, ok = r.Key() {
+			switch f := r.Field(key, concretizeFields); {
+			case f < 0:
+				r.Skip()
+			case f == 2: // dag
+				out.DAG = r.Raw()
+			case r.Null():
+			case f == 0: // spec
+				out.Spec = string(r.Str())
+			case f == 1: // full_hash
+				out.FullHash = string(r.Str())
+			default: // cached
+				out.Cached = r.Bool()
+			}
+		}
+	}
+	if err := r.End(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Install asks the server to install a spec expression; concurrent

@@ -1,12 +1,15 @@
 package service_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/store"
+	"repro/internal/syntax"
 )
 
 func TestHTTPBackendRoundTrip(t *testing.T) {
@@ -419,4 +423,66 @@ func TestClientStatusOutcomes(t *testing.T) {
 	if n := tries("GET /v1/jobs/503"); n != 1 {
 		t.Errorf("Job 503 made %d attempts, want 1", n)
 	}
+}
+
+// FuzzDecodeConcretizeResponse holds the client's hand-written decoder of
+// the /v1/concretize answer to json.Unmarshal into a ConcretizeResponse.
+// Whatever the decoder accepts, json.Unmarshal accepts with the same
+// fields, DAG byte for byte. Whatever json.Unmarshal accepts, the decoder
+// accepts too, unless a key names a field only up to case ("Spec"), which
+// encoding/json reads as that field and the decoder refuses. The seeds
+// wrap the spec JSON fuzz seeds in answers.
+func FuzzDecodeConcretizeResponse(f *testing.F) {
+	text, err := os.ReadFile("../syntax/testdata/json_seeds.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, expr := range strings.Split(strings.TrimSpace(string(text)), "\n") {
+		s := syntax.MustParse(expr)
+		q, _ := json.Marshal(s.String())
+		f.Add([]byte(fmt.Sprintf(`{"spec":%s,"full_hash":"h%d","dag":%s,"cached":%v}`,
+			q, i, syntax.EncodeJSON(s), i%2 == 0)))
+	}
+	for _, doc := range []string{
+		`null`,
+		`{"dag":null,"cached":null,"spec":null}`,
+		` {"spec":"a\u00e9\n","spec":"b","x":[1,{"y":-0.5e+2}],"dag":[true,false],"dag":"s"} `,
+		`{"Spec":"a","full_hash":"h"}`,
+		`{"full_hash":"h","cached":1}`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := service.DecodeConcretizeResponse(data)
+		var want service.ConcretizeResponse
+		oracleErr := json.Unmarshal(data, &want)
+		switch {
+		case err == nil && oracleErr != nil:
+			t.Fatalf("decoder accepts what json.Unmarshal refuses (%v):\n%s", oracleErr, data)
+		case err != nil && oracleErr == nil && !caseVariantKey(data):
+			t.Fatalf("decoder refuses what json.Unmarshal accepts: %v\n%s", err, data)
+		case err == nil:
+			if got.Spec != want.Spec || got.FullHash != want.FullHash || got.Cached != want.Cached ||
+				!bytes.Equal(got.DAG, want.DAG) {
+				t.Fatalf("decoder read %+v, json.Unmarshal %+v:\n%s", *got, want, data)
+			}
+		}
+	})
+}
+
+// caseVariantKey reports whether data is an object with a key that
+// differs from a ConcretizeResponse field name only by case.
+func caseVariantKey(data []byte) bool {
+	var top map[string]json.RawMessage
+	if json.Unmarshal(data, &top) != nil {
+		return false
+	}
+	for key := range top {
+		for _, f := range []string{"spec", "full_hash", "dag", "cached"} {
+			if key != f && strings.EqualFold(key, f) {
+				return true
+			}
+		}
+	}
+	return false
 }

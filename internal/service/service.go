@@ -33,6 +33,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -41,6 +42,7 @@ import (
 	"repro/internal/buildcache"
 	"repro/internal/concretize"
 	"repro/internal/fetch"
+	"repro/internal/jsonenc"
 	"repro/internal/lifecycle"
 	"repro/internal/sched"
 	"repro/internal/singleflight"
@@ -518,13 +520,18 @@ func (s *Server) handleConcretize(w http.ResponseWriter, r *http.Request) {
 	if cached {
 		s.stats.concretize.hits.Add(1)
 	}
-	dag := syntax.EncodeJSON(concrete)
-	writeJSON(w, http.StatusOK, ConcretizeResponse{
-		Spec:     concrete.String(),
-		FullHash: concrete.FullHash(),
-		DAG:      dag,
-		Cached:   cached,
-	})
+	// The answer is a ConcretizeResponse written by hand, compact, with
+	// the DAG's spec JSON spliced in as syntax.AppendJSON writes it: one
+	// pass over the DAG and no reflection.
+	out := append(make([]byte, 0, 8<<10), `{"spec":`...)
+	out = jsonenc.String(out, concrete.String())
+	out = jsonenc.String(append(out, `,"full_hash":`...), concrete.FullHash())
+	out = syntax.AppendJSON(append(out, `,"dag":`...), concrete)
+	out = append(jsonenc.Bool(append(out, `,"cached":`...), cached), "}\n"...)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(out)))
+	w.Write(out)
 }
 
 // concretizeRequest decodes and resolves the spec body shared by the

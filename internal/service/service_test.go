@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/service"
+	"repro/internal/syntax"
 )
 
 // newDaemon wires a Server around a fresh machine and mounts it on an
@@ -242,7 +243,11 @@ func TestConcretizeEndpointMemoCache(t *testing.T) {
 
 	// The returned DAG is the exact concrete spec, edges and all: the
 	// decoded client copy must agree with a local solve.
-	remote, err := cl.ConcretizeSpec("mpileaks ^mvapich2@2.0")
+	answer, err := cl.Concretize("mpileaks ^mvapich2@2.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := syntax.DecodeJSON(answer.DAG)
 	if err != nil {
 		t.Fatal(err)
 	}

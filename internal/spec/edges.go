@@ -106,7 +106,20 @@ const inlineNodes = 64
 type nodeSet struct {
 	n      int
 	inline [inlineNodes]*Spec
+	// tags holds each inline node's nameTag, so the name scan compares
+	// names only where the tags match.
+	tags   [inlineNodes]uint32
 	byName map[string]int // every node's position, once inline is full
+}
+
+// nameTag packs a name's length with its middle and last bytes. Names
+// that differ in any of them, such as Fig. 8's numbered synthetic
+// packages, are told apart without a string compare.
+func nameTag(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	return uint32(len(s))<<16 | uint32(s[len(s)/2])<<8 | uint32(s[len(s)-1])
 }
 
 // find returns the position of the node named as n is, or -1.
@@ -122,8 +135,9 @@ func (m *nodeSet) find(n *Spec) int {
 			return i
 		}
 	}
-	for i, x := range m.inline[:m.n] {
-		if x.Name == n.Name {
+	t := nameTag(n.Name)
+	for i, tag := range m.tags[:m.n] {
+		if tag == t && m.inline[i].Name == n.Name {
 			return i
 		}
 	}
@@ -133,7 +147,7 @@ func (m *nodeSet) find(n *Spec) int {
 // add appends n, whose name must not be in the set yet.
 func (m *nodeSet) add(n *Spec) {
 	if m.n < inlineNodes {
-		m.inline[m.n] = n
+		m.inline[m.n], m.tags[m.n] = n, nameTag(n.Name)
 	} else {
 		if m.byName == nil {
 			m.byName = make(map[string]int, 2*inlineNodes)
@@ -146,18 +160,22 @@ func (m *nodeSet) add(n *Spec) {
 	m.n++
 }
 
-// frame is one node on a walk's stack and the index of its next edge.
+// frame is one node on a walk's stack, its position in reach order and
+// the index of its next edge.
 type frame struct {
-	n    *Spec
-	next int
+	n         *Spec
+	pos, next int
 }
 
 // walk visits the DAG depth first from s, dependencies in name order,
 // each name once: pre (when set) as a node is reached, and post (when
 // set) once all of the node's dependencies have been. pre returns false
-// to stop the walk. Its state lives on its own stack, so on a DAG of up
-// to inlineNodes nodes it allocates nothing.
-func (s *Spec) walk(pre func(*Spec) bool, post func(*Spec)) {
+// to stop the walk. edge (when set) is called for every edge the walk
+// crosses, before pre of a child it reaches first, with the positions of
+// parent and child in reach order (the order pre sees them, from 0) and
+// the edge's index among the parent's. The walk's state lives on its own
+// stack, so on a DAG of up to inlineNodes nodes it allocates nothing.
+func (s *Spec) walk(pre func(*Spec) bool, post func(*Spec), edge func(from, j, to int)) {
 	var seen nodeSet
 	var buf [inlineNodes]frame
 	seen.add(s)
@@ -173,36 +191,44 @@ func (s *Spec) walk(pre func(*Spec) bool, post func(*Spec)) {
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		d := top.n.deps[top.next]
+		d, from, j := top.n.deps[top.next], top.pos, top.next
 		top.next++
-		if seen.find(d) >= 0 {
+		at := seen.find(d)
+		first := at < 0
+		if first {
+			at = seen.n
+			seen.add(d)
+		}
+		if edge != nil {
+			edge(from, j, at)
+		}
+		if !first {
 			continue
 		}
-		seen.add(d)
 		if pre != nil && !pre(d) {
 			return
 		}
-		stack = append(stack, frame{n: d})
+		stack = append(stack, frame{n: d, pos: at})
 	}
 }
 
 // Traverse visits every node of the DAG (root first, then dependencies in
 // name order, depth first) exactly once per name. The visitor returns
 // false to stop early.
-func (s *Spec) Traverse(visit func(*Spec) bool) { s.walk(visit, nil) }
+func (s *Spec) Traverse(visit func(*Spec) bool) { s.walk(visit, nil, nil) }
 
 // Nodes returns all nodes of the DAG in deterministic pre-order.
 func (s *Spec) Nodes() []*Spec {
 	var buf [inlineNodes]*Spec
 	out := buf[:0]
-	s.walk(func(n *Spec) bool { out = append(out, n); return true }, nil)
+	s.walk(func(n *Spec) bool { out = append(out, n); return true }, nil, nil)
 	return slices.Clone(out)
 }
 
 // Size returns the number of nodes in the DAG.
 func (s *Spec) Size() int {
 	n := 0
-	s.walk(func(*Spec) bool { n++; return true }, nil)
+	s.walk(func(*Spec) bool { n++; return true }, nil, nil)
 	return n
 }
 
@@ -212,38 +238,84 @@ func (s *Spec) Size() int {
 func (s *Spec) TopoOrder() []*Spec {
 	var buf [inlineNodes]*Spec
 	out := buf[:0]
-	s.walk(nil, func(n *Spec) { out = append(out, n) })
+	s.walk(nil, func(n *Spec) { out = append(out, n) }, nil)
 	return slices.Clone(out)
 }
 
 // Clone deep-copies the DAG, preserving node sharing. The copy's nodes
 // share one allocation, and its edges one per column; each node's edge
 // slices are capped, so adding an edge to one node later moves only that
-// node's edges.
-func (s *Spec) Clone() *Spec {
-	var orig nodeSet
-	edges := 0
-	s.Traverse(func(n *Spec) bool {
-		orig.add(n)
-		edges += len(n.deps)
+// node's edges. The copy carries no memo: callers clone to change the
+// copy (SpliceDep, DropConstraint), and it is hashed afresh.
+func (s *Spec) Clone() *Spec { return s.clone(false) }
+
+// CloneHashed is Clone for a copy that will not be changed: each copied
+// node keeps the original's memoized FullHash and canonical line, so
+// hashing the copy costs nothing where s was hashed. The memos are right
+// only if s was not mutated after it was hashed (see Spec), and the copy
+// falls under the same contract.
+func (s *Spec) CloneHashed() *Spec { return s.clone(true) }
+
+// clone is Clone and, with memo, CloneHashed: it plans s into lists on
+// its own stack and copies the plan once.
+func (s *Spec) clone(memo bool) *Spec {
+	var origBuf [inlineNodes]*Spec
+	var offBuf [inlineNodes]int
+	var toBuf [4 * inlineNodes]int
+	orig, off, to := s.plan(origBuf[:0], offBuf[:0], toBuf[:0])
+	return copyPlan(orig, off, to, memo)
+}
+
+// plan walks s once and appends to orig the nodes in reach order and to
+// to, for every edge, the reach position of its child: orig[i]'s edges'
+// children are to[off[i]:off[i]+len(orig[i].deps)].
+func (s *Spec) plan(orig []*Spec, off, to []int) ([]*Spec, []int, []int) {
+	s.walk(func(n *Spec) bool {
+		orig, off = append(orig, n), append(off, len(to))
+		to = append(to, make([]int, len(n.deps))...)
 		return true
-	})
-	nodes := make([]Spec, orig.n)
-	deps := make([]*Spec, edges)
-	types := make([]DepType, edges)
-	i := 0
-	s.Traverse(func(n *Spec) bool { // the same order again: n is orig's i-th node
+	}, nil, func(from, j, at int) { to[off[from]+j] = at })
+	return orig, off, to
+}
+
+// copyPlan deep-copies a planned DAG, each edge finding its copied child
+// by index; with memo, each node keeps its hash and line memos.
+func copyPlan(orig []*Spec, off, to []int, memo bool) *Spec {
+	nodes := make([]Spec, len(orig))
+	deps := make([]*Spec, len(to))
+	types := make([]DepType, len(to))
+	for i, n := range orig {
 		c := n.copyNode(&nodes[i])
-		i++
+		if memo {
+			c.hash.Store(n.hash.Load())
+			c.line.Store(n.line.Load())
+		}
 		if k := len(n.deps); k > 0 {
-			c.deps, deps = deps[:k:k], deps[k:]
-			c.depTypes, types = types[:k:k], types[k:]
+			o := off[i]
+			c.deps, c.depTypes = deps[o:o+k:o+k], types[o:o+k:o+k]
 			copy(c.depTypes, n.depTypes)
-			for j, d := range n.deps {
-				c.deps[j] = &nodes[orig.find(d)]
+			for j, at := range to[o : o+k] {
+				c.deps[j] = &nodes[at]
 			}
 		}
-		return true
-	})
+	}
 	return &nodes[0]
 }
+
+// A Template is a DAG planned once to be copied many times, as the
+// concretizer's memo cache copies an entry for every hit: a copy only
+// allocates and fills, and scans nothing. The DAG must not change while
+// it has a template.
+type Template struct {
+	orig    []*Spec
+	off, to []int
+}
+
+// NewTemplate walks s once to plan copies of it.
+func NewTemplate(s *Spec) *Template {
+	orig, off, to := s.plan(nil, nil, nil)
+	return &Template{orig: orig, off: off, to: to}
+}
+
+// Copy returns a fresh CloneHashed copy of the template's DAG.
+func (t *Template) Copy() *Spec { return copyPlan(t.orig, t.off, t.to, true) }

@@ -131,6 +131,56 @@ func TestWalksMatchMapWalks(t *testing.T) {
 	}
 }
 
+// TestCloneMatchesOriginal: Clone, CloneHashed and a Template's Copy copy
+// every corpus DAG node for node and edge for edge (the cycle included),
+// share no node with the original, keep one copy per shared node, and
+// hash alike; CloneHashed carries every memo of a hashed original.
+func TestCloneMatchesOriginal(t *testing.T) {
+	for _, s := range walkCorpus(t) {
+		want := spec.FreshFullHash(s)
+		s.FullHash() // memoizes every node's line, and the root's hash, on a concrete DAG
+		for _, c := range []*spec.Spec{s.Clone(), s.CloneHashed(), spec.NewTemplate(s).Copy()} {
+			orig, copies := s.Nodes(), c.Nodes()
+			if names(orig) == names(copies) || len(orig) != len(copies) {
+				t.Fatalf("%s: clone has %d nodes, original %d, or shares them", s.Name, len(copies), len(orig))
+			}
+			copyOf := make(map[*spec.Spec]*spec.Spec, len(orig))
+			for i, o := range orig {
+				copyOf[o] = copies[i]
+			}
+			for i, o := range orig {
+				n := copies[i]
+				if n == o || string(n.AppendNode(nil)) != string(o.AppendNode(nil)) ||
+					n.External != o.External || n.Path != o.Path || n.Namespace != o.Namespace {
+					t.Fatalf("%s: node %d is %q, original %q (or the same node)", s.Name, i, n.AppendNode(nil), o.AppendNode(nil))
+				}
+				od, cd := o.DirectDeps(), n.DirectDeps()
+				if len(od) != len(cd) {
+					t.Fatalf("%s: %s has %d edges, original %d", s.Name, n.Name, len(cd), len(od))
+				}
+				for j, d := range od {
+					if cd[j] != copyOf[d] || n.EdgeType(d.Name) != o.EdgeType(d.Name) {
+						t.Fatalf("%s: edge %s -> %s not copied to its node's one copy", s.Name, o.Name, d.Name)
+					}
+				}
+			}
+			if got := spec.FreshFullHash(c); got != want {
+				t.Fatalf("%s: clone hashes to %s, original %s", s.Name, got, want)
+			}
+		}
+		if s.Concrete() {
+			// AllocsPerRun calls f twice and measures the second call.
+			copies := []*spec.Spec{s.CloneHashed(), s.CloneHashed()}
+			if allocs := testing.AllocsPerRun(1, func() {
+				copies[0].FullHash()
+				copies = copies[1:]
+			}); allocs != 0 {
+				t.Fatalf("%s: FullHash of a CloneHashed copy allocates %v times", s.Name, allocs)
+			}
+		}
+	}
+}
+
 // TestEdgeReadsAllocateNothing: reading a node's edges and walking an
 // ARES DAG allocate nothing.
 func TestEdgeReadsAllocateNothing(t *testing.T) {

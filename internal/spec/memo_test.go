@@ -191,3 +191,69 @@ func TestConcurrentFullHash(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestConcurrentMemoHits: 64 goroutines take memo hits of one key from a
+// concretizer's cache and hash every node at once. Every hit is its own
+// copy, every hash equals a fresh recompute, and since a hit carries the
+// cached entry's memos, FullHash on it allocates nothing. CI runs it with
+// -race -count=10.
+func TestConcurrentMemoHits(t *testing.T) {
+	path := repo.NewPath(ares.Repo(), repo.Builtin())
+	c := concretize.New(path, config.New(), compiler.LLNLRegistry())
+	c.Cache = concretize.NewCache(0)
+	cell := ares.Matrix()[0]
+	abstract := syntax.MustParse(ares.SpecFor(cell, cell.Configs[0]))
+	first, err := c.Concretize(abstract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string)
+	for _, n := range first.Nodes() {
+		want[n.Name] = spec.FreshFullHash(n)
+	}
+	const goroutines = 64
+	roots := make([]*spec.Spec, goroutines)
+	var wg sync.WaitGroup
+	for g := range roots {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hit, cached, err := c.ConcretizeCached(abstract)
+			if err != nil || !cached {
+				t.Errorf("hit %d: cached=%v, %v", g, cached, err)
+				return
+			}
+			roots[g] = hit
+			for _, n := range hit.Nodes() {
+				if got := n.FullHash(); got != want[n.Name] {
+					t.Errorf("hit %d: node %s FullHash %s, fresh %s", g, n.Name, got, want[n.Name])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[*spec.Spec]bool)
+	for _, r := range roots {
+		for _, n := range r.Nodes() {
+			if seen[n] {
+				t.Fatalf("node %s is shared between two hits", n.Name)
+			}
+			seen[n] = true
+		}
+	}
+	// AllocsPerRun calls f once more than it measures, so each call hashes
+	// a hit no call has hashed before.
+	var fresh [][]*spec.Spec
+	for i := 0; i < 11; i++ {
+		hit, _, _ := c.ConcretizeCached(abstract)
+		fresh = append(fresh, hit.Nodes())
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, n := range fresh[0] {
+			n.FullHash()
+		}
+		fresh = fresh[1:]
+	}); allocs != 0 {
+		t.Errorf("hashing every node of a memo hit allocates %v times", allocs)
+	}
+}

@@ -1,7 +1,7 @@
 package syntax
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -9,27 +9,6 @@ import (
 	"repro/internal/jsonenc"
 	"repro/internal/spec"
 )
-
-// specJSON is the serialized form of a spec DAG. Unlike the command-line
-// rendering (which flattens dependencies under the root), it preserves the
-// exact edge structure, so DAG hashes survive a round trip — required for
-// store databases and reindexing (§3.4.3's reproducibility files).
-type specJSON struct {
-	Root string `json:"root"`
-	// Nodes maps package name to the node's own constraints rendered in
-	// spec syntax (no dependency clauses).
-	Nodes map[string]string `json:"nodes"`
-	// Edges maps package name to its direct dependency names.
-	Edges map[string][]string `json:"edges,omitempty"`
-	// EdgeTypes records non-default edge classifications as
-	// parent -> dep -> "build"/"build,link"/... strings.
-	EdgeTypes map[string]map[string]string `json:"edgetypes,omitempty"`
-	// External maps package name to the external path for nodes satisfied
-	// outside the store.
-	External map[string]string `json:"external,omitempty"`
-	// Namespace maps package name to its providing repository.
-	Namespace map[string]string `json:"namespace,omitempty"`
-}
 
 // EncodeJSON serializes a spec DAG with full edge fidelity.
 func EncodeJSON(s *spec.Spec) []byte { return AppendJSON(nil, s) }
@@ -144,58 +123,205 @@ func appendSection(dst []byte, nodes []*spec.Spec, key string, has func(*spec.Sp
 	return dst
 }
 
-// DecodeJSON reconstructs a spec DAG serialized by EncodeJSON.
+// dagFields are the spec JSON document's keys, indexed by the field
+// constants below.
+var dagFields = []string{"root", "nodes", "edges", "edgetypes", "external", "namespace"}
+
+const (
+	fieldRoot = iota
+	fieldNodes
+	fieldEdges
+	fieldEdgeTypes
+	fieldExternal
+	fieldNamespace
+)
+
+// member is one name: value pair of a top-level map. For nodes, external
+// and namespace, value is the decoded string (empty for null); for edges
+// and edgetypes it is the raw JSON of the array or object, validated and
+// read again when the edges are attached.
+type member struct{ name, value []byte }
+
+// DecodeJSON reconstructs a spec DAG serialized by EncodeJSON. It reads
+// the document once with a jsonenc.Reader and builds no map: each
+// top-level map is kept as its members, sorted by name, and searched.
+//
+// It accepts what encoding/json accepts when it unmarshals the document
+// into its six typed fields, with the same result: unknown keys are
+// skipped, a repeated key's last value wins, null leaves the root as it
+// was and empties a map. The one difference is case: a key that matches
+// a field name only up to case ("Root", "NODES") is an error here, where
+// encoding/json would read it as that field.
 func DecodeJSON(data []byte) (*spec.Spec, error) {
-	var in specJSON
-	if err := json.Unmarshal(data, &in); err != nil {
+	var root []byte
+	var maps [fieldNamespace + 1][]member
+	r := jsonenc.NewReader(data)
+	if !r.Null() && r.Object() {
+		for key, ok := r.Key(); ok; key, ok = r.Key() {
+			switch f := r.Field(key, dagFields); {
+			case f < 0:
+				r.Skip()
+			case r.Null():
+				maps[f] = maps[f][:0]
+			case f == fieldRoot:
+				root = r.Str()
+			default:
+				maps[f] = readMap(&r, maps[f], f)
+			}
+		}
+	}
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("syntax: bad spec JSON: %w", err)
 	}
-	if in.Root == "" {
+	if len(root) == 0 {
 		return nil, fmt.Errorf("syntax: spec JSON has no root")
 	}
-	nodes := make(map[string]*spec.Spec, len(in.Nodes))
-	for name, expr := range in.Nodes {
-		n, err := Parse(expr)
+	for f := range maps {
+		maps[f] = lastByName(maps[f])
+	}
+	members := maps[fieldNodes]
+	nodes := make([]*spec.Spec, len(members))
+	var ns string // the last namespace read: most nodes share one
+	for i, m := range members {
+		n, err := Parse(string(m.value))
 		if err != nil {
-			return nil, fmt.Errorf("syntax: node %s: %w", name, err)
+			return nil, fmt.Errorf("syntax: node %s: %w", m.name, err)
 		}
-		if n.Name != name {
-			return nil, fmt.Errorf("syntax: node key %q renders as %q", name, n.Name)
+		if n.Name != string(m.name) {
+			return nil, fmt.Errorf("syntax: node key %q renders as %q", m.name, n.Name)
 		}
-		if path, ok := in.External[name]; ok {
+		if j, ok := search(maps[fieldExternal], m.name); ok {
 			n.External = true
-			n.Path = path
+			n.Path = string(maps[fieldExternal][j].value)
 		}
-		if ns, ok := in.Namespace[name]; ok {
+		if j, ok := search(maps[fieldNamespace], m.name); ok {
+			if v := maps[fieldNamespace][j].value; string(v) != ns {
+				ns = string(v)
+			}
 			n.Namespace = ns
 		}
-		nodes[name] = n
+		nodes[i] = n
 	}
-	for name, deps := range in.Edges {
-		parent, ok := nodes[name]
+	for _, m := range maps[fieldEdges] {
+		i, ok := search(members, m.name)
 		if !ok {
-			return nil, fmt.Errorf("syntax: edge from unknown node %q", name)
+			return nil, fmt.Errorf("syntax: edge from unknown node %q", m.name)
 		}
-		for _, d := range deps {
-			child, ok := nodes[d]
+		var types []byte
+		if j, ok := search(maps[fieldEdgeTypes], m.name); ok {
+			types = maps[fieldEdgeTypes][j].value
+		}
+		er := jsonenc.NewReader(m.value)
+		if er.Null() || !er.Array() {
+			continue
+		}
+		for er.Elem() {
+			var d []byte
+			if !er.Null() {
+				d = er.Str()
+			}
+			c, ok := search(members, d)
 			if !ok {
 				return nil, fmt.Errorf("syntax: edge to unknown node %q", d)
 			}
 			t := spec.DepDefault
-			if ts, ok := in.EdgeTypes[name][d]; ok {
+			if ts, ok := edgeType(types, d); ok {
 				var err error
-				if t, err = parseDepType(ts); err != nil {
+				if t, err = parseDepType(string(ts)); err != nil {
 					return nil, err
 				}
 			}
-			parent.SetDep(child, t)
+			nodes[i].SetDep(nodes[c], t)
 		}
 	}
-	root, ok := nodes[in.Root]
+	i, ok := search(members, root)
 	if !ok {
-		return nil, fmt.Errorf("syntax: root %q not among nodes", in.Root)
+		return nil, fmt.Errorf("syntax: root %q not among nodes", root)
 	}
-	return root, nil
+	return nodes[i], nil
+}
+
+// readMap appends the members of the map-valued field f to dst, checking
+// that each value has the field's type: a string, an array of strings,
+// or (edgetypes) an object of strings, null allowed wherever a string or
+// a whole member is.
+func readMap(r *jsonenc.Reader, dst []member, f int) []member {
+	if !r.Object() {
+		return dst
+	}
+	for key, ok := r.Key(); ok; key, ok = r.Key() {
+		m := member{name: key}
+		switch start := r.Offset(); {
+		case r.Null():
+		case f == fieldEdges:
+			r.Array()
+			for r.Elem() {
+				if !r.Null() {
+					r.Str()
+				}
+			}
+			m.value = r.Since(start)
+		case f == fieldEdgeTypes:
+			r.Object()
+			for _, ok := r.Key(); ok; _, ok = r.Key() {
+				if !r.Null() {
+					r.Str()
+				}
+			}
+			m.value = r.Since(start)
+		default:
+			m.value = r.Str()
+		}
+		dst = append(dst, m)
+	}
+	return dst
+}
+
+// lastByName sorts a map's members by name and keeps the last of each
+// run of one name, the value encoding/json's map decoding keeps.
+func lastByName(ms []member) []member {
+	slices.SortStableFunc(ms, func(a, b member) int { return bytes.Compare(a.name, b.name) })
+	out := ms[:0]
+	for i, m := range ms {
+		if i+1 == len(ms) || !bytes.Equal(m.name, ms[i+1].name) {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// search finds the member named name in name-sorted members.
+func search(ms []member, name []byte) (int, bool) {
+	lo, hi := 0, len(ms)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); string(ms[mid].name) < string(name) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(ms) && string(ms[lo].name) == string(name)
+}
+
+// edgeType looks dep up in one parent's raw edgetypes object (nil when
+// it has none, as most parents do); the last member of that name wins.
+func edgeType(raw, dep []byte) ([]byte, bool) {
+	var t []byte
+	found := false
+	r := jsonenc.NewReader(raw)
+	if raw == nil || r.Null() || !r.Object() {
+		return nil, false
+	}
+	for key, ok := r.Key(); ok; key, ok = r.Key() {
+		var v []byte
+		if !r.Null() {
+			v = r.Str()
+		}
+		if bytes.Equal(key, dep) {
+			t, found = v, true
+		}
+	}
+	return t, found
 }
 
 // parseDepType parses a comma-separated edge-type string.

@@ -2,7 +2,10 @@ package syntax_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/ares"
@@ -111,32 +114,40 @@ func TestEncodeJSONMatchesOracle(t *testing.T) {
 	t.Logf("%d encodings match the oracle; sections %v", encodings, sections)
 }
 
-// jsonSeeds are spec strings from the syntax table tests.
-var jsonSeeds = []string{
-	"mpileaks",
-	"mpileaks@1.1.2",
-	"mpileaks@1.1.2%gcc",
-	"mpileaks@1.1.2%intel@14.1+debug",
-	"mpileaks@1.1.2=bgq",
-	"mpileaks@1.2:1.4%gcc@4.7.5~debug=bgq ^callpath@1.1%gcc@4.7.2 ^openmpi@1.4.7",
-	"a@1.2,2.0:3.0 ^b~shared+static ^c=linux-ppc64",
-	"mpileaks@2.3%gcc@4.9.2+debug=linux-x86_64 ^callpath@1.1%gcc@4.9.2=linux-x86_64",
-	"py-numpy@1.9:%clang@3.4:3.6 ^mpich ^zlib",
+// addJSONSeeds seeds a spec-JSON fuzz target: the encoding of every spec
+// string in testdata/json_seeds.txt (taken from the syntax table tests),
+// plain and decorated, and hand-written documents that exercise what
+// EncodeJSON never writes: cycles, repeated keys, nulls, unknown keys,
+// escaped keys and keys in the wrong case.
+func addJSONSeeds(f *testing.F) {
+	text, err := os.ReadFile("testdata/json_seeds.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, expr := range strings.Split(strings.TrimSpace(string(text)), "\n") {
+		s := syntax.MustParse(expr)
+		for _, n := range []*spec.Spec{s, decorate(s)} {
+			f.Add(syntax.EncodeJSON(n))
+		}
+	}
+	for _, doc := range []string{
+		`{"root":"x","nodes":{"x":"x@1.0"},"edges":{"x":["x"]}}`,
+		`{"root":"a","nodes":{"a":"a","b":"b"},"edges":{"a":["b"]},"edgetypes":{"a":{"b":"run"}}}`,
+		`{"root":"a","root":null,"nodes":{"a":"a@1"},"nodes":{"b":"b@2"},"edges":{"a":["b"]},"edges":{"a":null}}`,
+		`{"edges":{"a":["b",null]},"nodes":{"b":"b","a":"a","":"@1"},"root":"a","extra":[1,-2.5e3,{"k":true}]}`,
+		`{"root":"\u0061","nodes":{"a":"a","b":"b"},"edges":{"a":["b"]},"edgetypes":{"a":{"b":"build","b":null}},"external":{"b":null}}`,
+		`{"Root":"a","nodes":{"a":"a"}}`,
+		`{"root":"a","nodes":null,"nodes":{"a":"a"},"namespace":{"a":"ns","a":"site"}}`,
+	} {
+		f.Add([]byte(doc))
+	}
 }
 
 // FuzzSpecJSON feeds arbitrary bytes to DecodeJSON. It must never panic,
 // and any DAG it accepts must re-encode to the oracle's bytes and decode
 // again to the same FullHash.
 func FuzzSpecJSON(f *testing.F) {
-	for _, expr := range jsonSeeds {
-		s := syntax.MustParse(expr)
-		for _, n := range []*spec.Spec{s, decorate(s)} {
-			data := syntax.EncodeJSON(n)
-			f.Add(data)
-		}
-	}
-	f.Add([]byte(`{"root":"x","nodes":{"x":"x@1.0"},"edges":{"x":["x"]}}`))
-	f.Add([]byte(`{"root":"a","nodes":{"a":"a","b":"b"},"edges":{"a":["b"]},"edgetypes":{"a":{"b":"run"}}}`))
+	addJSONSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := syntax.DecodeJSON(data)
 		if err != nil {
@@ -158,4 +169,47 @@ func FuzzSpecJSON(f *testing.F) {
 			t.Fatalf("FullHash moved across the round trip:\n%s", got)
 		}
 	})
+}
+
+// FuzzDecodeJSONMatchesOracle holds DecodeJSON to the reflection decoder
+// it replaced. Whatever DecodeJSON accepts, the oracle accepts too, with
+// the same EncodeJSON bytes and FullHash. Whatever the oracle accepts,
+// DecodeJSON accepts too, unless a top-level key names a field only up to
+// case: encoding/json reads "Root" as "root", and DecodeJSON refuses it.
+func FuzzDecodeJSONMatchesOracle(f *testing.F) {
+	addJSONSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := syntax.DecodeJSON(data)
+		want, oracleErr := syntax.DecodeJSONOracle(data)
+		switch {
+		case err == nil && oracleErr != nil:
+			t.Fatalf("DecodeJSON accepts what the oracle refuses (%v):\n%s", oracleErr, data)
+		case err != nil && oracleErr == nil && !caseVariantKey(data):
+			t.Fatalf("DecodeJSON refuses what the oracle accepts: %v\n%s", err, data)
+		case err == nil:
+			if g, w := syntax.EncodeJSON(got), syntax.EncodeJSON(want); !bytes.Equal(g, w) {
+				t.Fatalf("decoders disagree\nDecodeJSON:\n%s\noracle:\n%s", g, w)
+			}
+			if got.FullHash() != want.FullHash() {
+				t.Fatalf("FullHash %s, oracle's %s:\n%s", got.FullHash(), want.FullHash(), data)
+			}
+		}
+	})
+}
+
+// caseVariantKey reports whether data is an object with a top-level key
+// that differs from a spec JSON field name only by case.
+func caseVariantKey(data []byte) bool {
+	var top map[string]json.RawMessage
+	if json.Unmarshal(data, &top) != nil {
+		return false
+	}
+	for key := range top {
+		for _, f := range []string{"root", "nodes", "edges", "edgetypes", "external", "namespace"} {
+			if key != f && strings.EqualFold(key, f) {
+				return true
+			}
+		}
+	}
+	return false
 }
