@@ -33,7 +33,7 @@ func renderDirectiveSpec(b *strings.Builder, s *spec.Spec) {
 func renderDefinitions(path *repo.Path) string {
 	var b strings.Builder
 	for _, name := range path.Names() {
-		def := path.MustGet(name)
+		def, _, _ := path.Get(name)
 		for _, d := range def.Dependencies {
 			fmt.Fprintf(&b, "%s depends_on build_only=%v", name, d.BuildOnly)
 			renderDirectiveSpec(&b, d.Constraint)

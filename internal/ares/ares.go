@@ -245,16 +245,6 @@ func Matrix() []Cell {
 	}
 }
 
-// MatrixSize returns the total number of configurations in the matrix
-// (the paper's "36 different build configurations").
-func MatrixSize() int {
-	n := 0
-	for _, c := range Matrix() {
-		n += len(c.Configs)
-	}
-	return n
-}
-
 // SpecFor renders the full abstract spec for one cell and configuration:
 // code config + compiler + architecture + forced MPI provider.
 func SpecFor(c Cell, cfg CodeConfig) string {

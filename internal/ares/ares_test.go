@@ -98,7 +98,7 @@ func TestAresBuildsOwnPython(t *testing.T) {
 
 // TestMatrixSize: Table 3 has 36 configurations.
 func TestMatrixSize(t *testing.T) {
-	if got := MatrixSize(); got != 36 {
+	if got := len(MatrixEntries()); got != 36 {
 		t.Errorf("matrix size = %d, want 36", got)
 	}
 	// 11 arch-compiler-MPI combinations, each with <= 4 configs.

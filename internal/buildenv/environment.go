@@ -47,9 +47,6 @@ func (e *Environment) Lookup(key string) (string, bool) {
 	return v, ok
 }
 
-// Unset removes a variable.
-func (e *Environment) Unset(key string) { delete(e.vars, key) }
-
 // AppendPath prepends a directory onto a PATH-style colon-separated
 // variable (the semantics of a module file's prepend-path/dk_alter). An
 // existing occurrence of the directory is removed first, so repeated

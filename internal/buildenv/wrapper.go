@@ -3,7 +3,6 @@ package buildenv
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -352,21 +351,4 @@ func (ws *WrapperSet) TotalOverhead() time.Duration {
 		t += w.TotalOverhead()
 	}
 	return t
-}
-
-// DepNames returns the dependency names visible to the set's wrappers,
-// sorted — a convenience for build logs.
-func (ws *WrapperSet) DepNames() []string {
-	seen := map[string]bool{}
-	for _, w := range ws.wrappers {
-		for _, d := range w.Deps {
-			seen[d.Name] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

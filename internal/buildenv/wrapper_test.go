@@ -145,9 +145,6 @@ func TestWrapperSet(t *testing.T) {
 	if ws.TotalOverhead() <= 0 || len(ws.Invocations()) != 1 {
 		t.Error("set-level accounting broken")
 	}
-	if got := ws.DepNames(); !reflect.DeepEqual(got, []string{"libelf"}) {
-		t.Errorf("DepNames = %v", got)
-	}
 }
 
 // TestRewriteVectors pins exact final argument vectors, including the

@@ -54,10 +54,6 @@ type Concretizer struct {
 	// virtual-provider assignments are explored depth-first.
 	Backtracking bool
 
-	// MaxIters bounds the fixed-point loop (safety net; realistic DAGs
-	// converge in a handful of rounds).
-	MaxIters int
-
 	// Cache, when non-nil, memoizes Concretize results keyed by the
 	// abstract spec plus repository/configuration/compiler fingerprints
 	// (see cache.go). Repeated concretization of an identical abstract
@@ -122,7 +118,7 @@ func (s *Stats) ReusedNodes() int { return int(s.reusedNodes.Load()) }
 
 // New returns a Concretizer with defaults.
 func New(path *repo.Path, cfg *config.Config, reg *compiler.Registry) *Concretizer {
-	return &Concretizer{Path: path, Config: cfg, Registry: reg, MaxIters: 64}
+	return &Concretizer{Path: path, Config: cfg, Registry: reg}
 }
 
 // Error wraps a concretization failure with the offending spec.

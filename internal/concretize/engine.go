@@ -39,6 +39,9 @@ type resolver struct {
 	// edge is attached or rewired, and snapshot rebuilds them on next use.
 	dag, byName []dagNode
 	dagValid    bool
+	// directives counts the dependency directives of the packages in dag;
+	// run derives its pass bound from it.
+	directives int
 	// stack is inheritCompilers' walk, kept to reuse its storage.
 	stack []inhFrame
 }
@@ -57,9 +60,13 @@ func (r *resolver) snapshot(root *spec.Spec) []dagNode {
 		return r.dag
 	}
 	r.dag = r.dag[:0]
+	r.directives = 0
 	root.Traverse(func(n *spec.Spec) bool {
 		def, _, _ := r.c.Path.Get(n.Name)
 		r.dag = append(r.dag, dagNode{n: n, def: def})
+		if def != nil {
+			r.directives += len(def.Dependencies)
+		}
 		return true
 	})
 	r.byName = append(r.byName[:0], r.dag...)
@@ -84,13 +91,32 @@ func (r *resolver) findByName(name string) (int, bool) {
 // reports no change, so the fixed point reached is identical to
 // re-scanning every node every iteration — the worklist is purely a
 // work-skipping device.
+//
+// Each pass attaches one more layer, so a chain of d packages takes d + 2
+// passes, and the loop's safety bound is derived from the DAG as it
+// stands. Propagation is monotone: constraints only narrow, nodes and
+// edges are only added (a virtual node is replaced by its provider in the
+// pass that attached it, and never returns), and a node's version,
+// compiler and variants are all pinned on one visit. So a pass that
+// changes anything does at least one thing that cannot happen again:
+//   - a node joins, gets its namespace, its architecture, an inherited
+//     compiler, or its pinned parameters: at most five events per node;
+//   - a dependency directive of a node first changes the DAG (attaches
+//     an edge or narrows its target); intersecting the same constraint
+//     again changes nothing;
+//   - a directive sets an undeclared variant, which fails the next pass.
+//
+// An idle worklist pass is followed by a full pass that either changes
+// something or ends the loop, so a correct run takes at most
+// 2*(5*nodes + directives + 1) + 1 passes. Past that bound the engine is
+// at fault, and the run fails rather than spin.
 func (r *resolver) run(abstract *spec.Spec) (*spec.Spec, error) {
 	root := abstract.Clone()
 	var dirty map[string]bool // nil = full pass over every node
 	for iter := 0; ; iter++ {
-		if iter >= r.c.MaxIters {
+		if bound := 2*(5*len(r.snapshot(root))+r.directives+1) + 1; iter >= bound {
 			return nil, &Error{Spec: abstract.String(),
-				Err: fmt.Errorf("no fixed point after %d iterations", r.c.MaxIters)}
+				Err: fmt.Errorf("no fixed point after %d iterations", iter)}
 		}
 		r.c.Stats.iterations.Add(1)
 		touched := make(map[string]bool) // nodes whose state changed this pass

@@ -159,3 +159,30 @@ func TestDirectiveDependenciesJoinTheSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestDeepChainConverges: each pass attaches one more layer of a chain, so
+// a chain of depth packages needs depth + 2 passes. The loop's bound comes
+// from the DAG, so depth alone never trips it.
+func TestDeepChainConverges(t *testing.T) {
+	for _, depth := range []int{63, 200} {
+		r := repo.NewRepo("chain")
+		r.MustAdd(pkg.New("p1").WithVersion("1.0", "x"))
+		for i := 2; i <= depth; i++ {
+			r.MustAdd(pkg.New(fmt.Sprintf("p%d", i)).
+				WithVersion("1.0", "x").
+				DependsOn(fmt.Sprintf("p%d", i-1)))
+		}
+		c := New(repo.NewPath(r), config.New(), compiler.LLNLRegistry())
+		out, err := c.Concretize(spec.New(fmt.Sprintf("p%d", depth)))
+		if err != nil {
+			t.Errorf("depth %d: %v", depth, err)
+			continue
+		}
+		if got := len(out.Nodes()); got != depth {
+			t.Errorf("depth %d: %d nodes", depth, got)
+		}
+		if got := c.Stats.Iterations(); got != depth+2 {
+			t.Errorf("depth %d: %d iterations, want %d", depth, got, depth+2)
+		}
+	}
+}

@@ -80,7 +80,6 @@ func (c *Concretizer) explainUnsat(abstract *spec.Spec, cause error, trail *solv
 	}
 	probe := New(c.Path, c.Config, c.Registry)
 	probe.Backtracking = c.Backtracking
-	probe.MaxIters = c.MaxIters
 	satWithout := func(removed []solve.Fact) bool {
 		trial := abstract
 		for _, f := range removed {

@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/pkg"
 	"repro/internal/version"
 )
 
@@ -51,15 +50,6 @@ func ChecksumOf(data []byte) string {
 // versionPattern matches version-looking substrings in URLs: runs of digits
 // separated by dots (optionally with letter suffixes).
 var versionPattern = regexp.MustCompile(`\d+(\.\d+)*([a-z]\d*)?`)
-
-// ExtrapolateURL rewrites a URL template for a different version — how a
-// user-requested version unknown to the package is fetched ("if the user
-// requests a specific version ... Spack will attempt to fetch and install
-// it"). It delegates to the pkg package's implementation, which package
-// definitions use directly via URLFor.
-func ExtrapolateURL(template string, oldV, newV version.Version) string {
-	return pkg.ExtrapolateURL(template, oldV, newV)
-}
 
 // VersionFromURL extracts the most plausible version substring from a URL:
 // the last version-looking run in the final path component, preferring
@@ -99,7 +89,6 @@ type Mirror struct {
 	blobSums   map[string]string            // name -> SHA-256 hex, recorded at PutBlob
 	blobStamps map[string]blobStamp         // name -> last-access stamp
 	blobSeq    uint64                       // logical clock behind the stamps
-	fetches    int
 	blobReads  int
 	blobWrites int
 }
@@ -178,7 +167,7 @@ func (e *FetchError) Error() string {
 // nonempty, verifies the checksum (the safety check behind the paper's
 // version directives). Unpublished releases fail.
 func (m *Mirror) Fetch(name string, v version.Version, expectMD5 string) ([]byte, error) {
-	m.mu.Lock()
+	m.mu.RLock()
 	published := false
 	for _, existing := range m.releases[name] {
 		if existing.Equal(v) {
@@ -186,10 +175,7 @@ func (m *Mirror) Fetch(name string, v version.Version, expectMD5 string) ([]byte
 			break
 		}
 	}
-	if published {
-		m.fetches++
-	}
-	m.mu.Unlock()
+	m.mu.RUnlock()
 	if !published {
 		return nil, &FetchError{Package: name, Version: v.String(), Reason: "no such release on mirror"}
 	}
@@ -300,13 +286,6 @@ func (m *Mirror) BlobCounts() (reads, writes int) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.blobReads, m.blobWrites
-}
-
-// FetchCount reports how many successful fetches the mirror served.
-func (m *Mirror) FetchCount() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.fetches
 }
 
 // Scrape probes the mirror for versions of a package newer than the ones a

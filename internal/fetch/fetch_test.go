@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/pkg"
 	"repro/internal/version"
 )
 
@@ -32,19 +33,21 @@ func TestChecksumMatchesArchive(t *testing.T) {
 	}
 }
 
+// TestExtrapolateURL: §3.2.3's URL model, a package's URL template
+// rewritten for a version it does not list.
 func TestExtrapolateURL(t *testing.T) {
 	tmpl := "https://github.com/hpc/mpileaks/releases/download/v1.0/mpileaks-1.0.tar.gz"
-	got := ExtrapolateURL(tmpl, version.Parse("1.0"), version.Parse("2.3"))
+	got := pkg.ExtrapolateURL(tmpl, version.Parse("1.0"), version.Parse("2.3"))
 	want := "https://github.com/hpc/mpileaks/releases/download/v2.3/mpileaks-2.3.tar.gz"
 	if got != want {
 		t.Errorf("ExtrapolateURL = %q, want %q", got, want)
 	}
 	// Same version: unchanged.
-	if ExtrapolateURL(tmpl, version.Parse("1.0"), version.Parse("1.0")) != tmpl {
+	if pkg.ExtrapolateURL(tmpl, version.Parse("1.0"), version.Parse("1.0")) != tmpl {
 		t.Error("same-version extrapolation should be identity")
 	}
 	// Zero old version: unchanged.
-	if ExtrapolateURL(tmpl, version.Version{}, version.Parse("2.0")) != tmpl {
+	if pkg.ExtrapolateURL(tmpl, version.Version{}, version.Parse("2.0")) != tmpl {
 		t.Error("zero old version should be identity")
 	}
 }
@@ -82,9 +85,6 @@ func TestMirrorPublishFetch(t *testing.T) {
 	if len(data) == 0 {
 		t.Error("empty archive")
 	}
-	if m.FetchCount() != 1 {
-		t.Errorf("FetchCount = %d", m.FetchCount())
-	}
 }
 
 func TestMirrorChecksumMismatch(t *testing.T) {
@@ -105,9 +105,6 @@ func TestMirrorUnpublished(t *testing.T) {
 	m := NewMirror()
 	if _, err := m.Fetch("ghost", version.Parse("1.0"), ""); err == nil {
 		t.Error("unpublished release must fail")
-	}
-	if m.FetchCount() != 0 {
-		t.Error("failed fetch should not count")
 	}
 }
 
@@ -151,7 +148,7 @@ func TestAvailableSorted(t *testing.T) {
 func TestExtrapolateURLAlternateSeparators(t *testing.T) {
 	// boost-style: dots in the directory, underscores in the file name.
 	tmpl := "https://downloads.sourceforge.net/project/boost/boost/1.55.0/boost_1_55_0.tar.bz2"
-	got := ExtrapolateURL(tmpl, version.Parse("1.55.0"), version.Parse("1.59.0"))
+	got := pkg.ExtrapolateURL(tmpl, version.Parse("1.55.0"), version.Parse("1.59.0"))
 	want := "https://downloads.sourceforge.net/project/boost/boost/1.59.0/boost_1_59_0.tar.bz2"
 	if got != want {
 		t.Errorf("ExtrapolateURL = %q, want %q", got, want)

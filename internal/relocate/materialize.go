@@ -78,23 +78,6 @@ func ScanRPaths(filePath string, content []byte, forbidRoot string) error {
 	return nil
 }
 
-// UniqueRPaths returns a binary's embedded rpaths with duplicates
-// collapsed, preserving first-seen order. Splicing two prefixes onto the
-// same target can fold distinct source rpaths into one; consumers that
-// re-emit rpath sets use this to keep them minimal.
-func UniqueRPaths(content []byte) []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, rp := range buildenv.BinaryRPATHs(content) {
-		if seen[rp] {
-			continue
-		}
-		seen[rp] = true
-		out = append(out, rp)
-	}
-	return out
-}
-
 // Snapshot captures a prefix tree as a relocatable file set: every
 // regular file's bytes and every symlink's target, paths relative to the
 // prefix, in the filesystem's walk order.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -163,23 +162,6 @@ func TestScanRPaths(t *testing.T) {
 	other := []byte("RPATH /old/store2/lib\n")
 	if err := ScanRPaths("bin/app", other, "/old/store"); err != nil {
 		t.Errorf("sibling root rejected: %v", err)
-	}
-}
-
-// TestUniqueRPathsDedupAfterRewrite: splicing two prefixes onto one
-// target can fold distinct source rpaths into the same string; the dedup
-// must collapse them while preserving first-seen order.
-func TestUniqueRPathsDedupAfterRewrite(t *testing.T) {
-	table := NewTable(map[string]string{
-		"/opt/zlib-1.2.7": "/opt/zlib-1.2.8",
-		"/opt/zlib-old":   "/opt/zlib-1.2.8",
-	})
-	in := []byte("RPATH /opt/zlib-1.2.7/lib\nRPATH /opt/zlib-old/lib\nRPATH /opt/other/lib\n")
-	out, _ := table.Rewrite(in)
-	got := UniqueRPaths(out)
-	want := []string{"/opt/zlib-1.2.8/lib", "/opt/other/lib"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("UniqueRPaths = %v, want %v", got, want)
 	}
 }
 

@@ -6,7 +6,6 @@
 package repo
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -105,15 +104,6 @@ func (p *Path) Get(name string) (*pkg.Package, string, bool) {
 		}
 	}
 	return nil, "", false
-}
-
-// MustGet is Get for callers that have already checked existence.
-func (p *Path) MustGet(name string) *pkg.Package {
-	def, _, ok := p.Get(name)
-	if !ok {
-		panic(fmt.Sprintf("repo: unknown package %q", name))
-	}
-	return def
 }
 
 // Names returns the union of package names visible along the path.

@@ -184,16 +184,6 @@ func TestAddRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestMustGetPanics(t *testing.T) {
-	path := NewPath(NewRepo("empty"))
-	defer func() {
-		if recover() == nil {
-			t.Error("MustGet of missing package should panic")
-		}
-	}()
-	path.MustGet("nothing")
-}
-
 func TestGperftoolsBGQDispatch(t *testing.T) {
 	// §4.1 / Fig. 12: per-platform install specialization must be wired up.
 	r := Builtin()

@@ -330,49 +330,6 @@ func (c *Client) Fail(leaseID, reason string) error {
 	return err
 }
 
-// InstallDistributed asks the daemon to install a spec through the
-// lease scheduler (mode=distributed) and follows the NDJSON progress
-// stream, invoking progress (if non-nil) per snapshot and returning the
-// final one. A job that ends with poisoned nodes returns the terminal
-// status AND an error carrying its message.
-func (c *Client) InstallDistributed(expr string, progress func(sched.JobStatus)) (*sched.JobStatus, error) {
-	body, err := json.Marshal(ConcretizeRequest{Spec: expr, Mode: "distributed"})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(http.MethodPost, "/v1/install", body, jsonHeader)
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp)
-	var last *sched.JobStatus
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var js sched.JobStatus
-		err := dec.Decode(&js)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return last, fmt.Errorf("service: install stream: %w", err)
-		}
-		if progress != nil {
-			progress(js)
-		}
-		last = &js
-	}
-	if last == nil {
-		return nil, fmt.Errorf("service: install stream ended without a status")
-	}
-	if !last.Done {
-		return last, fmt.Errorf("service: install stream ended before the job finished")
-	}
-	if last.Error != "" {
-		return last, fmt.Errorf("service: install failed: %s", last.Error)
-	}
-	return last, nil
-}
-
 // HTTPBackend implements buildcache.Backend over a daemon's blob API,
 // so `buildcache push|pull` and the cache-first builder work against a
 // remote service unchanged. Gets validate the payload against the

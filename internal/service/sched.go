@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
@@ -114,7 +113,7 @@ func (s *Server) Drain(ctx context.Context) {
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	concrete, _, _, ok := s.concretizeRequest(w, r)
+	concrete, _, ok := s.concretizeRequest(w, r)
 	if !ok {
 		return
 	}
@@ -198,47 +197,4 @@ func leaseError(w http.ResponseWriter, op string, err error) {
 		status = http.StatusConflict
 	}
 	http.Error(w, op+": "+err.Error(), status)
-}
-
-// handleInstallDistributed serves /v1/install with mode=distributed:
-// the DAG is submitted as a scheduler job and assembly progress streams
-// back as NDJSON JobStatus snapshots — one line per state transition,
-// final line carrying done (and the poison-cone error, if any).
-func (s *Server) handleInstallDistributed(w http.ResponseWriter, r *http.Request, concrete *spec.Spec) {
-	js, err := s.sched.Submit(concrete)
-	if err != nil {
-		http.Error(w, "submit: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for {
-		if err := enc.Encode(js); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if js.Done {
-			return
-		}
-		ch := s.sched.Watch()
-		cur, ok := s.sched.Job(js.ID)
-		if ok && cur != js {
-			js = cur
-			continue
-		}
-		select {
-		case <-ch:
-		case <-time.After(250 * time.Millisecond):
-			s.sched.Reap()
-		case <-r.Context().Done():
-			return
-		}
-		if cur, ok := s.sched.Job(js.ID); ok {
-			js = cur
-		}
-	}
 }

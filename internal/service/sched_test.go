@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/service"
 	"repro/internal/syntax"
 )
@@ -117,43 +116,6 @@ func TestDistributedJobCompletes(t *testing.T) {
 	if sst.Leases.Requests == 0 || sst.Jobs.Requests == 0 {
 		t.Fatalf("endpoint stats missing jobs/leases traffic: %+v", sst)
 	}
-}
-
-func TestDistributedInstallStreamsProgress(t *testing.T) {
-	_, _, url := newSchedDaemon(t, time.Minute, 3)
-	client := service.NewClient(url)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	w := newWorker(url, "streamer")
-	w.ExitWhenIdle = false
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := w.Run(ctx); err != nil {
-			t.Errorf("worker: %v", err)
-		}
-	}()
-
-	var snapshots []sched.JobStatus
-	final, err := client.InstallDistributed("libdwarf", func(js sched.JobStatus) {
-		snapshots = append(snapshots, js)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !final.Done || final.Built == 0 || final.Failed != 0 {
-		t.Fatalf("final status = %+v, want done with builds", final)
-	}
-	if len(snapshots) < 2 {
-		t.Fatalf("saw %d progress snapshots, want at least submit + done", len(snapshots))
-	}
-	if snapshots[0].Done {
-		t.Fatal("first snapshot already done; no progress was streamed")
-	}
-	cancel()
-	wg.Wait()
 }
 
 func TestWorkerKilledMidBuildIsReclaimed(t *testing.T) {

@@ -476,11 +476,6 @@ func (s *Server) handleGC(w http.ResponseWriter, r *http.Request) {
 type ConcretizeRequest struct {
 	// Spec is an abstract spec expression, e.g. "mpileaks ^mvapich2@2.0".
 	Spec string `json:"spec"`
-	// Mode selects the install strategy for /v1/install: "" or "local"
-	// builds on the daemon (singleflight-coalesced); "distributed"
-	// submits the DAG to the lease scheduler and streams assembly
-	// progress as NDJSON JobStatus lines.
-	Mode string `json:"mode,omitempty"`
 	// Reuse concretizes against what already exists on the daemon (the
 	// server store plus the mirror's buildcache), preferring installed
 	// and cached hashes over newest versions.
@@ -513,7 +508,7 @@ type ConcretizeResponse struct {
 }
 
 func (s *Server) handleConcretize(w http.ResponseWriter, r *http.Request) {
-	concrete, _, cached, ok := s.concretizeRequest(w, r)
+	concrete, cached, ok := s.concretizeRequest(w, r)
 	if !ok {
 		return
 	}
@@ -537,14 +532,15 @@ func (s *Server) handleConcretize(w http.ResponseWriter, r *http.Request) {
 // concretizeRequest decodes and resolves the spec body shared by the
 // concretize, install, and job-submit endpoints, writing the error
 // response itself when it fails.
-func (s *Server) concretizeRequest(w http.ResponseWriter, r *http.Request) (concrete *spec.Spec, req ConcretizeRequest, cached, ok bool) {
+func (s *Server) concretizeRequest(w http.ResponseWriter, r *http.Request) (concrete *spec.Spec, cached, ok bool) {
+	var req ConcretizeRequest
 	if !decode(w, r, &req) {
-		return nil, req, false, false
+		return nil, false, false
 	}
 	abstract, err := syntax.Parse(req.Spec)
 	if err != nil {
 		http.Error(w, "parse spec: "+err.Error(), http.StatusBadRequest)
-		return nil, req, false, false
+		return nil, false, false
 	}
 	conc := s.cfg.Concretizer
 	if req.Reuse && s.reuse != nil {
@@ -563,9 +559,9 @@ func (s *Server) concretizeRequest(w http.ResponseWriter, r *http.Request) (conc
 			resp.WhyNot = unsat.WhyNot()
 		}
 		writeJSON(w, http.StatusUnprocessableEntity, resp)
-		return nil, req, false, false
+		return nil, false, false
 	}
-	return c, req, cached, true
+	return c, cached, true
 }
 
 // newReuseConcretizer derives the `-reuse` solver from the configured one:
@@ -580,7 +576,6 @@ func (s *Server) newReuseConcretizer() *concretize.Concretizer {
 	}
 	rc := concretize.New(base.Path, base.Config, base.Registry)
 	rc.Backtracking = base.Backtracking
-	rc.MaxIters = base.MaxIters
 	rc.Cache = base.Cache
 	var srcs []concretize.ReuseSource
 	if s.cfg.Builder != nil && s.cfg.Builder.Store != nil {
@@ -612,17 +607,8 @@ type InstallResponse struct {
 }
 
 func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
-	concrete, req, _, ok := s.concretizeRequest(w, r)
+	concrete, _, ok := s.concretizeRequest(w, r)
 	if !ok {
-		return
-	}
-	switch req.Mode {
-	case "", "local":
-	case "distributed":
-		s.handleInstallDistributed(w, r, concrete)
-		return
-	default:
-		http.Error(w, "unknown install mode: "+req.Mode, http.StatusBadRequest)
 		return
 	}
 	hash := concrete.FullHash()

@@ -478,6 +478,8 @@ func TestMalformedRequestBodies(t *testing.T) {
 		{"truncated", "{", http.StatusBadRequest},
 		{"unknown field", `{"no_such_field":1}`, http.StatusBadRequest},
 		{"two values", "{}{}", http.StatusBadRequest},
+		// "mode" is not a field of any endpoint's body.
+		{"install mode", `{"spec":"zlib","mode":"local"}`, http.StatusBadRequest},
 		// Valid JSON for every endpoint, but padded past the cap.
 		{"oversized", "{" + strings.Repeat(" ", 1<<20) + "}", http.StatusRequestEntityTooLarge},
 	}

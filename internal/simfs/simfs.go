@@ -112,14 +112,6 @@ func (m *Meter) Ops() map[string]int {
 	return out
 }
 
-// Reset zeroes the meter.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	m.cost = 0
-	m.ops = make(map[string]int)
-	m.mu.Unlock()
-}
-
 type node struct {
 	data    []byte
 	symlink string // nonempty: node is a symlink to this target

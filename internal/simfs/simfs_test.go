@@ -220,10 +220,6 @@ func TestMeterCharges(t *testing.T) {
 	if ops["write"] != 1 || ops["mkdir"] != 1 {
 		t.Errorf("ops = %v", ops)
 	}
-	fs.Meter().Reset()
-	if fs.Meter().Cost() != 0 {
-		t.Error("Reset failed")
-	}
 }
 
 func TestNFSCostsMoreThanTemp(t *testing.T) {

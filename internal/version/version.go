@@ -166,74 +166,6 @@ func (v Version) HasPrefix(w Version) bool {
 // 1.2 does not satisfy constraint 1.2.3.
 func (v Version) Satisfies(c Version) bool { return v.HasPrefix(c) }
 
-// Up returns the version with its last numeric component incremented, used
-// by URL scraping heuristics to probe for successor releases.
-func (v Version) Up() Version {
-	for i := len(v.segs) - 1; i >= 0; i-- {
-		if v.segs[i].numeric {
-			segs := make([]segment, len(v.segs))
-			copy(segs, v.segs)
-			segs[i].num++
-			return Version{raw: joinSegments(segs, v.raw), segs: segs}
-		}
-	}
-	return v
-}
-
-// joinSegments reconstructs a raw string for derived versions, reusing the
-// separators of the template where possible and defaulting to dots.
-func joinSegments(segs []segment, template string) string {
-	seps := separators(template, len(segs))
-	var b strings.Builder
-	for i, s := range segs {
-		if i > 0 {
-			b.WriteString(seps[i-1])
-		}
-		if s.numeric {
-			b.WriteString(strconv.FormatUint(s.num, 10))
-		} else {
-			b.WriteString(s.word)
-		}
-	}
-	return b.String()
-}
-
-// separators extracts the separator strings between the first n components
-// of a raw version string, padding with "." when the template is shorter.
-func separators(raw string, n int) []string {
-	var seps []string
-	i := 0
-	inComponent := false
-	start := 0
-	for i < len(raw) && len(seps) < n-1 {
-		c := raw[i]
-		isComp := c >= '0' && c <= '9' || isAlpha(c)
-		if inComponent && !isComp {
-			start = i
-			inComponent = false
-		} else if !inComponent && isComp {
-			if start != 0 || i != 0 {
-				seps = append(seps, raw[start:i])
-			}
-			inComponent = true
-		} else if inComponent && isComp && i > 0 {
-			// Transition between digit-run and alpha-run is an implicit
-			// empty separator ("4b2" → 4 | "" | b | "" | 2).
-			prev := raw[i-1]
-			prevDigit := prev >= '0' && prev <= '9'
-			curDigit := c >= '0' && c <= '9'
-			if prevDigit != curDigit {
-				seps = append(seps, "")
-			}
-		}
-		i++
-	}
-	for len(seps) < n-1 {
-		seps = append(seps, ".")
-	}
-	return seps
-}
-
 // Format re-renders the version with every separator replaced ("1.2.3"
 // with "_" gives "1_2_3"), the transformation URL schemes need when a
 // project spells versions differently in paths and file names.
@@ -540,21 +472,6 @@ func broaderBound(a, b Version, upper bool) Version {
 		return Max(a, b)
 	}
 	return Min(a, b)
-}
-
-// Union returns the normalized union of two lists.
-func (l List) Union(o List) List {
-	if l.IsAny() || o.IsAny() {
-		if len(l.ranges) == 0 && len(o.ranges) == 0 {
-			return List{}
-		}
-		return List{ranges: []Range{{}}}
-	}
-	out := l
-	for _, r := range o.ranges {
-		out = out.Add(r)
-	}
-	return out
 }
 
 // Intersect returns the list admitted by both l and o, and whether it is

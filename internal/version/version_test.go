@@ -81,20 +81,6 @@ func TestHasPrefix(t *testing.T) {
 	}
 }
 
-func TestUp(t *testing.T) {
-	tests := []struct{ in, want string }{
-		{"1.2.3", "1.2.4"},
-		{"1", "2"},
-		{"2.4b2", "2.4b3"},
-		{"develop", "develop"},
-	}
-	for _, tt := range tests {
-		if got := Parse(tt.in).Up().String(); got != tt.want {
-			t.Errorf("%q.Up() = %q, want %q", tt.in, got, tt.want)
-		}
-	}
-}
-
 func TestParseRange(t *testing.T) {
 	tests := []struct {
 		in       string
@@ -301,18 +287,6 @@ func TestListHighest(t *testing.T) {
 	}
 }
 
-func TestListUnion(t *testing.T) {
-	a, _ := ParseList("1:2")
-	b, _ := ParseList("3:4")
-	u := a.Union(b)
-	if u.String() != "1:2,3:4" {
-		t.Errorf("union = %q", u.String())
-	}
-	if !a.Union(List{}).IsAny() {
-		t.Error("union with unconstrained is unconstrained")
-	}
-}
-
 // randomVersion generates structured random versions for property tests.
 func randomVersion(r *rand.Rand) Version {
 	n := 1 + r.Intn(4)
@@ -421,22 +395,6 @@ func TestQuickIntersectCommutative(t *testing.T) {
 			return false
 		}
 		return !okx || x.String() == y.String()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickListMembershipUnion checks v∈a ∨ v∈b ⇒ v ∈ a∪b.
-func TestQuickListMembershipUnion(t *testing.T) {
-	f := func(p rangePair) bool {
-		a := ListOf(p.A)
-		b := ListOf(p.B)
-		u := a.Union(b)
-		if a.Contains(p.V) || b.Contains(p.V) {
-			return u.Contains(p.V)
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
