@@ -58,9 +58,6 @@ type Invocation struct {
 	Overhead time.Duration
 }
 
-// Command renders the final command line as one string.
-func (i Invocation) Command() string { return strings.Join(i.Final, " ") }
-
 // Wrapper is one compiler wrapper (§3.5.2): it substitutes the real
 // driver and rewrites arguments so the build finds its dependencies and
 // the result runs without LD_LIBRARY_PATH:

@@ -101,8 +101,8 @@ func TestInvokeRecordsAndCharges(t *testing.T) {
 	if w.TotalOverhead() != got[0].Overhead+got[1].Overhead {
 		t.Error("TotalOverhead mismatch")
 	}
-	if !strings.HasPrefix(got[1].Command(), "/usr/bin/gcc-4.9.2 ") {
-		t.Errorf("Command = %q", got[1].Command())
+	if got[1].Final[0] != "/usr/bin/gcc-4.9.2" {
+		t.Errorf("final command = %v, want the real driver first", got[1].Final)
 	}
 }
 

@@ -5,9 +5,10 @@
 // Since the v2 refactor the package is a layered pipeline behind the
 // Concretize/ConcretizeCached seam:
 //
-//	engine (engine.go) — the incremental fixed-point cycle of Fig. 6: it
-//	                     picks versions, variants and compilers greedily,
-//	                     with reuse pins from the attached ReuseSource;
+//	engine (engine.go) — the fixed-point cycle of Fig. 6, full passes over
+//	                     the DAG until one changes nothing: it picks
+//	                     versions, variants and compilers greedily, with
+//	                     reuse pins from the attached ReuseSource;
 //	reify  (reify.go)  — after a greedy conflict only: the ranked provider
 //	                     domain of every virtual (solve.Problem) and the
 //	                     trail lines that explain the failure;

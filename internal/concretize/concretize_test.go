@@ -151,6 +151,23 @@ func TestVersionedVirtuals(t *testing.T) {
 	}
 }
 
+// TestInDAGProviderHonoursWhen: a provider already in the DAG serves a
+// virtual node only through a provides directive whose when= it meets.
+// mpich@1.4.1 provides mpi@:1; its mpi@:3 is gated on @3:, so it cannot
+// serve a user's ^mpi@3, while an unpinned ^mpich still can.
+func TestInDAGProviderHonoursWhen(t *testing.T) {
+	c := testEnv()
+	out, err := c.Concretize(syntax.MustParse("mpileaks ^mpi@3 ^mpich@1.4.1"))
+	var np *NoProviderError
+	if !errors.As(err, &np) {
+		t.Fatalf("want NoProviderError, got %v:\n%s", err, out.TreeString())
+	}
+	s := mustConcretize(t, c, "gerris ^mpi@2 ^mpich")
+	if m := s.Dep("mpich"); m == nil || !m.Satisfies(syntax.MustParse("mpich@3.1.4")) {
+		t.Errorf("want mpich@3.1.4 in\n%s", s.TreeString())
+	}
+}
+
 // TestProvidesWhenPinsProviderVersion: choosing mvapich2 for an mpi@:2.2
 // interface must respect the provides-when conditions.
 func TestProvidesWhenPinsProviderVersion(t *testing.T) {

@@ -83,16 +83,10 @@ func (r *resolver) findByName(name string) (int, bool) {
 	})
 }
 
-// run performs one propagation pass to a fixed point: the Fig. 6 cycle,
-// made incremental. The first pass visits every node and seeds a
-// dirty-node worklist; later passes revisit only nodes whose constraints
-// may have moved (freshly attached deps, constrained providers, nodes with
-// when= gated directives). Convergence is declared only after a FULL pass
-// reports no change, so the fixed point reached is identical to
-// re-scanning every node every iteration — the worklist is purely a
-// work-skipping device.
+// run repeats the Fig. 6 cycle to a fixed point: every pass visits every
+// node, and the loop stops after the first pass that changes nothing.
 //
-// Each pass attaches one more layer, so a chain of d packages takes d + 2
+// Each pass attaches one more layer, so a chain of d packages takes d + 1
 // passes, and the loop's safety bound is derived from the DAG as it
 // stands. Propagation is monotone: constraints only narrow, nodes and
 // edges are only added (a virtual node is replaced by its provider in the
@@ -106,97 +100,50 @@ func (r *resolver) findByName(name string) (int, bool) {
 //     again changes nothing;
 //   - a directive sets an undeclared variant, which fails the next pass.
 //
-// An idle worklist pass is followed by a full pass that either changes
-// something or ends the loop, so a correct run takes at most
-// 2*(5*nodes + directives + 1) + 1 passes. Past that bound the engine is
-// at fault, and the run fails rather than spin.
+// That is at most 5*nodes + directives + 1 changing passes, and the pass
+// after the last of them changes nothing and ends the loop: a correct run
+// takes at most 5*nodes + directives + 2 passes. Past that bound the
+// engine is at fault, and the run fails rather than spin.
 func (r *resolver) run(abstract *spec.Spec) (*spec.Spec, error) {
 	root := abstract.Clone()
-	var dirty map[string]bool // nil = full pass over every node
 	for iter := 0; ; iter++ {
-		if bound := 2*(5*len(r.snapshot(root))+r.directives+1) + 1; iter >= bound {
+		if bound := 5*len(r.snapshot(root)) + r.directives + 2; iter >= bound {
 			return nil, &Error{Spec: abstract.String(),
 				Err: fmt.Errorf("no fixed point after %d iterations", iter)}
 		}
 		r.c.Stats.iterations.Add(1)
-		touched := make(map[string]bool) // nodes whose state changed this pass
-		changed := false
 
-		ch, err := r.applyPackageConstraints(root, dirty, touched)
+		changed, err := r.applyPackageConstraints(root)
 		if err != nil {
 			return nil, &Error{Spec: abstract.String(), Err: err}
 		}
-		changed = changed || ch
 
 		// Parameters before virtual resolution: provider choice is greedy
 		// and irrevocable, so it should see the architecture and compiler
 		// context (a vendor MPI conditioned on "=bgq" must not be chosen
 		// for a Linux build).
-		ch, err = r.concretizeParams(root, dirty, touched)
+		ch, err := r.concretizeParams(root)
 		if err != nil {
 			return nil, &Error{Spec: abstract.String(), Err: err}
 		}
 		changed = changed || ch
 
-		ch, err = r.resolveVirtuals(root, touched)
+		ch, err = r.resolveVirtuals(root)
 		if err != nil {
 			return nil, &Error{Spec: abstract.String(), Err: err}
 		}
-		changed = changed || ch
-
-		if !changed {
-			if dirty == nil {
-				break // a full pass was quiescent: fixed point
-			}
-			// The worklist drained; confirm quiescence with a full pass.
-			dirty = nil
-			continue
+		if !changed && !ch {
+			break // a quiescent pass: fixed point
 		}
-		dirty = r.nextWorklist(root, touched)
 	}
 	return r.decode(abstract, root)
-}
-
-// nextWorklist computes the nodes the next iteration must revisit: every
-// node that changed this pass, the dependents of changed nodes (a parent's
-// provider checks and constraint intersections react to a child's
-// configuration), and every node whose package definition carries when=
-// gated directives. The last group is the conservative part: a when=
-// predicate is evaluated with Satisfies, which may reference arbitrary DAG
-// state (e.g. when="^mpich"), so those nodes are re-examined whenever
-// anything moved. Packages without conditional directives — the vast
-// majority — drop out of the worklist as soon as they converge.
-func (r *resolver) nextWorklist(root *spec.Spec, touched map[string]bool) map[string]bool {
-	dirty := make(map[string]bool, 2*len(touched))
-	for name := range touched {
-		dirty[name] = true
-	}
-	for _, dn := range r.snapshot(root) {
-		n := dn.n
-		if dirty[n.Name] {
-			continue
-		}
-		if dn.def != nil && dn.def.HasConditionalDirectives() {
-			dirty[n.Name] = true
-			continue
-		}
-		for _, d := range n.DirectDeps() {
-			if touched[d.Name] {
-				dirty[n.Name] = true
-				break
-			}
-		}
-	}
-	return dirty
 }
 
 // applyPackageConstraints merges directive constraints from package files
 // into the DAG: for every resolved (non-virtual) node, the dependencies
 // active under its current configuration are intersected in, with new edges
-// attached (Fig. 6's "Intersect Constraints"). A nil dirty set means a full
-// pass; otherwise only worklist nodes (plus nodes touched earlier in this
-// pass) are visited. Changed nodes are recorded in touched.
-func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[string]bool) (bool, error) {
+// attached (Fig. 6's "Intersect Constraints").
+func (r *resolver) applyPackageConstraints(root *spec.Spec) (bool, error) {
 	changed := false
 	// The loop walks the snapshot taken before it attaches anything; a node
 	// it attaches joins r.byName (and so is found by name) but is visited
@@ -204,16 +151,12 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[s
 	// shared by every solve, so only a node attached to the DAG is cloned.
 	for _, dn := range r.snapshot(root) {
 		n, def := dn.n, dn.def
-		if dirty != nil && !dirty[n.Name] && !touched[n.Name] {
-			continue
-		}
 		if def == nil {
 			continue // virtual; resolved separately
 		}
 		if n.Namespace == "" {
 			_, n.Namespace, _ = r.c.Path.Get(n.Name)
 			changed = true
-			touched[n.Name] = true
 		}
 		for i := range def.Dependencies {
 			d := &def.Dependencies[i]
@@ -235,7 +178,6 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[s
 					n.SetDep(prov, edgeType)
 					r.dagValid = false
 					changed = true
-					touched[n.Name] = true
 				}
 				continue
 			}
@@ -247,7 +189,6 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[s
 				}
 				if ch {
 					changed = true
-					touched[depName] = true
 					if len(d.Constraint.DirectDeps()) > 0 {
 						r.dagValid = false // it may have attached nodes below existing
 					}
@@ -256,7 +197,6 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[s
 					n.SetDep(existing, edgeType)
 					r.dagValid = false
 					changed = true
-					touched[n.Name] = true
 				}
 			} else {
 				node := d.Constraint.Clone()
@@ -265,7 +205,6 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec, dirty, touched map[s
 				r.byName = slices.Insert(r.byName, at, dagNode{n: node, def: def})
 				r.dagValid = false
 				changed = true
-				touched[depName] = true
 			}
 		}
 	}
@@ -316,8 +255,7 @@ func (r *resolver) dagProviderFor(dep *spec.Spec) (*spec.Spec, bool, error) {
 // Virtual Deps"). If a package already in the DAG provides the interface,
 // it is reused (this is how `^mpich` forces the MPI choice); otherwise the
 // best provider under the solver's criteria ranking is selected greedily.
-// Replaced providers and rewired parents are recorded in touched.
-func (r *resolver) resolveVirtuals(root *spec.Spec, touched map[string]bool) (bool, error) {
+func (r *resolver) resolveVirtuals(root *spec.Spec) (bool, error) {
 	changed := false
 	for {
 		vnode := r.findVirtualNode(r.snapshot(root))
@@ -325,13 +263,12 @@ func (r *resolver) resolveVirtuals(root *spec.Spec, touched map[string]bool) (bo
 			return changed, nil
 		}
 		r.c.Stats.virtualsSeen.Add(1)
-		provider, err := r.chooseProvider(root, vnode)
+		provider, err := r.chooseProvider(vnode)
 		if err != nil {
 			return changed, err
 		}
-		r.replaceNode(root, vnode, provider, touched)
+		r.replaceNode(root, vnode, provider)
 		r.dagValid = false
-		touched[provider.Name] = true
 		changed = true
 	}
 }
@@ -362,28 +299,12 @@ func (r *resolver) providerFact(virtual, provider string) solve.Provider {
 
 // chooseProvider selects the provider node for a virtual constraint. The
 // returned node is either an existing DAG node or a fresh one constrained
-// by the provides-when condition.
-func (r *resolver) chooseProvider(root, vnode *spec.Spec) (*spec.Spec, error) {
+// by the provides-when condition. r.byName must be current.
+func (r *resolver) chooseProvider(vnode *spec.Spec) (*spec.Spec, error) {
 	// 1. A DAG node that provides the interface wins outright.
-	var inDAG *spec.Spec
-	root.Traverse(func(n *spec.Spec) bool {
-		if n == vnode {
-			return true
-		}
-		def, _, ok := r.c.Path.Get(n.Name)
-		if !ok || !def.ProvidesVirtualName(vnode.Name) {
-			return true
-		}
-		// Check interface-version compatibility for some provides entry.
-		for _, pr := range def.Provides {
-			if pr.Virtual.Name == vnode.Name && pr.Virtual.Compatible(vnode) {
-				inDAG = n
-				return false
-			}
-		}
-		return true
-	})
-	if inDAG != nil {
+	if inDAG, found, err := r.dagProviderFor(vnode); err != nil {
+		return nil, err
+	} else if found {
 		if err := r.constrainProviderForVirtual(inDAG, vnode); err != nil {
 			return nil, err
 		}
@@ -459,17 +380,15 @@ func (r *resolver) constrainProviderForVirtual(provider, vnode *spec.Spec) error
 	return provider.Constrain(carrier)
 }
 
-// replaceNode rewires every edge pointing at old to point at repl. If the
-// DAG already contains a node named repl.Name elsewhere, constraints merge
-// into that node to preserve the one-node-per-name invariant. Rewired
-// parents are recorded in touched.
-func (r *resolver) replaceNode(root, old, repl *spec.Spec, touched map[string]bool) {
+// replaceNode rewires every edge pointing at old to point at repl. When the
+// DAG already holds a node of repl's name, chooseProvider returned that
+// node, so the DAG keeps one node per name.
+func (r *resolver) replaceNode(root, old, repl *spec.Spec) {
 	root.Traverse(func(n *spec.Spec) bool {
 		if n.DirectDep(old.Name) == old {
 			t := n.EdgeType(old.Name)
 			n.RemoveDep(old.Name)
 			n.SetDep(repl, t)
-			touched[n.Name] = true
 		}
 		return true
 	})
@@ -484,11 +403,8 @@ func (r *resolver) replaceNode(root, old, repl *spec.Spec, touched map[string]bo
 // concretizeParams pins the five parameters of every resolved node
 // (Fig. 6's "Concretize Parameters"): architecture, externals, reuse pins,
 // version, compiler, variants — consulting preferences so sites make
-// "consistent, repeatable choices" (§3.4.4). The cheap whole-DAG
-// propagation steps (architecture defaulting, compiler inheritance) always
-// run in full; the expensive per-node pinning honors the dirty worklist.
-// Changed nodes are recorded in touched.
-func (r *resolver) concretizeParams(root *spec.Spec, dirty, touched map[string]bool) (bool, error) {
+// "consistent, repeatable choices" (§3.4.4).
+func (r *resolver) concretizeParams(root *spec.Spec) (bool, error) {
 	changed := false
 
 	// Architecture: the root adopts the default; dependencies inherit the
@@ -496,7 +412,6 @@ func (r *resolver) concretizeParams(root *spec.Spec, dirty, touched map[string]b
 	if root.Arch == "" {
 		root.Arch = r.c.Config.DefaultArch()
 		changed = true
-		touched[root.Name] = true
 	}
 	// Nothing below attaches an edge before the last loop, which walks the
 	// snapshot taken here even if an external's constraint attaches one.
@@ -506,21 +421,16 @@ func (r *resolver) concretizeParams(root *spec.Spec, dirty, touched map[string]b
 		if n.Arch == "" {
 			n.Arch = root.Arch
 			changed = true
-			touched[n.Name] = true
 		}
 	}
 
 	// Compiler inheritance: children without a constraint build with their
 	// parent's compiler, so one toolchain is used consistently across a DAG
 	// unless overridden per node.
-	ch := r.inheritCompilers(nodes, touched)
-	changed = changed || ch
+	changed = r.inheritCompilers(nodes) || changed
 
 	for _, dn := range nodes {
 		n, def := dn.n, dn.def
-		if dirty != nil && !dirty[n.Name] && !touched[n.Name] {
-			continue
-		}
 		if def == nil {
 			continue // unresolved virtual: next iteration
 		}
@@ -538,7 +448,6 @@ func (r *resolver) concretizeParams(root *spec.Spec, dirty, touched map[string]b
 				n.External = true
 				n.Path = ext.Path
 				changed = true
-				touched[n.Name] = true
 			}
 		}
 
@@ -547,40 +456,27 @@ func (r *resolver) concretizeParams(root *spec.Spec, dirty, touched map[string]b
 		// its exact version/compiler/variants — and therefore its full
 		// hash — carry over. An incompatible pin is dropped silently: the
 		// criteria put satisfiability above reuse.
-		if ch, err := r.applyReusePin(n, touched); err != nil {
-			return changed, err
-		} else if ch {
-			changed = true
-		}
+		changed = r.applyReusePin(n) || changed
 
 		ch, err := r.concretizeVersion(n, def)
 		if err != nil {
 			return changed, err
 		}
-		if ch {
-			changed = true
-			touched[n.Name] = true
-		}
+		changed = changed || ch
 
 		if !n.External {
 			ch, err = r.concretizeCompiler(n, def.FeaturesFor(n))
 			if err != nil {
 				return changed, err
 			}
-			if ch {
-				changed = true
-				touched[n.Name] = true
-			}
+			changed = changed || ch
 		}
 
 		ch, err = r.concretizeVariants(n, def)
 		if err != nil {
 			return changed, err
 		}
-		if ch {
-			changed = true
-			touched[n.Name] = true
-		}
+		changed = changed || ch
 	}
 	return changed, nil
 }
@@ -588,23 +484,17 @@ func (r *resolver) concretizeParams(root *spec.Spec, dirty, touched map[string]b
 // applyReusePin constrains a node with its reuse carrier, at most once per
 // run. Incompatible carriers are skipped — never an error: reuse must fall
 // back to a clean solve, not poison it.
-func (r *resolver) applyReusePin(n *spec.Spec, touched map[string]bool) (bool, error) {
+func (r *resolver) applyReusePin(n *spec.Spec) bool {
 	pin, ok := r.pins[n.Name]
 	if !ok || r.pinApplied[n.Name] || n.External {
-		return false, nil
+		return false
 	}
 	r.pinApplied[n.Name] = true
 	if !n.Compatible(pin) {
-		return false, nil
+		return false
 	}
 	ch, err := n.ConstrainChanged(pin)
-	if err != nil {
-		return false, nil // racy incompatibility: treat as a skipped pin
-	}
-	if ch {
-		touched[n.Name] = true
-	}
-	return ch, nil
+	return err == nil && ch // an error is a racy incompatibility: a skipped pin
 }
 
 // inhFrame is one node on inheritCompilers' walk: the compiler and
@@ -635,9 +525,8 @@ func frameFor(n *spec.Spec, comp spec.Compiler, arch string) inhFrame {
 // dependencies are walked once, from its first parent. nodes is the DAG in
 // pre-order, the order in which this walk first reaches each node, so a
 // node is reached for the first time exactly when it is the next one in
-// nodes. Returns whether anything changed; changed nodes are recorded in
-// touched.
-func (r *resolver) inheritCompilers(nodes []dagNode, touched map[string]bool) bool {
+// nodes. Returns whether anything changed.
+func (r *resolver) inheritCompilers(nodes []dagNode) bool {
 	changed := false
 	stack := append(r.stack[:0], frameFor(nodes[0].n, spec.Compiler{}, ""))
 	reached := 1
@@ -658,7 +547,6 @@ func (r *resolver) inheritCompilers(nodes []dagNode, touched map[string]bool) bo
 		if d.Compiler.IsZero() && !top.comp.IsZero() && !d.External && sameArch {
 			d.Compiler = top.comp
 			changed = true
-			touched[d.Name] = true
 		}
 		if reached == len(nodes) || nodes[reached].n != d {
 			continue // reached before

@@ -3,7 +3,6 @@ package concretize
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
@@ -19,7 +18,7 @@ import (
 // inheritCompilersOracle is compiler inheritance as a recursive walk with a
 // visited set: every edge offers the parent's compiler, a node's own
 // dependencies are walked from its first parent only.
-func inheritCompilersOracle(root *spec.Spec, touched map[string]bool) bool {
+func inheritCompilersOracle(root *spec.Spec) bool {
 	changed := false
 	type inh struct {
 		comp spec.Compiler
@@ -32,7 +31,6 @@ func inheritCompilersOracle(root *spec.Spec, touched map[string]bool) bool {
 		if n.Compiler.IsZero() && !inherited.comp.IsZero() && !n.External && sameArch {
 			n.Compiler = inherited.comp
 			changed = true
-			touched[n.Name] = true
 		}
 		if seen[n.Name] {
 			return
@@ -85,17 +83,12 @@ func randomInheritDAG(rng *rand.Rand, size int) *spec.Spec {
 	return nodes[0]
 }
 
-func renderCompilers(root *spec.Spec, touched map[string]bool) string {
+func renderCompilers(root *spec.Spec) string {
 	var b strings.Builder
 	for _, n := range root.Nodes() {
 		fmt.Fprintf(&b, "%s%%%s ", n.Name, n.Compiler)
 	}
-	var names []string
-	for name := range touched {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return b.String() + "touched " + strings.Join(names, ",")
+	return b.String()
 }
 
 // TestInheritCompilersMatchesRecursiveWalk: the iterative walk over the
@@ -109,14 +102,12 @@ func TestInheritCompilersMatchesRecursiveWalk(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		root := randomInheritDAG(rng, 2+rng.Intn(30))
 		oracleRoot := root.Clone()
-		wantTouched := map[string]bool{}
-		wantChanged := inheritCompilersOracle(oracleRoot, wantTouched)
-		want := renderCompilers(oracleRoot, wantTouched)
+		wantChanged := inheritCompilersOracle(oracleRoot)
+		want := renderCompilers(oracleRoot)
 
 		r.dagValid = false
-		touched := map[string]bool{}
-		changed := r.inheritCompilers(r.snapshot(root), touched)
-		if got := renderCompilers(root, touched); got != want || changed != wantChanged {
+		changed := r.inheritCompilers(r.snapshot(root))
+		if got := renderCompilers(root); got != want || changed != wantChanged {
 			t.Fatalf("trial %d:\ngot  %v %s\nwant %v %s", trial, changed, got, wantChanged, want)
 		}
 	}
@@ -161,7 +152,7 @@ func TestDirectiveDependenciesJoinTheSnapshot(t *testing.T) {
 }
 
 // TestDeepChainConverges: each pass attaches one more layer of a chain, so
-// a chain of depth packages needs depth + 2 passes. The loop's bound comes
+// a chain of depth packages needs depth + 1 passes. The loop's bound comes
 // from the DAG, so depth alone never trips it.
 func TestDeepChainConverges(t *testing.T) {
 	for _, depth := range []int{63, 200} {
@@ -181,8 +172,8 @@ func TestDeepChainConverges(t *testing.T) {
 		if got := len(out.Nodes()); got != depth {
 			t.Errorf("depth %d: %d nodes", depth, got)
 		}
-		if got := c.Stats.Iterations(); got != depth+2 {
-			t.Errorf("depth %d: %d iterations, want %d", depth, got, depth+2)
+		if got := c.Stats.Iterations(); got != depth+1 {
+			t.Errorf("depth %d: %d iterations, want %d", depth, got, depth+1)
 		}
 	}
 }

@@ -50,16 +50,3 @@ func TestBlobOverwriteDeleteList(t *testing.T) {
 		t.Errorf("Blobs after delete = %v", got)
 	}
 }
-
-func TestBlobCounts(t *testing.T) {
-	m := NewMirror()
-	m.PutBlob("a", []byte("x"))
-	m.PutBlob("b", []byte("y"))
-	m.Blob("a")
-	m.Blob("a")
-	m.Blob("absent") // misses are not reads
-	reads, writes := m.BlobCounts()
-	if reads != 2 || writes != 2 {
-		t.Errorf("BlobCounts = %d reads, %d writes; want 2, 2", reads, writes)
-	}
-}

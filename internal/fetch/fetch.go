@@ -1,9 +1,8 @@
 // Package fetch simulates the download side of the package manager:
 // deterministic source archives served by an in-memory mirror, MD5 checksum
-// verification against version directives, and the URL extrapolation of
-// SC'15 §3.2.3 ("Spack can extrapolate URLs from versions, using the
-// package's url attribute as a model"), including scraping a simulated
-// listing for new versions.
+// verification against version directives, and scraping a simulated
+// listing for new versions, the companion of SC'15 §3.2.3's URL
+// extrapolation (pkg.ExtrapolateURL).
 package fetch
 
 import (
@@ -11,7 +10,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -47,35 +45,6 @@ func ChecksumOf(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// versionPattern matches version-looking substrings in URLs: runs of digits
-// separated by dots (optionally with letter suffixes).
-var versionPattern = regexp.MustCompile(`\d+(\.\d+)*([a-z]\d*)?`)
-
-// VersionFromURL extracts the most plausible version substring from a URL:
-// the last version-looking run in the final path component, preferring
-// multi-component matches. Returns the zero Version when nothing matches.
-func VersionFromURL(url string) version.Version {
-	base := url
-	if i := strings.LastIndexByte(url, '/'); i >= 0 {
-		base = url[i+1:]
-	}
-	// Strip common archive suffixes so ".tar.gz" digits never match.
-	for _, suf := range []string{".tar.gz", ".tar.bz2", ".tar.xz", ".tgz", ".zip"} {
-		base = strings.TrimSuffix(base, suf)
-	}
-	matches := versionPattern.FindAllString(base, -1)
-	if len(matches) == 0 {
-		return version.Version{}
-	}
-	best := matches[len(matches)-1]
-	for _, m := range matches {
-		if strings.Count(m, ".") > strings.Count(best, ".") {
-			best = m
-		}
-	}
-	return version.Parse(best)
-}
-
 // Mirror is a simulated download server: it serves archives for the
 // releases registered against it and can list them for scraping. Beyond
 // source tarballs it also hosts opaque named blobs — the transport the
@@ -89,8 +58,6 @@ type Mirror struct {
 	blobSums   map[string]string            // name -> SHA-256 hex, recorded at PutBlob
 	blobStamps map[string]blobStamp         // name -> last-access stamp
 	blobSeq    uint64                       // logical clock behind the stamps
-	blobReads  int
-	blobWrites int
 }
 
 // blobStamp records when a blob was last touched: a logical sequence
@@ -203,7 +170,6 @@ func (m *Mirror) PutBlob(name string, data []byte) {
 	m.blobs[name] = buf
 	m.blobSums[name] = hex.EncodeToString(sum[:])
 	m.touchBlob(name)
-	m.blobWrites++
 	m.mu.Unlock()
 }
 
@@ -239,7 +205,6 @@ func (m *Mirror) Blob(name string) ([]byte, bool) {
 		return nil, false
 	}
 	m.touchBlob(name)
-	m.blobReads++
 	out := make([]byte, len(data))
 	copy(out, data)
 	return out, true
@@ -278,14 +243,6 @@ func (m *Mirror) Blobs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// BlobCounts reports how many blob reads and writes the mirror served —
-// the cache-traffic counters benchmarks and tests assert on.
-func (m *Mirror) BlobCounts() (reads, writes int) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.blobReads, m.blobWrites
 }
 
 // Scrape probes the mirror for versions of a package newer than the ones a

@@ -52,22 +52,6 @@ func TestExtrapolateURL(t *testing.T) {
 	}
 }
 
-func TestVersionFromURL(t *testing.T) {
-	tests := []struct{ url, want string }{
-		{"https://www.mr511.de/software/libelf-0.8.13.tar.gz", "0.8.13"},
-		{"https://www.python.org/ftp/python/2.7.9/Python-2.7.9.tgz", "2.7.9"},
-		{"https://www.mpich.org/static/downloads/3.1.4/mpich-3.1.4.tar.gz", "3.1.4"},
-		{"https://www.prevanders.net/libdwarf-20130729.tar.gz", "20130729"},
-		{"https://example.com/noversion.tar.gz", ""},
-	}
-	for _, tt := range tests {
-		got := VersionFromURL(tt.url)
-		if got.String() != tt.want {
-			t.Errorf("VersionFromURL(%q) = %q, want %q", tt.url, got, tt.want)
-		}
-	}
-}
-
 func TestMirrorPublishFetch(t *testing.T) {
 	m := NewMirror()
 	v := version.Parse("0.8.13")

@@ -25,26 +25,6 @@ func knownVersionsOracle(p *pkg.Package) []version.Version {
 	return out
 }
 
-// conditionalOracle scans the directives for a when= predicate.
-func conditionalOracle(p *pkg.Package) bool {
-	for _, d := range p.Dependencies {
-		if d.When != nil {
-			return true
-		}
-	}
-	for _, pr := range p.Provides {
-		if pr.When != nil {
-			return true
-		}
-	}
-	for _, f := range p.Features {
-		if f.When != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // factPackages returns every package of the builtin, ARES and a synthetic
 // repository, plus hand-built ones that declare versions out of order.
 func factPackages() []*pkg.Package {
@@ -68,8 +48,7 @@ func factPackages() []*pkg.Package {
 	for _, i := range []int{7, 3, 11, 1, 14, 5, 9, 2, 13, 6, 12, 4, 10, 8} {
 		many.WithVersion(fmt.Sprintf("1.%d", i), "x")
 	}
-	gated := pkg.New("gated").RequiresCompilerFeature("cxx11", "@2:")
-	return append(out, mixed, many, gated)
+	return append(out, mixed, many)
 }
 
 func versionStrings(vs []version.Version) []string {
@@ -101,19 +80,5 @@ func TestKnownVersionsMatchesOracle(t *testing.T) {
 		if a[len(a)-1].String() != "99.0" || b[len(b)-1].String() != "98.0" {
 			t.Errorf("%s: two appended copies of KnownVersions share storage", p.Name)
 		}
-	}
-}
-
-func TestHasConditionalDirectivesMatchesOracle(t *testing.T) {
-	seen := map[bool]int{}
-	for _, p := range factPackages() {
-		got := p.HasConditionalDirectives()
-		seen[got]++
-		if want := conditionalOracle(p); got != want {
-			t.Errorf("%s: HasConditionalDirectives = %v, oracle %v", p.Name, got, want)
-		}
-	}
-	if seen[true] == 0 || seen[false] == 0 {
-		t.Errorf("packages with and without when= directives: %v; both kinds must be covered", seen)
 	}
 }

@@ -110,10 +110,9 @@ type installCase struct {
 
 // Package is the compiled form of a package definition. Directives are
 // written only through the builder methods, which keep the facts derived
-// from them (KnownVersions, HasConditionalDirectives) in step; the
-// directive fields are exported for reading. Once added to a repository a
-// definition is fixed, and concurrent solves read its directive specs in
-// place.
+// from them (KnownVersions) in step; the directive fields are exported for
+// reading. Once added to a repository a definition is fixed, and
+// concurrent solves read its directive specs in place.
 type Package struct {
 	Name        string
 	Description string
@@ -148,9 +147,6 @@ type Package struct {
 	// known is KnownVersions' answer, kept sorted as versions are
 	// declared: the concretizer asks for it per node on every pass.
 	known []version.Version
-	// conditional records whether a dependency, provides or feature
-	// directive carries a when= predicate (HasConditionalDirectives).
-	conditional bool
 }
 
 // New begins a package definition.
@@ -209,7 +205,6 @@ func (p *Package) DependsOn(constraint string, opts ...DepOption) *Package {
 		o(&d)
 	}
 	p.Dependencies = append(p.Dependencies, d)
-	p.conditional = p.conditional || d.When != nil
 	return p
 }
 
@@ -237,7 +232,6 @@ func (p *Package) ProvidesVirtual(virtual, when string) *Package {
 	pr := Provided{Virtual: v}
 	if when != "" {
 		pr.When = syntax.MustParse(when)
-		p.conditional = true
 	}
 	p.Provides = append(p.Provides, pr)
 	return p
@@ -266,7 +260,6 @@ func (p *Package) RequiresCompilerFeature(feature, when string) *Package {
 	fr := FeatureRequirement{Feature: feature}
 	if when != "" {
 		fr.When = syntax.MustParse(when)
-		p.conditional = true
 	}
 	p.Features = append(p.Features, fr)
 	return p
@@ -336,11 +329,6 @@ func (p *Package) OnInstallWhen(predicate string, fn InstallFunc) *Package {
 func (p *Package) KnownVersions() []version.Version {
 	return p.known[:len(p.known):len(p.known)]
 }
-
-// HasConditionalDirectives reports whether the package carries any when=
-// gated dependency, provides, or feature directive: the directives whose
-// activation can flip as other nodes of a DAG concretize.
-func (p *Package) HasConditionalDirectives() bool { return p.conditional }
 
 // URLFor computes the download URL for a version: a per-version override
 // when declared, otherwise the package's URL template extrapolated from

@@ -21,12 +21,16 @@ func Parse(input string) (*spec.Spec, error) {
 	}
 	for p.peek().kind == tokCaret {
 		p.next()
+		pos := p.peek().pos
 		dep, err := p.parseNode(false)
 		if err != nil {
 			return nil, err
 		}
 		if dep.Name == "" {
 			return nil, &SyntaxError{Input: input, Pos: p.peek().pos, Msg: "dependency after '^' must be named"}
+		}
+		if dep.Name == root.Name {
+			return nil, &SyntaxError{Input: input, Pos: pos, Msg: "a spec cannot depend on itself (^" + dep.Name + ")"}
 		}
 		if err := root.AddDep(dep); err != nil {
 			return nil, err

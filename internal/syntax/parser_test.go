@@ -173,6 +173,8 @@ func TestParseErrors(t *testing.T) {
 		"pkg %gcc %intel",
 		"pkg !bang",
 		"pkg ^dep extra junk", // 'extra' parses as a new dep name... actually it terminates; see below
+		"zlib ^zlib",          // a spec cannot depend on itself
+		"mpileaks ^callpath ^mpileaks@1.0",
 	}
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {
@@ -199,17 +201,31 @@ func TestWhitespaceInsensitive(t *testing.T) {
 }
 
 // TestRoundTrip checks Parse(s.String()).String() == s.String() for a corpus.
+// roundTripCorpus is the canonical forms TestRoundTrip re-parses.
+var roundTripCorpus = []string{
+	"mpileaks",
+	"mpileaks@1.1.2",
+	"mpileaks@1.1.2%gcc",
+	"mpileaks@1.1.2%intel@14.1+debug",
+	"mpileaks@1.1.2=bgq",
+	"mpileaks@1.2:1.4%gcc@4.7.5~debug=bgq ^callpath@1.1%gcc@4.7.2 ^openmpi@1.4.7",
+	"a@1.2,2.0:3.0 ^b~shared+static ^c=linux-ppc64",
+}
+
+// table2Specs is the paper's Table 2 examples as TestTable2Examples writes
+// them.
+var table2Specs = []string{
+	"mpileaks",
+	"mpileaks@1.1.2",
+	"mpileaks@1.1.2 %gcc",
+	"mpileaks@1.1.2 %intel@14.1 +debug",
+	"mpileaks@1.1.2 =bgq",
+	"mpileaks@1.1.2 ^mvapich2@1.9",
+	"mpileaks @1.2:1.4 %gcc@4.7.5 -debug =bgq ^callpath @1.1 %gcc@4.7.2 ^openmpi @1.4.7",
+}
+
 func TestRoundTrip(t *testing.T) {
-	corpus := []string{
-		"mpileaks",
-		"mpileaks@1.1.2",
-		"mpileaks@1.1.2%gcc",
-		"mpileaks@1.1.2%intel@14.1+debug",
-		"mpileaks@1.1.2=bgq",
-		"mpileaks@1.2:1.4%gcc@4.7.5~debug=bgq ^callpath@1.1%gcc@4.7.2 ^openmpi@1.4.7",
-		"a@1.2,2.0:3.0 ^b~shared+static ^c=linux-ppc64",
-	}
-	for _, in := range corpus {
+	for _, in := range roundTripCorpus {
 		s := MustParse(in)
 		out := s.String()
 		s2 := MustParse(out)
@@ -325,4 +341,31 @@ func TestSyntaxErrorMessage(t *testing.T) {
 	if se.Pos != 4 || !strings.Contains(se.Error(), "offset 4") {
 		t.Errorf("error = %v", se)
 	}
+}
+
+// FuzzParseFormat: whatever Parse accepts formats to a string that parses
+// again to the same string and the same FullHash.
+func FuzzParseFormat(f *testing.F) {
+	for _, corpus := range [][]string{table2Specs, roundTripCorpus} {
+		for _, in := range corpus {
+			f.Add(in)
+		}
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := Parse(in)
+		if err != nil {
+			return
+		}
+		out := s.String()
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("Parse(%q) formats as %q, which does not parse: %v", in, out, err)
+		}
+		if got := again.String(); got != out {
+			t.Fatalf("Parse(%q) formats as %q, then as %q", in, out, got)
+		}
+		if again.FullHash() != s.FullHash() {
+			t.Fatalf("Parse(%q): FullHash moved across the round trip through %q", in, out)
+		}
+	})
 }
