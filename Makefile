@@ -53,7 +53,7 @@ bench:
 #   splice     — the ARES stack rewired from zlib@1.2.7 to 1.2.8 by
 #                relocation vs. recompiling the same dependent cone.
 BENCH_LEGS := concretize store buildcache env service sched lifecycle splice
-BENCH_RE_concretize := Fig8|ConcretizeCacheHit|ARESConcretize(GreedyCold|Reuse)
+BENCH_RE_concretize := Fig8|ConcretizeCacheHit|ARESConcretize(GreedyCold|Reuse)|ConcretizeScale
 BENCH_RE_store := StoreContention|StoreLookupContention
 BENCH_RE_buildcache := BuildcacheARES
 BENCH_RE_env := EnvInstall

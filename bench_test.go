@@ -9,6 +9,7 @@
 //	BenchmarkFig7ConcretizeMpileaks— the canonical mpileaks concretization
 //	BenchmarkFig8ConcretizeAll     — concretizing a 245-package repository
 //	BenchmarkFig8LargestDAG        — the worst-case (tail) DAG of Fig. 8
+//	BenchmarkConcretizeScale/*     — 100- and 800-package chains and fan-3 DAGs
 //	BenchmarkFig9SharedSubDAG      — two mpileaks installs with store reuse
 //	BenchmarkFig10Build/*          — the seven builds under each condition
 //	BenchmarkFig13ARESConcretize   — the 47-package ARES DAG
@@ -257,6 +258,49 @@ func BenchmarkFig8LargestDAG(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Concretize(abstract); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// scaleRepo builds a repository of n packages s0001…sNNNN in which each
+// package depends on the next fan ones (those that exist): fan 1 is a
+// chain n deep, and fan 3 a DAG as deep with three edges per node.
+func scaleRepo(n, fan int) *repo.Path {
+	r := repo.NewRepo("scale")
+	for i := n; i >= 1; i-- {
+		p := pkg.New(fmt.Sprintf("s%04d", i)).WithVersion("1.0", "x")
+		for j := i + 1; j <= i+fan && j <= n; j++ {
+			p.DependsOn(fmt.Sprintf("s%04d", j))
+		}
+		r.MustAdd(p)
+	}
+	return repo.NewPath(r)
+}
+
+// BenchmarkConcretizeScale concretizes the root of scaleRepo at 100 and
+// 800 packages, as a chain and as a fan-3 DAG. Time against nodes is the
+// concretizer's scaling: with a fixed point that attached one layer per
+// pass, 8x the chain cost about 64x the time.
+func BenchmarkConcretizeScale(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		fan  int
+	}{{"chain", 1}, {"fan3", 3}} {
+		for _, n := range []int{100, 800} {
+			b.Run(fmt.Sprintf("%s/n%d", shape.name, n), func(b *testing.B) {
+				c := concretize.New(scaleRepo(n, shape.fan), config.New(), compiler.LLNLRegistry())
+				root := spec.New("s0001")
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					out, err := c.Concretize(root)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if out.Size() != n {
+						b.Fatalf("%d nodes, want %d", out.Size(), n)
+					}
+				}
+			})
 		}
 	}
 }

@@ -44,6 +44,14 @@ var figures = []figure{
 	// costs at most 2x the cold greedy solve (inverted ratio, floor 0.5).
 	{key: "concretize_reuse_overhead_inv", num: ns("BenchmarkARESConcretizeGreedyCold"),
 		den: ns("BenchmarkARESConcretizeReuse"), floor: 0.5, unit: "x"},
+	// Concretizer scaling: a chain of 800 packages costs at most 15x one
+	// of 100 (inverted ratio, floor 1/15), i.e. time grows with nodes at
+	// an exponent of at most 1.3; a fixed point that attaches one layer
+	// per pass costs about 64x. The fan-3 DAG's ratio rides along.
+	{key: "concretize_chain_scale_inv", num: ns("BenchmarkConcretizeScale/chain/n100"),
+		den: ns("BenchmarkConcretizeScale/chain/n800"), floor: 1.0 / 15, unit: "x"},
+	{key: "concretize_fan3_scale_inv", num: ns("BenchmarkConcretizeScale/fan3/n100"),
+		den: ns("BenchmarkConcretizeScale/fan3/n800"), unit: "x"},
 	// Store index: 8 concurrent builders, each saving after every install,
 	// sustain ≥2000 installs/s. The floor sits near the geometric mean of
 	// the lock-striped index (~5000/s) and a single-lock index rewriting

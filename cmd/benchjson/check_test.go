@@ -127,6 +127,30 @@ func TestDeriveSpliceSpeedup(t *testing.T) {
 	}
 }
 
+func TestDeriveConcretizeScale(t *testing.T) {
+	benches := []Benchmark{
+		{Name: "BenchmarkConcretizeScale/chain/n100", Metrics: map[string]float64{"ns/op": 1e6}},
+		{Name: "BenchmarkConcretizeScale/chain/n800", Metrics: map[string]float64{"ns/op": 10e6}},
+		{Name: "BenchmarkConcretizeScale/fan3/n100", Metrics: map[string]float64{"ns/op": 2e6}},
+		{Name: "BenchmarkConcretizeScale/fan3/n800", Metrics: map[string]float64{"ns/op": 32e6}},
+	}
+	d := derive(benches)
+	if got := d["concretize_chain_scale_inv"]; got != 0.1 {
+		t.Errorf("concretize_chain_scale_inv = %v, want 0.1", got)
+	}
+	if got := d["concretize_fan3_scale_inv"]; got != 0.0625 {
+		t.Errorf("concretize_fan3_scale_inv = %v, want 0.0625", got)
+	}
+	if _, fails := checkReport("x.json", report(d)); len(fails) != 0 {
+		t.Errorf("10x the time for 8x the chain should clear the bar: %v", fails)
+	}
+	// One pass per layer: 8x the chain costs about 64x.
+	benches[1].Metrics["ns/op"] = 64e6
+	if _, fails := checkReport("x.json", report(derive(benches))); len(fails) != 1 {
+		t.Errorf("a quadratic chain must miss the bar: %v", fails)
+	}
+}
+
 func TestDeriveEnvWarmSpeedup(t *testing.T) {
 	benches := []Benchmark{
 		{Name: "BenchmarkEnvInstall/cold", Metrics: map[string]float64{"ns/op": 50e6}},

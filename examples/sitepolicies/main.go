@@ -69,7 +69,7 @@ func main() {
 	s.Config.User.SetCompilerOrder("gcc@4.7.3")
 	userSpec, _ := s.Spec("mpileaks")
 	fmt.Printf("    user override -> compiler: %s\n", userSpec.Compiler)
-	s.Config.User.CompilerOrder = nil // back to site policy
+	s.Config.User.SetCompilerOrder("") // back to site policy
 
 	// Install two mpileaks configurations; views resolve the ambiguous
 	// /opt/mpileaks-<mpi> link by policy (newest version wins).

@@ -36,6 +36,11 @@ type Toolchain struct {
 	// on advanced compiler capabilities, like C++11 language features,
 	// OpenMP versions"); the concretizer enforces these.
 	Features []string
+
+	// id is Spec's result, built once when the toolchain is registered.
+	// Every node that picks the toolchain shares it: a version.List is
+	// never changed in place.
+	id spec.Compiler
 }
 
 // HasFeature reports whether the toolchain supports a named capability.
@@ -61,6 +66,9 @@ func (t Toolchain) HasFeatures(names []string) bool {
 
 // Spec returns the toolchain's identity as a concrete compiler constraint.
 func (t Toolchain) Spec() spec.Compiler {
+	if t.id.Name != "" {
+		return t.id
+	}
 	return spec.Compiler{Name: t.Name, Versions: version.ExactList(t.Version)}
 }
 
@@ -106,6 +114,7 @@ func (r *Registry) Add(t Toolchain) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.fp = ""
+	t.id = spec.Compiler{Name: t.Name, Versions: version.ExactList(t.Version)}
 	i := sort.Search(len(r.toolchains), func(i int) bool { return !toolchainLess(r.toolchains[i], t) })
 	if i < len(r.toolchains) && r.toolchains[i].Name == t.Name && r.toolchains[i].Version.Equal(t.Version) {
 		r.toolchains[i] = t

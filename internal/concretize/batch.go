@@ -47,10 +47,10 @@ func (e *BatchError) Unwrap() error {
 // this concretizer's memo cache, statistics, and policies. Each root is an
 // independent solve — the paper's concretizer has no cross-root coupling —
 // so batch workloads like the ARES 36-configuration matrix and the Fig. 8
-// repository sweep parallelize embarrassingly. Duplicate specs within one
-// batch are not coalesced: a duplicate answers from the memo cache only if
-// an earlier copy finished solving first, and copies that run at once on a
-// cold key each solve.
+// repository sweep parallelize embarrassingly. With a memo cache attached,
+// duplicate specs within one batch are solved once: copies that run at once
+// on a cold key share one solve (see ConcretizeCached), and later ones hit
+// the cache. Without a cache each copy solves.
 //
 // The result slice is index-aligned with the input; failed entries are nil
 // and their errors are collected into a *BatchError (nil when every spec

@@ -8,6 +8,7 @@ import (
 	"os"
 	"sync"
 
+	"repro/internal/singleflight"
 	"repro/internal/spec"
 	"repro/internal/syntax"
 )
@@ -15,9 +16,9 @@ import (
 // Key identifies one memoized concretization. Two calls share a cache entry
 // only when all four components match:
 //
-//   - Spec: the FullHash of the abstract input DAG (canonical: covers every
-//     node parameter and the edge structure, so differently-shaped abstract
-//     DAGs never collide);
+//   - Spec: the canonical serialization of the abstract input DAG (the
+//     string its FullHash hashes: it covers every node parameter and the
+//     edge structure, so differently-shaped abstract DAGs never collide);
 //   - Repo / Config / Compilers: fingerprints of the package repositories,
 //     the preference configuration, and the compiler registry — the three
 //     inputs besides the spec that determine the concretizer's choices;
@@ -40,6 +41,13 @@ type Key struct {
 	Reuse     string `json:"reuse,omitempty"`
 }
 
+// flightKey renders the key as one string, for the singleflight group
+// that coalesces concurrent misses.
+func (k Key) flightKey() string {
+	return k.Spec + "\x00" + k.Repo + "\x00" + k.Config + "\x00" +
+		k.Compilers + "\x00" + k.Mode + "\x00" + k.Reuse
+}
+
 // CacheStats reports cumulative cache traffic.
 type CacheStats struct {
 	Hits      int64
@@ -56,9 +64,9 @@ type CacheStats struct {
 // clone and Get returns a fresh deep clone, so mutating either the spec that
 // was inserted or a returned hit cannot poison the cache.
 //
-// Entries are kept hashed: Put hashes every node of its clone, and Get's
-// clone carries each node's FullHash and canonical-line memos, so a hit
-// is never rehashed. A hit is therefore a concrete DAG that has already
+// Entries are kept hashed: Put stores a spec.Template, a private copy with
+// every node hashed, and Get's copy of it carries each node's FullHash and
+// canonical-line memos, so a hit is never rehashed. A hit is therefore a concrete DAG that has already
 // been hashed, and spec.Spec's contract applies: do not mutate it; derive
 // a new DAG (Clone, SpliceDep) to change one.
 type Cache struct {
@@ -67,14 +75,17 @@ type Cache struct {
 	order   *list.List // front = most recently used
 	entries map[Key]*list.Element
 	stats   CacheStats
+	// flight coalesces concurrent misses per key (ConcretizeCached): the
+	// leader solves and stores, and every waiter copies the stored
+	// template.
+	flight singleflight.Group[*spec.Template]
 }
 
-// cacheEntry is one LRU slot: the hashed DAG and the template every hit
-// copies it from.
+// cacheEntry is one LRU slot: the template, a hashed copy of the stored
+// DAG, that every hit copies.
 type cacheEntry struct {
-	key      Key
-	concrete *spec.Spec
-	tmpl     *spec.Template
+	key  Key
+	tmpl *spec.Template
 }
 
 // DefaultCacheSize bounds caches created without an explicit capacity. It
@@ -116,22 +127,28 @@ func (c *Cache) Get(key Key) (*spec.Spec, bool) {
 	return tmpl.Copy(), true
 }
 
+// template returns the stored template for a key, if present, without
+// counting a hit or a miss.
+func (c *Cache) template(key Key) (*spec.Template, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		return el.Value.(*cacheEntry).tmpl, true
+	}
+	return nil, false
+}
+
 // Put stores a deep clone of a concrete DAG under a key, with every node
 // hashed, evicting the least recently used entry when the bound is
-// exceeded.
-func (c *Cache) Put(key Key, concrete *spec.Spec) {
-	clone := concrete.CloneHashed()
-	clone.Traverse(func(n *spec.Spec) bool {
-		n.FullHash()
-		return true
-	})
-	entry := &cacheEntry{key: key, concrete: clone, tmpl: spec.NewTemplate(clone)}
+// exceeded. It returns the template that hits of the entry copy.
+func (c *Cache) Put(key Key, concrete *spec.Spec) *spec.Template {
+	entry := &cacheEntry{key: key, tmpl: spec.NewTemplate(concrete)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		el.Value = entry
 		c.order.MoveToFront(el)
-		return
+		return entry.tmpl
 	}
 	c.entries[key] = c.order.PushFront(entry)
 	for c.order.Len() > c.max {
@@ -140,6 +157,7 @@ func (c *Cache) Put(key Key, concrete *spec.Spec) {
 		delete(c.entries, back.Value.(*cacheEntry).key)
 		c.stats.Evictions++
 	}
+	return entry.tmpl
 }
 
 // Len reports the number of live entries.
@@ -173,7 +191,7 @@ func (c *Cache) Save(w io.Writer) error {
 	var entries []persistEntry
 	for el := c.order.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*cacheEntry)
-		data := syntax.EncodeJSON(e.concrete)
+		data := syntax.EncodeJSON(e.tmpl.Copy())
 		entries = append(entries, persistEntry{Key: e.key, Concrete: data})
 	}
 	c.mu.Unlock()

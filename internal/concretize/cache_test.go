@@ -221,8 +221,8 @@ func TestCacheKeyComponents(t *testing.T) {
 	abstract := syntax.MustParse("mpileaks")
 	base := c.cacheKey(abstract, nil)
 
-	if base.Spec != abstract.FullHash() {
-		t.Errorf("key.Spec = %q, want the abstract FullHash %q", base.Spec, abstract.FullHash())
+	if base.Spec != abstract.Canonical() {
+		t.Errorf("key.Spec = %q, want the abstract canonical form %q", base.Spec, abstract.Canonical())
 	}
 	if base.Repo == "" || base.Config == "" || base.Compilers == "" {
 		t.Errorf("key has empty fingerprint components: %+v", base)

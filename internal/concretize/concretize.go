@@ -241,6 +241,11 @@ func (c *Concretizer) Concretize(abstract *spec.Spec) (*spec.Spec, error) {
 // FullHash memo (see Cache.Get), so hashing it costs nothing. Like any
 // hashed concrete DAG it must not be mutated (see spec.Spec): a caller
 // that needs a changed DAG derives one with Clone or SpliceDep.
+//
+// Concurrent misses on one key, from any concretizer sharing the Cache,
+// run one solve: the first caller solves and stores the result, and the
+// others wait and get their own copy of it, reported as hits, or share
+// its error. Stats counts that solve as the one miss.
 func (c *Concretizer) ConcretizeCached(abstract *spec.Spec) (*spec.Spec, bool, error) {
 	snap, err := c.reuseSnapshot()
 	if err != nil {
@@ -255,12 +260,29 @@ func (c *Concretizer) ConcretizeCached(abstract *spec.Spec) (*spec.Spec, bool, e
 		c.Stats.cacheHits.Add(1)
 		return hit, true, nil
 	}
-	c.Stats.cacheMisses.Add(1)
-	out, err := c.concretizeUncached(abstract, snap)
+	// Concurrent misses on one key share one solve. The flight lives on
+	// the Cache, so every concretizer sharing it coalesces; it re-checks
+	// the cache first, since a flight may have landed after Get missed.
+	var out *spec.Spec
+	tmpl, _, err := c.Cache.flight.Do(key.flightKey(), func() (*spec.Template, error) {
+		if tmpl, ok := c.Cache.template(key); ok {
+			return tmpl, nil
+		}
+		c.Stats.cacheMisses.Add(1)
+		var err error
+		if out, err = c.concretizeUncached(abstract, snap); err != nil {
+			return nil, err
+		}
+		return c.Cache.Put(key, out), nil
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	c.Cache.Put(key, out)
+	if out == nil {
+		// Another call solved it: a copy of its stored result, as a hit.
+		c.Stats.cacheHits.Add(1)
+		return tmpl.Copy(), true, nil
+	}
 	return out, false, nil
 }
 
@@ -373,10 +395,10 @@ func offendingPackage(err error) (string, bool) {
 }
 
 // cacheKey derives the memo-cache key for an abstract spec: its canonical
-// DAG hash plus the fingerprints of every other concretization input, the
-// algorithm mode (greedy and backtracking results must never be conflated —
-// the two can legitimately choose different providers), and the reuse
-// fingerprint (a reuse answer must never outlive an install/uninstall that
+// DAG serialization plus the fingerprints of every other concretization
+// input, the algorithm mode (greedy and backtracking results must never be
+// conflated — the two can legitimately choose different providers), and
+// the reuse fingerprint (a reuse answer must never outlive an install/uninstall that
 // changes the candidate set).
 func (c *Concretizer) cacheKey(abstract *spec.Spec, snap *reuseSnapshot) Key {
 	mode := "greedy"
@@ -384,7 +406,7 @@ func (c *Concretizer) cacheKey(abstract *spec.Spec, snap *reuseSnapshot) Key {
 		mode = "backtracking"
 	}
 	key := Key{
-		Spec:      abstract.FullHash(),
+		Spec:      abstract.Canonical(),
 		Repo:      c.Path.Fingerprint(),
 		Config:    c.Config.Fingerprint(),
 		Compilers: c.Registry.Fingerprint(),

@@ -412,7 +412,7 @@ func TestExternalPackage(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Config.Site.SetProviderOrder("mpi", "bgq-mpi")
-	c.Config.Site.DefaultArch = "bgq"
+	c.Config.Site.SetDefaultArch("bgq")
 	s := mustConcretize(t, c, "mpileaks%xl")
 	m := s.Dep("bgq-mpi")
 	if m == nil {

@@ -86,9 +86,14 @@ func (r *resolver) findByName(name string) (int, bool) {
 // run repeats the Fig. 6 cycle to a fixed point: every pass visits every
 // node, and the loop stops after the first pass that changes nothing.
 //
-// Each pass attaches one more layer, so a chain of d packages takes d + 1
-// passes, and the loop's safety bound is derived from the DAG as it
-// stands. Propagation is monotone: constraints only narrow, nodes and
+// A pass visits the nodes it attaches (applyPackageConstraints works
+// through a FIFO), so one pass closes the DAG whatever its depth: a chain
+// of any length takes two passes, one that attaches and pins every node
+// and one that changes nothing. More passes come only from interplay
+// between phases: a when= condition that holds once a node's parameters
+// are pinned, or a provider that replaces a virtual node and brings
+// dependencies of its own. The loop's safety bound is derived from the
+// DAG as it stands. Propagation is monotone: constraints only narrow, nodes and
 // edges are only added (a virtual node is replaced by its provider in the
 // pass that attached it, and never returns), and a node's version,
 // compiler and variants are all pinned on one visit. So a pass that
@@ -145,12 +150,16 @@ func (r *resolver) run(abstract *spec.Spec) (*spec.Spec, error) {
 // attached (Fig. 6's "Intersect Constraints").
 func (r *resolver) applyPackageConstraints(root *spec.Spec) (bool, error) {
 	changed := false
-	// The loop walks the snapshot taken before it attaches anything; a node
-	// it attaches joins r.byName (and so is found by name) but is visited
-	// on the next pass. Directive specs are read in place: a definition is
-	// shared by every solve, so only a node attached to the DAG is cloned.
-	for _, dn := range r.snapshot(root) {
-		n, def := dn.n, dn.def
+	// The loop works through a FIFO that starts as the snapshot taken
+	// before it attaches anything. A node it attaches joins r.byName (and
+	// so is found by name) and the back of the queue, so one pass closes
+	// the DAG whatever its depth. The queue is r.dag itself: attaching
+	// makes it stale, and snapshot rebuilds it in pre-order on next use.
+	// Directive specs are read in place: a definition is shared by every
+	// solve, so only a node attached to the DAG is cloned.
+	r.snapshot(root)
+	for i := 0; i < len(r.dag); i++ {
+		n, def := r.dag[i].n, r.dag[i].def
 		if def == nil {
 			continue // virtual; resolved separately
 		}
@@ -203,6 +212,7 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec) (bool, error) {
 				n.SetDep(node, edgeType)
 				def, _, _ := r.c.Path.Get(depName)
 				r.byName = slices.Insert(r.byName, at, dagNode{n: node, def: def})
+				r.dag = append(r.dag, dagNode{n: node, def: def})
 				r.dagValid = false
 				changed = true
 			}

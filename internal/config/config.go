@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/spec"
 	"repro/internal/syntax"
@@ -60,7 +61,9 @@ type LinkRule struct {
 	Template string
 }
 
-// Scope is one layer of preferences (site or user).
+// Scope is one layer of preferences (site or user). Change a scope through
+// its setters: each one publishes the change to Config.Fingerprint, which
+// a direct write to a field would bypass.
 type Scope struct {
 	// DefaultArch is the target platform assumed when a spec has none.
 	DefaultArch string
@@ -82,6 +85,10 @@ type Scope struct {
 	LinkRules []LinkRule
 	// ArchDescriptions maps platform names to their build descriptions.
 	ArchDescriptions map[string]*ArchDescription
+
+	// gen counts the changes made through the setters; a Config's
+	// fingerprint memo is valid only for the generations it was taken at.
+	gen atomic.Uint64
 }
 
 // NewScope returns an empty scope with allocated maps.
@@ -94,9 +101,17 @@ func NewScope() *Scope {
 	}
 }
 
+// SetDefaultArch sets the platform assumed when a spec names none.
+func (s *Scope) SetDefaultArch(arch string) {
+	s.gen.Add(1)
+	s.DefaultArch = arch
+}
+
 // SetCompilerOrder parses a comma-separated compiler_order setting, the
-// exact syntax of §4.3.1 ("compiler_order = icc,gcc@4.6.1").
+// exact syntax of §4.3.1 ("compiler_order = icc,gcc@4.6.1"); an empty
+// setting clears the scope's order.
 func (s *Scope) SetCompilerOrder(order string) error {
+	s.gen.Add(1)
 	s.CompilerOrder = nil
 	for _, part := range strings.Split(order, ",") {
 		part = strings.TrimSpace(part)
@@ -114,6 +129,7 @@ func (s *Scope) SetCompilerOrder(order string) error {
 
 // SetProviderOrder sets the preference order for a virtual interface.
 func (s *Scope) SetProviderOrder(virtual string, providers ...string) {
+	s.gen.Add(1)
 	s.ProviderOrder[virtual] = providers
 }
 
@@ -123,12 +139,14 @@ func (s *Scope) PreferVersion(pkgName, constraint string) error {
 	if err != nil {
 		return fmt.Errorf("config: bad preferred version %q for %s: %v", constraint, pkgName, err)
 	}
+	s.gen.Add(1)
 	s.PreferredVersions[pkgName] = l
 	return nil
 }
 
 // SetVariantDefault overrides a package's variant default.
 func (s *Scope) SetVariantDefault(pkgName, variant string, value bool) {
+	s.gen.Add(1)
 	m := s.VariantDefaults[pkgName]
 	if m == nil {
 		m = make(map[string]bool)
@@ -144,6 +162,7 @@ func (s *Scope) AddExternal(constraint, arch, path string) error {
 	if err != nil {
 		return fmt.Errorf("config: bad external constraint %q: %v", constraint, err)
 	}
+	s.gen.Add(1)
 	s.Externals = append(s.Externals, External{Constraint: c, Arch: arch, Path: path})
 	return nil
 }
@@ -159,6 +178,7 @@ func (s *Scope) AddLinkRule(constraint, template string) error {
 		}
 		r.Constraint = c
 	}
+	s.gen.Add(1)
 	s.LinkRules = append(s.LinkRules, r)
 	return nil
 }
@@ -168,6 +188,9 @@ func (s *Scope) AddLinkRule(constraint, template string) error {
 type Config struct {
 	Site *Scope
 	User *Scope
+
+	// fp memoizes Fingerprint (see fingerprint.go).
+	fp atomic.Pointer[fingerprint]
 }
 
 // New returns a Config with empty site and user scopes.

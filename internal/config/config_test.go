@@ -17,11 +17,11 @@ func TestDefaultArchFallback(t *testing.T) {
 	if got := c.DefaultArch(); got != "linux-x86_64" {
 		t.Errorf("default arch = %q", got)
 	}
-	c.Site.DefaultArch = "bgq"
+	c.Site.SetDefaultArch("bgq")
 	if got := c.DefaultArch(); got != "bgq" {
 		t.Errorf("site arch = %q", got)
 	}
-	c.User.DefaultArch = "cray-xe6"
+	c.User.SetDefaultArch("cray-xe6")
 	if got := c.DefaultArch(); got != "cray-xe6" {
 		t.Errorf("user arch should win, got %q", got)
 	}
@@ -193,7 +193,7 @@ func TestExternalsSorted(t *testing.T) {
 // scopes are set.
 func TestScopeLookupsAllocateNothing(t *testing.T) {
 	full := New()
-	full.Site.DefaultArch = "bgq"
+	full.Site.SetDefaultArch("bgq")
 	if err := full.User.AddExternal("mvapich2@1.9", "bgq", "/usr/local"); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestFingerprintMatchesOracle(t *testing.T) {
 		}
 	}
 	check("empty")
-	c.Site.DefaultArch = "bgq"
+	c.Site.SetDefaultArch("bgq")
 	if err := c.User.SetCompilerOrder("icc,gcc@4.6.1"); err != nil {
 		t.Fatal(err)
 	}
@@ -281,4 +281,55 @@ func TestFingerprintMatchesOracle(t *testing.T) {
 	check("populated")
 	c.User = nil
 	check("site only")
+}
+
+// TestScopeSettersChangeFingerprint: every setter of a setting the
+// concretizer reads changes the fingerprint, on either scope, once the
+// fingerprint has been memoized; the new value matches the oracle. Link
+// rules shape views, not concretization, and leave it unchanged.
+func TestScopeSettersChangeFingerprint(t *testing.T) {
+	setters := map[string]func(s *Scope) error{
+		"SetDefaultArch":    func(s *Scope) error { s.SetDefaultArch("bgq"); return nil },
+		"SetCompilerOrder":  func(s *Scope) error { return s.SetCompilerOrder("icc,gcc@4.6.1") },
+		"SetProviderOrder":  func(s *Scope) error { s.SetProviderOrder("mpi", "openmpi"); return nil },
+		"PreferVersion":     func(s *Scope) error { return s.PreferVersion("hdf5", "1.8:") },
+		"SetVariantDefault": func(s *Scope) error { s.SetVariantDefault("hdf5", "mpi", false); return nil },
+		"AddExternal":       func(s *Scope) error { return s.AddExternal("mvapich2@1.9", "bgq", "/usr/local") },
+	}
+	for name, set := range setters {
+		for _, user := range []bool{false, true} {
+			c := New()
+			scope := c.Site
+			if user {
+				scope = c.User
+			}
+			before := c.Fingerprint()
+			if err := set(scope); err != nil {
+				t.Fatal(err)
+			}
+			after := c.Fingerprint()
+			if after == before || after != fingerprintOracle(c) {
+				t.Errorf("%s (user %v): fingerprint %s -> %s, oracle %s", name, user, before, after, fingerprintOracle(c))
+			}
+		}
+	}
+	c := New()
+	before := c.Fingerprint()
+	if err := c.Site.AddLinkRule("", "/opt/${PACKAGE}"); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Fingerprint(); got != before {
+		t.Errorf("AddLinkRule changed the fingerprint: %s -> %s", before, got)
+	}
+	// Clearing the compiler order is a change too.
+	if err := c.User.SetCompilerOrder("gcc"); err != nil {
+		t.Fatal(err)
+	}
+	set := c.Fingerprint()
+	if err := c.User.SetCompilerOrder(""); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Fingerprint(); got == set || got != before {
+		t.Errorf("clearing the compiler order: fingerprint %s, want %s again", got, before)
+	}
 }

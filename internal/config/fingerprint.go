@@ -17,20 +17,38 @@ import (
 // descriptions are excluded: they affect views and builds, never the
 // concretizer's choices.
 //
-// Scopes are small and mutable in place (fields are public), so the
-// serialization is recomputed on every call rather than cached; the memo
-// cache computes it on every hit, so it is appended by hand into a buffer
-// on the stack.
+// The memo cache reads it on every hit, so it is computed once per change:
+// the result is memoized with the scopes and their setter generations, and
+// a call that finds both unchanged returns it without serializing
+// anything. A change made by writing a Scope field directly, not through
+// a setter, is not seen.
 func (c *Config) Fingerprint() string {
+	all, n := c.scopes()
+	var gens [2]uint64
+	for i, s := range all[:n] {
+		gens[i] = s.gen.Load()
+	}
+	if fp := c.fp.Load(); fp != nil && fp.scopes == all && fp.gens == gens {
+		return fp.sum
+	}
 	var buf [512]byte
 	b := buf[:0]
-	all, n := c.scopes()
 	for i, s := range all[:n] {
 		b = append(strconv.AppendInt(append(b, "scope "...), int64(i), 10), '\n')
 		b = appendScope(b, s)
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	fp := &fingerprint{scopes: all, gens: gens, sum: hex.EncodeToString(sum[:])}
+	c.fp.Store(fp)
+	return fp.sum
+}
+
+// fingerprint is one memoized Fingerprint: the scopes it covers, in
+// precedence order, and the generation each was at.
+type fingerprint struct {
+	scopes [2]*Scope
+	gens   [2]uint64
+	sum    string
 }
 
 func appendScope(b []byte, s *Scope) []byte {

@@ -57,7 +57,8 @@ type Config struct {
 	// live under its build_cache/ namespace.
 	Mirror *fetch.Mirror
 	// Concretizer answers /v1/concretize and resolves /v1/install
-	// specs; its memo cache is the service's shared solve cache.
+	// specs; its memo cache is the service's shared solve cache
+	// (NewServer installs one when it has none).
 	Concretizer *concretize.Concretizer
 	// Builder performs server-side installs for /v1/install (its own
 	// cache-first policy applies, so archived hashes install by
@@ -131,6 +132,11 @@ type Server struct {
 func NewServer(cfg Config) *Server {
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
+	}
+	// Without a memo cache the daemon would re-solve every request, and
+	// concurrent identical misses would not coalesce.
+	if cfg.Concretizer != nil && cfg.Concretizer.Cache == nil {
+		cfg.Concretizer.Cache = concretize.NewCache(0)
 	}
 	s := &Server{cfg: cfg}
 	// One buildcache view over the mirror's build_cache/ area serves the

@@ -534,3 +534,58 @@ func TestConcretizeReuseRequest(t *testing.T) {
 			reused.Spec, reused.FullHash, installed.FullHash)
 	}
 }
+
+// TestConcurrentConcretizeCoalesces: 64 concurrent identical
+// /v1/concretize requests on a cold daemon run the solver once, and all
+// of them answer the same configuration. The daemon is given a
+// concretizer without a memo cache, so it must install its own.
+func TestConcurrentConcretizeCoalesces(t *testing.T) {
+	s := core.MustNew(core.WithoutConcretizeCache())
+	srv := service.NewServer(service.Config{
+		Mirror:      s.Mirror,
+		Concretizer: s.Concretizer,
+		Builder:     s.Builder,
+	})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	if s.Concretizer.Cache == nil {
+		t.Fatal("NewServer left the concretizer without a memo cache")
+	}
+
+	const n = 64
+	cl := service.NewClient(ts.URL)
+	resps := make([]*service.ConcretizeResponse, n)
+	errs := make([]error, n)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	done.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer done.Done()
+			start.Wait()
+			resps[i], errs[i] = cl.Concretize("mpileaks ^mvapich2")
+		}()
+	}
+	start.Done()
+	done.Wait()
+
+	for i, resp := range resps {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		dag, err := syntax.DecodeJSON(resp.DAG)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if resp.FullHash != resps[0].FullHash || dag.FullHash() != resp.FullHash {
+			t.Errorf("request %d: hash %s (DAG %s), request 0 %s",
+				i, resp.FullHash, dag.FullHash(), resps[0].FullHash)
+		}
+	}
+	if got := s.Concretizer.Stats.CacheMisses(); got != 1 {
+		t.Errorf("cache misses = %d, want 1", got)
+	}
+	if got := srv.Stats().Concretize.Hits; got != n-1 {
+		t.Errorf("concretize hits = %d, want %d", got, n-1)
+	}
+}

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"maps"
 	"slices"
 	"strings"
 )
@@ -101,14 +102,19 @@ const inlineNodes = 64
 
 // nodeSet is the set of nodes one walk has reached, keyed by name (a name
 // is one node per DAG), with each node's position in the order added.
-// Lookups scan the inline array, comparing pointers before names, until
-// the set outgrows it; from then on a map indexes every name.
+// Until the set outgrows its inline arrays, lookups probe a small
+// open-addressed table of name tags; from then on a map indexes every
+// name.
 type nodeSet struct {
 	n      int
 	inline [inlineNodes]*Spec
-	// tags holds each inline node's nameTag, so the name scan compares
-	// names only where the tags match.
-	tags   [inlineNodes]uint32
+	// tags holds each inline node's nameTag, so a probe compares names
+	// only where the tags match.
+	tags [inlineNodes]uint32
+	// slots is the probe table: each slot holds an inline position plus
+	// one, or 0 when empty. It is twice the inline size, so it is never
+	// more than half full and every probe ends.
+	slots  [2 * inlineNodes]uint8
 	byName map[string]int // every node's position, once inline is full
 }
 
@@ -122,6 +128,10 @@ func nameTag(s string) uint32 {
 	return uint32(len(s))<<16 | uint32(s[len(s)/2])<<8 | uint32(s[len(s)-1])
 }
 
+// slotOf is the first slot a tag probes: a multiplicative hash of the tag
+// onto the table's 2*inlineNodes = 128 slots.
+func slotOf(t uint32) int { return int(t * 0x9E3779B1 >> 25) }
+
 // find returns the position of the node named as n is, or -1.
 func (m *nodeSet) find(n *Spec) int {
 	if m.byName != nil {
@@ -130,24 +140,28 @@ func (m *nodeSet) find(n *Spec) int {
 		}
 		return -1
 	}
-	for i, x := range m.inline[:m.n] {
-		if x == n {
-			return i
-		}
-	}
 	t := nameTag(n.Name)
-	for i, tag := range m.tags[:m.n] {
-		if tag == t && m.inline[i].Name == n.Name {
+	for h := slotOf(t); ; h = (h + 1) % len(m.slots) {
+		i := int(m.slots[h]) - 1
+		if i < 0 {
+			return -1
+		}
+		if x := m.inline[i]; x == n || m.tags[i] == t && x.Name == n.Name {
 			return i
 		}
 	}
-	return -1
 }
 
 // add appends n, whose name must not be in the set yet.
 func (m *nodeSet) add(n *Spec) {
 	if m.n < inlineNodes {
-		m.inline[m.n], m.tags[m.n] = n, nameTag(n.Name)
+		t := nameTag(n.Name)
+		m.inline[m.n], m.tags[m.n] = n, t
+		h := slotOf(t)
+		for m.slots[h] != 0 {
+			h = (h + 1) % len(m.slots)
+		}
+		m.slots[h] = uint8(m.n + 1)
 	} else {
 		if m.byName == nil {
 			m.byName = make(map[string]int, 2*inlineNodes)
@@ -263,7 +277,7 @@ func (s *Spec) clone(memo bool) *Spec {
 	var offBuf [inlineNodes]int
 	var toBuf [4 * inlineNodes]int
 	orig, off, to := s.plan(origBuf[:0], offBuf[:0], toBuf[:0])
-	return copyPlan(orig, off, to, memo)
+	return &copyPlan(orig, off, to, memo)[0]
 }
 
 // plan walks s once and appends to orig the nodes in reach order and to
@@ -278,17 +292,17 @@ func (s *Spec) plan(orig []*Spec, off, to []int) ([]*Spec, []int, []int) {
 	return orig, off, to
 }
 
-// copyPlan deep-copies a planned DAG, each edge finding its copied child
-// by index; with memo, each node keeps its hash and line memos.
-func copyPlan(orig []*Spec, off, to []int, memo bool) *Spec {
+// copyPlan deep-copies a planned DAG into one array of nodes in reach
+// order, each edge finding its copied child by index; with memo, each
+// node keeps its hash and line memos.
+func copyPlan(orig []*Spec, off, to []int, memo bool) []Spec {
 	nodes := make([]Spec, len(orig))
 	deps := make([]*Spec, len(to))
 	types := make([]DepType, len(to))
 	for i, n := range orig {
 		c := n.copyNode(&nodes[i])
 		if memo {
-			c.hash.Store(n.hash.Load())
-			c.line.Store(n.line.Load())
+			c.memo.Store(n.memo.Load())
 		}
 		if k := len(n.deps); k > 0 {
 			o := off[i]
@@ -299,23 +313,48 @@ func copyPlan(orig []*Spec, off, to []int, memo bool) *Spec {
 			}
 		}
 	}
-	return &nodes[0]
+	return nodes
 }
 
 // A Template is a DAG planned once to be copied many times, as the
-// concretizer's memo cache copies an entry for every hit: a copy only
-// allocates and fills, and scans nothing. The DAG must not change while
-// it has a template.
+// concretizer's memo cache copies an entry for every hit. It holds its
+// own hashed copy of the DAG in one array of nodes, so a copy clones that
+// array in one move, clones each node's variants, and points the edges at
+// the new nodes by index: it scans nothing.
 type Template struct {
-	orig    []*Spec
+	nodes   []Spec
 	off, to []int
 }
 
-// NewTemplate walks s once to plan copies of it.
+// NewTemplate walks s once and takes a copy of it with every node hashed,
+// so every Copy arrives hashed. s itself is left as it is.
 func NewTemplate(s *Spec) *Template {
 	orig, off, to := s.plan(nil, nil, nil)
-	return &Template{orig: orig, off: off, to: to}
+	nodes := copyPlan(orig, off, to, true)
+	for i := range nodes {
+		nodes[i].FullHash()
+	}
+	return &Template{nodes: nodes, off: off, to: to}
 }
 
 // Copy returns a fresh CloneHashed copy of the template's DAG.
-func (t *Template) Copy() *Spec { return copyPlan(t.orig, t.off, t.to, true) }
+func (t *Template) Copy() *Spec {
+	nodes := slices.Clone(t.nodes)
+	deps := make([]*Spec, len(t.to))
+	types := make([]DepType, len(t.to))
+	for i := range nodes {
+		c := &nodes[i]
+		if c.Variants != nil {
+			c.Variants = maps.Clone(c.Variants)
+		}
+		if k := len(c.deps); k > 0 {
+			o := t.off[i]
+			c.deps, c.depTypes = deps[o:o+k:o+k], types[o:o+k:o+k]
+			copy(c.depTypes, t.nodes[i].depTypes)
+			for j, at := range t.to[o : o+k] {
+				c.deps[j] = &nodes[at]
+			}
+		}
+	}
+	return &nodes[0]
+}

@@ -19,20 +19,31 @@ func (s *Spec) DAGHash() string {
 }
 
 // FullHash is the full-length configuration hash, for provenance records
-// and as the spec component of concretizer memo-cache keys. A concrete
-// node's hash is computed once and memoized on that node (see Spec for
-// the mutation contract); an abstract node is rehashed on every call.
+// and store prefixes. A concrete node's hash is computed once and
+// memoized on that node (see Spec for the mutation contract); an abstract
+// node is rehashed on every call.
 func (s *Spec) FullHash() string {
-	if h := s.hash.Load(); h != nil {
-		return *h
+	if m := s.memo.Load(); m != nil && m.hash != "" {
+		return m.hash
 	}
 	var buf [2048]byte
 	canon, concrete := s.appendCanonical(buf[:0], true)
 	h := hashOf(canon)
 	if concrete {
-		s.hash.Store(&h)
+		// appendCanonical has memoized s's line.
+		s.memo.Store(&nodeMemo{line: s.memo.Load().line, hash: h})
 	}
 	return h
+}
+
+// Canonical returns the DAG's canonical serialization, the string that
+// FullHash hashes: two DAGs have equal canonical forms exactly when they
+// have equal FullHashes. A key built from it costs no SHA-256, which is
+// why the concretizer's memo cache keys abstract inputs on it.
+func (s *Spec) Canonical() string {
+	var buf [256]byte
+	canon, _ := s.appendCanonical(buf[:0], true)
+	return string(canon)
 }
 
 var hashEncoding = base32.StdEncoding.WithPadding(base32.NoPadding)
@@ -51,12 +62,13 @@ func hashOf(canon []byte) string {
 	return string(out[:])
 }
 
+// nodeMemo is what a concrete node memoizes: its canonical line and, once
+// FullHash has been asked of it, its hash ("" until then).
+type nodeMemo struct{ line, hash string }
+
 // forgetHash drops the node's memoized FullHash and canonical line; every
 // mutator calls it on each node it changes.
-func (s *Spec) forgetHash() {
-	s.hash.Store(nil)
-	s.line.Store(nil)
-}
+func (s *Spec) forgetHash() { s.memo.Store(nil) }
 
 // appendCanonical appends the DAG's canonical serialization to dst: one
 // line per node, root first and the rest in name order, each the node in
@@ -74,8 +86,8 @@ func (s *Spec) appendCanonical(dst []byte, memo bool) ([]byte, bool) {
 		concrete = concrete && n.NodeConcrete()
 	}
 	for _, n := range nodes {
-		if l := n.line.Load(); memo && l != nil {
-			dst = append(dst, *l...)
+		if m := n.memo.Load(); memo && m != nil {
+			dst = append(dst, m.line...)
 			continue
 		}
 		start := len(dst)
@@ -88,8 +100,7 @@ func (s *Spec) appendCanonical(dst []byte, memo bool) ([]byte, bool) {
 		}
 		dst = append(dst, '\n')
 		if memo && concrete {
-			l := string(dst[start:])
-			n.line.Store(&l)
+			n.memo.Store(&nodeMemo{line: string(dst[start:])})
 		}
 	}
 	return dst, concrete
@@ -99,6 +110,9 @@ func (s *Spec) appendCanonical(dst []byte, memo bool) ([]byte, bool) {
 // rest sorted by name (names are unique within a DAG, so the order is
 // total).
 func (s *Spec) appendSortedNodes(dst []*Spec) []*Spec {
+	if len(s.deps) == 0 {
+		return append(dst, s) // a lone node: nothing to walk
+	}
 	start := len(dst)
 	s.Traverse(func(n *Spec) bool {
 		dst = append(dst, n)

@@ -105,7 +105,7 @@ func oracleCompatible(s, o *Spec) bool {
 func memoState(s *Spec) string {
 	out := ""
 	for _, n := range s.Nodes() {
-		out += fmt.Sprintf("%s:%v ", n.Name, n.hash.Load() != nil)
+		out += fmt.Sprintf("%s:%v ", n.Name, n.memo.Load() != nil && n.memo.Load().hash != "")
 	}
 	return out
 }

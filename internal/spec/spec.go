@@ -161,11 +161,10 @@ type Spec struct {
 	External bool
 	Path     string
 
-	// hash memoizes FullHash on a concrete node and line its canonical
-	// line. They are atomic because concurrent builders hash shared nodes
-	// of one DAG.
-	hash atomic.Pointer[string]
-	line atomic.Pointer[string]
+	// memo holds a concrete node's canonical line and FullHash. It is
+	// atomic because concurrent builders hash shared nodes of one DAG, and
+	// it is one pointer so that a hashed copy carries it in one store.
+	memo atomic.Pointer[nodeMemo]
 }
 
 // New returns an empty abstract spec for a package name.
