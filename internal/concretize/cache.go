@@ -107,9 +107,9 @@ func NewCache(max int) *Cache {
 }
 
 // Get returns a deep clone of the cached concrete DAG for a key, if
-// present. The clone carries every node's hash memos (spec.CloneHashed)
-// and is copied from the entry's spec.Template, without a walk: it is a
-// hashed concrete DAG, which its holder must not mutate.
+// present. The clone is copied from the entry's spec.Template, without a
+// walk, and carries every node's hash memos: it is a hashed concrete DAG,
+// which its holder must not mutate.
 func (c *Cache) Get(key Key) (*spec.Spec, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[key]

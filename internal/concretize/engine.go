@@ -151,10 +151,11 @@ func (r *resolver) run(abstract *spec.Spec) (*spec.Spec, error) {
 func (r *resolver) applyPackageConstraints(root *spec.Spec) (bool, error) {
 	changed := false
 	// The loop works through a FIFO that starts as the snapshot taken
-	// before it attaches anything. A node it attaches joins r.byName (and
-	// so is found by name) and the back of the queue, so one pass closes
-	// the DAG whatever its depth. The queue is r.dag itself: attaching
-	// makes it stale, and snapshot rebuilds it in pre-order on next use.
+	// before it attaches anything. Every node it attaches, with any nodes
+	// below it, joins r.byName (and so is found by name) and the back of
+	// the queue (join), so one pass closes the DAG whatever its depth. The
+	// queue is r.dag itself: attaching makes it stale, and snapshot
+	// rebuilds it in pre-order on next use.
 	// Directive specs are read in place: a definition is shared by every
 	// solve, so only a node attached to the DAG is cloned.
 	r.snapshot(root)
@@ -199,7 +200,7 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec) (bool, error) {
 				if ch {
 					changed = true
 					if len(d.Constraint.DirectDeps()) > 0 {
-						r.dagValid = false // it may have attached nodes below existing
+						r.join(existing) // it may have attached nodes below existing
 					}
 				}
 				if n.DirectDep(depName) == nil {
@@ -210,15 +211,30 @@ func (r *resolver) applyPackageConstraints(root *spec.Spec) (bool, error) {
 			} else {
 				node := d.Constraint.Clone()
 				n.SetDep(node, edgeType)
-				def, _, _ := r.c.Path.Get(depName)
-				r.byName = slices.Insert(r.byName, at, dagNode{n: node, def: def})
-				r.dag = append(r.dag, dagNode{n: node, def: def})
-				r.dagValid = false
+				r.join(node)
 				changed = true
 			}
 		}
 	}
 	return changed, nil
+}
+
+// join records the nodes of a sub-DAG just linked into the DAG: each one
+// whose name is not yet in r.byName joins it and the back of the pass's
+// queue (r.dag), as snapshot would list it. A directive's constraint can
+// carry dependencies of its own ("bbb ^ddd@1.0"), so the sub-DAG is walked
+// whole: a node visited later in the pass then finds ddd@1.0 by name
+// instead of attaching a fresh ddd.
+func (r *resolver) join(sub *spec.Spec) {
+	sub.Traverse(func(n *spec.Spec) bool {
+		if at, ok := r.findByName(n.Name); !ok {
+			def, _, _ := r.c.Path.Get(n.Name)
+			r.byName = slices.Insert(r.byName, at, dagNode{n: n, def: def})
+			r.dag = append(r.dag, dagNode{n: n, def: def})
+		}
+		return true
+	})
+	r.dagValid = false
 }
 
 // dagProviderFor looks for a node already in the DAG that provides a

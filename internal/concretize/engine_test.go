@@ -127,6 +127,15 @@ func TestDirectiveDependenciesJoinTheSnapshot(t *testing.T) {
 	r.MustAdd(pkg.New("eee").WithVersion("1.0", "x").DependsOn("bbb"))
 	r.MustAdd(pkg.New("bbb").WithVersion("1.0", "x").WithVersion("2.0", "x"))
 	r.MustAdd(pkg.New("ddd").WithVersion("1.0", "x").WithVersion("2.0", "x"))
+	// The directive's node depends on the nested name itself (hhh on ddd),
+	// and a sibling attached in the same pass does too (jjj): both must
+	// find the directive's ddd@1.0, not attach a fresh ddd.
+	r.MustAdd(pkg.New("ggg").WithVersion("1.0", "x").DependsOn("hhh ^ddd@1.0"))
+	r.MustAdd(pkg.New("iii").WithVersion("1.0", "x").
+		DependsOn("hhh ^ddd@1.0").
+		DependsOn("jjj"))
+	r.MustAdd(pkg.New("hhh").WithVersion("1.0", "x").DependsOn("ddd"))
+	r.MustAdd(pkg.New("jjj").WithVersion("1.0", "x").DependsOn("ddd"))
 	cfg := config.New()
 	if err := cfg.Site.AddExternal("bbb@2.0 ^ddd@2.0", "", "/opt/bbb"); err != nil {
 		t.Fatal(err)
@@ -138,6 +147,8 @@ func TestDirectiveDependenciesJoinTheSnapshot(t *testing.T) {
 	}{
 		{"ccc", config.New(), "ddd@1.0"},
 		{"eee", cfg, "ddd@2.0"},
+		{"ggg", config.New(), "ddd@1.0"},
+		{"iii", config.New(), "ddd@1.0"},
 	} {
 		c := New(repo.NewPath(r), tc.cfg, compiler.LLNLRegistry())
 		out, err := c.Concretize(spec.New(tc.root))
@@ -147,6 +158,19 @@ func TestDirectiveDependenciesJoinTheSnapshot(t *testing.T) {
 		d := out.Dep("ddd")
 		if d == nil || !d.Concrete() || !d.Satisfies(syntax.MustParse(tc.want)) {
 			t.Errorf("%s: ddd = %v, want a concrete %s in\n%s", tc.root, d, tc.want, out.TreeString())
+		}
+		// A walk lists one node per name, so a second node of a name shows
+		// only as an edge that does not reach the listed one.
+		byName := map[string]*spec.Spec{}
+		for _, n := range out.Nodes() {
+			byName[n.Name] = n
+		}
+		for _, n := range out.Nodes() {
+			for _, d := range n.DirectDeps() {
+				if byName[d.Name] != d {
+					t.Errorf("%s: %s -> %s is a second %s node in\n%s", tc.root, n.Name, d, d.Name, out.TreeString())
+				}
+			}
 		}
 	}
 }

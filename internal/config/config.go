@@ -10,6 +10,7 @@ package config
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -61,30 +62,30 @@ type LinkRule struct {
 	Template string
 }
 
-// Scope is one layer of preferences (site or user). Change a scope through
-// its setters: each one publishes the change to Config.Fingerprint, which
-// a direct write to a field would bypass.
+// Scope is one layer of preferences (site or user). Its settings are
+// unexported, so only the setters change them, and each setter publishes
+// the change to Config.Fingerprint; Config's methods read them.
 type Scope struct {
-	// DefaultArch is the target platform assumed when a spec has none.
-	DefaultArch string
-	// CompilerOrder lists compilers from most to least preferred; entries
+	// defaultArch is the target platform assumed when a spec has none.
+	defaultArch string
+	// compilerOrder lists compilers from most to least preferred; entries
 	// may pin versions ("gcc@4.6.1"). Compilers not listed rank after all
 	// listed ones (§4.3.1).
-	CompilerOrder []spec.Compiler
-	// ProviderOrder maps a virtual name to provider package names from most
+	compilerOrder []spec.Compiler
+	// providerOrder maps a virtual name to provider package names from most
 	// to least preferred.
-	ProviderOrder map[string][]string
-	// PreferredVersions maps package name to a version constraint preferred
+	providerOrder map[string][]string
+	// preferredVersions maps package name to a version constraint preferred
 	// when the user did not pin one ("site can set default versions").
-	PreferredVersions map[string]version.List
-	// VariantDefaults overrides package variant defaults per package.
-	VariantDefaults map[string]map[string]bool
-	// Externals lists system installations.
-	Externals []External
-	// LinkRules configures view projections.
-	LinkRules []LinkRule
-	// ArchDescriptions maps platform names to their build descriptions.
-	ArchDescriptions map[string]*ArchDescription
+	preferredVersions map[string]version.List
+	// variantDefaults overrides package variant defaults per package.
+	variantDefaults map[string]map[string]bool
+	// externals lists system installations.
+	externals []External
+	// linkRules configures view projections.
+	linkRules []LinkRule
+	// archDescriptions maps platform names to their build descriptions.
+	archDescriptions map[string]*ArchDescription
 
 	// gen counts the changes made through the setters; a Config's
 	// fingerprint memo is valid only for the generations it was taken at.
@@ -94,17 +95,17 @@ type Scope struct {
 // NewScope returns an empty scope with allocated maps.
 func NewScope() *Scope {
 	return &Scope{
-		ProviderOrder:     make(map[string][]string),
-		PreferredVersions: make(map[string]version.List),
-		VariantDefaults:   make(map[string]map[string]bool),
-		ArchDescriptions:  make(map[string]*ArchDescription),
+		providerOrder:     make(map[string][]string),
+		preferredVersions: make(map[string]version.List),
+		variantDefaults:   make(map[string]map[string]bool),
+		archDescriptions:  make(map[string]*ArchDescription),
 	}
 }
 
 // SetDefaultArch sets the platform assumed when a spec names none.
 func (s *Scope) SetDefaultArch(arch string) {
 	s.gen.Add(1)
-	s.DefaultArch = arch
+	s.defaultArch = arch
 }
 
 // SetCompilerOrder parses a comma-separated compiler_order setting, the
@@ -112,7 +113,7 @@ func (s *Scope) SetDefaultArch(arch string) {
 // setting clears the scope's order.
 func (s *Scope) SetCompilerOrder(order string) error {
 	s.gen.Add(1)
-	s.CompilerOrder = nil
+	s.compilerOrder = nil
 	for _, part := range strings.Split(order, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -122,7 +123,7 @@ func (s *Scope) SetCompilerOrder(order string) error {
 		if err != nil {
 			return fmt.Errorf("config: bad compiler_order entry %q: %v", part, err)
 		}
-		s.CompilerOrder = append(s.CompilerOrder, cs.Compiler)
+		s.compilerOrder = append(s.compilerOrder, cs.Compiler)
 	}
 	return nil
 }
@@ -130,7 +131,7 @@ func (s *Scope) SetCompilerOrder(order string) error {
 // SetProviderOrder sets the preference order for a virtual interface.
 func (s *Scope) SetProviderOrder(virtual string, providers ...string) {
 	s.gen.Add(1)
-	s.ProviderOrder[virtual] = providers
+	s.providerOrder[virtual] = slices.Clone(providers)
 }
 
 // PreferVersion records a preferred version constraint for a package.
@@ -140,17 +141,17 @@ func (s *Scope) PreferVersion(pkgName, constraint string) error {
 		return fmt.Errorf("config: bad preferred version %q for %s: %v", constraint, pkgName, err)
 	}
 	s.gen.Add(1)
-	s.PreferredVersions[pkgName] = l
+	s.preferredVersions[pkgName] = l
 	return nil
 }
 
 // SetVariantDefault overrides a package's variant default.
 func (s *Scope) SetVariantDefault(pkgName, variant string, value bool) {
 	s.gen.Add(1)
-	m := s.VariantDefaults[pkgName]
+	m := s.variantDefaults[pkgName]
 	if m == nil {
 		m = make(map[string]bool)
-		s.VariantDefaults[pkgName] = m
+		s.variantDefaults[pkgName] = m
 	}
 	m[variant] = value
 }
@@ -163,7 +164,7 @@ func (s *Scope) AddExternal(constraint, arch, path string) error {
 		return fmt.Errorf("config: bad external constraint %q: %v", constraint, err)
 	}
 	s.gen.Add(1)
-	s.Externals = append(s.Externals, External{Constraint: c, Arch: arch, Path: path})
+	s.externals = append(s.externals, External{Constraint: c, Arch: arch, Path: path})
 	return nil
 }
 
@@ -179,8 +180,14 @@ func (s *Scope) AddLinkRule(constraint, template string) error {
 		r.Constraint = c
 	}
 	s.gen.Add(1)
-	s.LinkRules = append(s.LinkRules, r)
+	s.linkRules = append(s.linkRules, r)
 	return nil
+}
+
+// SetArchDescription registers the build description of platform d.Name.
+func (s *Scope) SetArchDescription(d *ArchDescription) {
+	s.gen.Add(1)
+	s.archDescriptions[d.Name] = d
 }
 
 // Config combines the site and user scopes. Lookups consult user first,
@@ -216,8 +223,8 @@ func (c *Config) scopes() (all [2]*Scope, n int) {
 func (c *Config) DefaultArch() string {
 	all, n := c.scopes()
 	for _, s := range all[:n] {
-		if s.DefaultArch != "" {
-			return s.DefaultArch
+		if s.defaultArch != "" {
+			return s.defaultArch
 		}
 	}
 	return "linux-x86_64"
@@ -230,7 +237,7 @@ func (c *Config) CompilerOrder() []spec.Compiler {
 	seen := make(map[string]bool)
 	all, n := c.scopes()
 	for _, s := range all[:n] {
-		for _, comp := range s.CompilerOrder {
+		for _, comp := range s.compilerOrder {
 			if seen[comp.Name] {
 				continue
 			}
@@ -265,7 +272,7 @@ func (c *Config) ProviderOrder(virtual string) []string {
 	seen := make(map[string]bool)
 	all, n := c.scopes()
 	for _, s := range all[:n] {
-		for _, p := range s.ProviderOrder[virtual] {
+		for _, p := range s.providerOrder[virtual] {
 			if !seen[p] {
 				seen[p] = true
 				out = append(out, p)
@@ -292,7 +299,7 @@ func (c *Config) ProviderRank(virtual, provider string) int {
 func (c *Config) PreferredVersion(pkgName string) (version.List, bool) {
 	all, n := c.scopes()
 	for _, s := range all[:n] {
-		if l, ok := s.PreferredVersions[pkgName]; ok {
+		if l, ok := s.preferredVersions[pkgName]; ok {
 			return l, true
 		}
 	}
@@ -303,7 +310,7 @@ func (c *Config) PreferredVersion(pkgName string) (version.List, bool) {
 func (c *Config) VariantDefault(pkgName, variant string) (bool, bool) {
 	all, n := c.scopes()
 	for _, s := range all[:n] {
-		if m, ok := s.VariantDefaults[pkgName]; ok {
+		if m, ok := s.variantDefaults[pkgName]; ok {
 			if v, ok := m[variant]; ok {
 				return v, true
 			}
@@ -318,7 +325,7 @@ func (c *Config) VariantDefault(pkgName, variant string) (bool, bool) {
 func (c *Config) ExternalFor(node *spec.Spec, arch string) (External, bool) {
 	all, n := c.scopes()
 	for _, s := range all[:n] {
-		for _, e := range s.Externals {
+		for _, e := range s.externals {
 			if e.Constraint.Name != node.Name {
 				continue
 			}
@@ -339,7 +346,7 @@ func (c *Config) LinkRules() []LinkRule {
 	var out []LinkRule
 	all, n := c.scopes()
 	for _, s := range all[:n] {
-		out = append(out, s.LinkRules...)
+		out = append(out, s.linkRules...)
 	}
 	return out
 }
@@ -348,7 +355,7 @@ func (c *Config) LinkRules() []LinkRule {
 func (c *Config) ArchDescription(arch string) (*ArchDescription, bool) {
 	all, n := c.scopes()
 	for _, s := range all[:n] {
-		if d, ok := s.ArchDescriptions[arch]; ok {
+		if d, ok := s.archDescriptions[arch]; ok {
 			return d, true
 		}
 	}
@@ -361,7 +368,7 @@ func (c *Config) Externals() []External {
 	var out []External
 	all, n := c.scopes()
 	for _, s := range all[:n] {
-		out = append(out, s.Externals...)
+		out = append(out, s.externals...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return out[i].Constraint.Name < out[j].Constraint.Name

@@ -33,14 +33,14 @@ func TestSetCompilerOrder(t *testing.T) {
 	if err := s.SetCompilerOrder("icc,gcc@4.6.1"); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.CompilerOrder) != 2 {
-		t.Fatalf("order = %v", s.CompilerOrder)
+	if len(s.compilerOrder) != 2 {
+		t.Fatalf("order = %v", s.compilerOrder)
 	}
-	if s.CompilerOrder[0].Name != "icc" || !s.CompilerOrder[0].Versions.IsAny() {
-		t.Errorf("first = %v", s.CompilerOrder[0])
+	if s.compilerOrder[0].Name != "icc" || !s.compilerOrder[0].Versions.IsAny() {
+		t.Errorf("first = %v", s.compilerOrder[0])
 	}
-	if s.CompilerOrder[1].Name != "gcc" || s.CompilerOrder[1].Versions.String() != "4.6.1" {
-		t.Errorf("second = %v", s.CompilerOrder[1])
+	if s.compilerOrder[1].Name != "gcc" || s.compilerOrder[1].Versions.String() != "4.6.1" {
+		t.Errorf("second = %v", s.compilerOrder[1])
 	}
 	if err := s.SetCompilerOrder("!!bad"); err == nil {
 		t.Error("bad compiler order should fail")
@@ -231,24 +231,24 @@ func fingerprintOracle(c *Config) string {
 	all, n := c.scopes()
 	for i, s := range all[:n] {
 		fmt.Fprintf(&b, "scope %d\n", i)
-		fmt.Fprintf(&b, "  default_arch %s\n", s.DefaultArch)
-		for _, comp := range s.CompilerOrder {
+		fmt.Fprintf(&b, "  default_arch %s\n", s.defaultArch)
+		for _, comp := range s.compilerOrder {
 			fmt.Fprintf(&b, "  compiler_order %s\n", comp)
 		}
-		for _, virtual := range sortedKeys(s.ProviderOrder) {
+		for _, virtual := range sortedKeys(s.providerOrder) {
 			fmt.Fprintf(&b, "  provider_order %s = %s\n",
-				virtual, strings.Join(s.ProviderOrder[virtual], ","))
+				virtual, strings.Join(s.providerOrder[virtual], ","))
 		}
-		for _, name := range sortedKeys(s.PreferredVersions) {
-			fmt.Fprintf(&b, "  preferred_version %s @%s\n", name, s.PreferredVersions[name])
+		for _, name := range sortedKeys(s.preferredVersions) {
+			fmt.Fprintf(&b, "  preferred_version %s @%s\n", name, s.preferredVersions[name])
 		}
-		for _, name := range sortedKeys(s.VariantDefaults) {
-			m := s.VariantDefaults[name]
+		for _, name := range sortedKeys(s.variantDefaults) {
+			m := s.variantDefaults[name]
 			for _, variant := range sortedKeys(m) {
 				fmt.Fprintf(&b, "  variant_default %s %s=%v\n", name, variant, m[variant])
 			}
 		}
-		for _, e := range s.Externals {
+		for _, e := range s.externals {
 			fmt.Fprintf(&b, "  external %s arch=%s path=%s\n", e.Constraint, e.Arch, e.Path)
 		}
 	}
@@ -320,6 +320,13 @@ func TestScopeSettersChangeFingerprint(t *testing.T) {
 	}
 	if got := c.Fingerprint(); got != before {
 		t.Errorf("AddLinkRule changed the fingerprint: %s -> %s", before, got)
+	}
+	c.Site.SetArchDescription(&ArchDescription{Name: "bgq", ConfigureArgs: []string{"--host=powerpc64-bgq-linux"}})
+	if got := c.Fingerprint(); got != before {
+		t.Errorf("SetArchDescription changed the fingerprint: %s -> %s", before, got)
+	}
+	if d, ok := c.ArchDescription("bgq"); !ok || d.ConfigureArgs[0] != "--host=powerpc64-bgq-linux" {
+		t.Errorf("ArchDescription(bgq) = %v, %v", d, ok)
 	}
 	// Clearing the compiler order is a change too.
 	if err := c.User.SetCompilerOrder("gcc"); err != nil {

@@ -20,8 +20,8 @@ import (
 // The memo cache reads it on every hit, so it is computed once per change:
 // the result is memoized with the scopes and their setter generations, and
 // a call that finds both unchanged returns it without serializing
-// anything. A change made by writing a Scope field directly, not through
-// a setter, is not seen.
+// anything. Scope's settings are unexported and every setter bumps its
+// scope's generation, so no change goes unseen.
 func (c *Config) Fingerprint() string {
 	all, n := c.scopes()
 	var gens [2]uint64
@@ -52,23 +52,23 @@ type fingerprint struct {
 }
 
 func appendScope(b []byte, s *Scope) []byte {
-	b = appendLine(b, "default_arch", s.DefaultArch)
-	for _, comp := range s.CompilerOrder {
+	b = appendLine(b, "default_arch", s.defaultArch)
+	for _, comp := range s.compilerOrder {
 		b = appendLine(b, "compiler_order", comp.String())
 	}
-	for _, virtual := range sortedKeys(s.ProviderOrder) {
-		b = appendLine(b, "provider_order", virtual, "=", strings.Join(s.ProviderOrder[virtual], ","))
+	for _, virtual := range sortedKeys(s.providerOrder) {
+		b = appendLine(b, "provider_order", virtual, "=", strings.Join(s.providerOrder[virtual], ","))
 	}
-	for _, name := range sortedKeys(s.PreferredVersions) {
-		b = appendLine(b, "preferred_version", name, "@"+s.PreferredVersions[name].String())
+	for _, name := range sortedKeys(s.preferredVersions) {
+		b = appendLine(b, "preferred_version", name, "@"+s.preferredVersions[name].String())
 	}
-	for _, name := range sortedKeys(s.VariantDefaults) {
-		m := s.VariantDefaults[name]
+	for _, name := range sortedKeys(s.variantDefaults) {
+		m := s.variantDefaults[name]
 		for _, variant := range sortedKeys(m) {
 			b = appendLine(b, "variant_default", name, variant+"="+strconv.FormatBool(m[variant]))
 		}
 	}
-	for _, e := range s.Externals {
+	for _, e := range s.externals {
 		b = appendLine(b, "external", e.Constraint.String(), "arch="+e.Arch, "path="+e.Path)
 	}
 	return b

@@ -102,19 +102,14 @@ const inlineNodes = 64
 
 // nodeSet is the set of nodes one walk has reached, keyed by name (a name
 // is one node per DAG), with each node's position in the order added.
-// Until the set outgrows its inline arrays, lookups probe a small
-// open-addressed table of name tags; from then on a map indexes every
-// name.
+// Lookups scan the inline array, comparing pointers before names, until
+// the set outgrows it; from then on a map indexes every name.
 type nodeSet struct {
 	n      int
 	inline [inlineNodes]*Spec
-	// tags holds each inline node's nameTag, so a probe compares names
-	// only where the tags match.
-	tags [inlineNodes]uint32
-	// slots is the probe table: each slot holds an inline position plus
-	// one, or 0 when empty. It is twice the inline size, so it is never
-	// more than half full and every probe ends.
-	slots  [2 * inlineNodes]uint8
+	// tags holds each inline node's nameTag, so the name scan compares
+	// names only where the tags match.
+	tags   [inlineNodes]uint32
 	byName map[string]int // every node's position, once inline is full
 }
 
@@ -128,10 +123,6 @@ func nameTag(s string) uint32 {
 	return uint32(len(s))<<16 | uint32(s[len(s)/2])<<8 | uint32(s[len(s)-1])
 }
 
-// slotOf is the first slot a tag probes: a multiplicative hash of the tag
-// onto the table's 2*inlineNodes = 128 slots.
-func slotOf(t uint32) int { return int(t * 0x9E3779B1 >> 25) }
-
 // find returns the position of the node named as n is, or -1.
 func (m *nodeSet) find(n *Spec) int {
 	if m.byName != nil {
@@ -140,28 +131,24 @@ func (m *nodeSet) find(n *Spec) int {
 		}
 		return -1
 	}
-	t := nameTag(n.Name)
-	for h := slotOf(t); ; h = (h + 1) % len(m.slots) {
-		i := int(m.slots[h]) - 1
-		if i < 0 {
-			return -1
-		}
-		if x := m.inline[i]; x == n || m.tags[i] == t && x.Name == n.Name {
+	for i, x := range m.inline[:m.n] {
+		if x == n {
 			return i
 		}
 	}
+	t := nameTag(n.Name)
+	for i, tag := range m.tags[:m.n] {
+		if tag == t && m.inline[i].Name == n.Name {
+			return i
+		}
+	}
+	return -1
 }
 
 // add appends n, whose name must not be in the set yet.
 func (m *nodeSet) add(n *Spec) {
 	if m.n < inlineNodes {
-		t := nameTag(n.Name)
-		m.inline[m.n], m.tags[m.n] = n, t
-		h := slotOf(t)
-		for m.slots[h] != 0 {
-			h = (h + 1) % len(m.slots)
-		}
-		m.slots[h] = uint8(m.n + 1)
+		m.inline[m.n], m.tags[m.n] = n, nameTag(n.Name)
 	} else {
 		if m.byName == nil {
 			m.byName = make(map[string]int, 2*inlineNodes)
@@ -261,23 +248,12 @@ func (s *Spec) TopoOrder() []*Spec {
 // slices are capped, so adding an edge to one node later moves only that
 // node's edges. The copy carries no memo: callers clone to change the
 // copy (SpliceDep, DropConstraint), and it is hashed afresh.
-func (s *Spec) Clone() *Spec { return s.clone(false) }
-
-// CloneHashed is Clone for a copy that will not be changed: each copied
-// node keeps the original's memoized FullHash and canonical line, so
-// hashing the copy costs nothing where s was hashed. The memos are right
-// only if s was not mutated after it was hashed (see Spec), and the copy
-// falls under the same contract.
-func (s *Spec) CloneHashed() *Spec { return s.clone(true) }
-
-// clone is Clone and, with memo, CloneHashed: it plans s into lists on
-// its own stack and copies the plan once.
-func (s *Spec) clone(memo bool) *Spec {
+func (s *Spec) Clone() *Spec {
 	var origBuf [inlineNodes]*Spec
 	var offBuf [inlineNodes]int
 	var toBuf [4 * inlineNodes]int
 	orig, off, to := s.plan(origBuf[:0], offBuf[:0], toBuf[:0])
-	return &copyPlan(orig, off, to, memo)[0]
+	return &copyPlan(orig, off, to)[0]
 }
 
 // plan walks s once and appends to orig the nodes in reach order and to
@@ -293,17 +269,14 @@ func (s *Spec) plan(orig []*Spec, off, to []int) ([]*Spec, []int, []int) {
 }
 
 // copyPlan deep-copies a planned DAG into one array of nodes in reach
-// order, each edge finding its copied child by index; with memo, each
-// node keeps its hash and line memos.
-func copyPlan(orig []*Spec, off, to []int, memo bool) []Spec {
+// order, each edge finding its copied child by index. The copies carry no
+// memo.
+func copyPlan(orig []*Spec, off, to []int) []Spec {
 	nodes := make([]Spec, len(orig))
 	deps := make([]*Spec, len(to))
 	types := make([]DepType, len(to))
 	for i, n := range orig {
 		c := n.copyNode(&nodes[i])
-		if memo {
-			c.memo.Store(n.memo.Load())
-		}
 		if k := len(n.deps); k > 0 {
 			o := off[i]
 			c.deps, c.depTypes = deps[o:o+k:o+k], types[o:o+k:o+k]
@@ -330,14 +303,16 @@ type Template struct {
 // so every Copy arrives hashed. s itself is left as it is.
 func NewTemplate(s *Spec) *Template {
 	orig, off, to := s.plan(nil, nil, nil)
-	nodes := copyPlan(orig, off, to, true)
+	nodes := copyPlan(orig, off, to)
 	for i := range nodes {
 		nodes[i].FullHash()
 	}
 	return &Template{nodes: nodes, off: off, to: to}
 }
 
-// Copy returns a fresh CloneHashed copy of the template's DAG.
+// Copy returns a fresh copy of the template's DAG. Each node arrives with
+// its FullHash and canonical line memoized, so hashing the copy costs
+// nothing; the copy falls under Spec's contract: do not mutate it.
 func (t *Template) Copy() *Spec {
 	nodes := slices.Clone(t.nodes)
 	deps := make([]*Spec, len(t.to))

@@ -131,15 +131,15 @@ func TestWalksMatchMapWalks(t *testing.T) {
 	}
 }
 
-// TestCloneMatchesOriginal: Clone, CloneHashed and a Template's Copy copy
-// every corpus DAG node for node and edge for edge (the cycle included),
-// share no node with the original, keep one copy per shared node, and
-// hash alike; CloneHashed carries every memo of a hashed original.
+// TestCloneMatchesOriginal: Clone and a Template's Copy copy every corpus
+// DAG node for node and edge for edge (the cycle included), share no node
+// with the original, keep one copy per shared node, and hash alike; a
+// Template's copy arrives with every memo set.
 func TestCloneMatchesOriginal(t *testing.T) {
 	for _, s := range walkCorpus(t) {
 		want := spec.FreshFullHash(s)
 		s.FullHash() // memoizes every node's line, and the root's hash, on a concrete DAG
-		for _, c := range []*spec.Spec{s.Clone(), s.CloneHashed(), spec.NewTemplate(s).Copy()} {
+		for _, c := range []*spec.Spec{s.Clone(), spec.NewTemplate(s).Copy()} {
 			orig, copies := s.Nodes(), c.Nodes()
 			if names(orig) == names(copies) || len(orig) != len(copies) {
 				t.Fatalf("%s: clone has %d nodes, original %d, or shares them", s.Name, len(copies), len(orig))
@@ -170,12 +170,13 @@ func TestCloneMatchesOriginal(t *testing.T) {
 		}
 		if s.Concrete() {
 			// AllocsPerRun calls f twice and measures the second call.
-			copies := []*spec.Spec{s.CloneHashed(), s.CloneHashed()}
+			tmpl := spec.NewTemplate(s)
+			copies := []*spec.Spec{tmpl.Copy(), tmpl.Copy()}
 			if allocs := testing.AllocsPerRun(1, func() {
 				copies[0].FullHash()
 				copies = copies[1:]
 			}); allocs != 0 {
-				t.Fatalf("%s: FullHash of a CloneHashed copy allocates %v times", s.Name, allocs)
+				t.Fatalf("%s: FullHash of a Template copy allocates %v times", s.Name, allocs)
 			}
 		}
 	}

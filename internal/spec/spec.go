@@ -138,7 +138,7 @@ func (e *ConflictError) Error() string {
 // skip that. The hash also covers the sub-DAG below its node, and a change
 // there drops no ancestor's memo, so do not mutate a concrete DAG once it
 // has been hashed: derive a new one (Clone, SpliceDep) and change that
-// instead. A CloneHashed copy, and so every memo hit of the concretizer's
+// instead. A Template's copy, and so every memo hit of the concretizer's
 // cache (concretize.Cache.Get), arrives hashed: the contract holds for it
 // from the start.
 type Spec struct {
