@@ -112,16 +112,84 @@ func (m *Meter) Ops() map[string]int {
 	return out
 }
 
+// node is a file or symlink. A symlink keeps its target in data, so no
+// node pays for a second string. Each directory chains its nodes through
+// next.
 type node struct {
-	data    []byte
-	symlink string // nonempty: node is a symlink to this target
+	path string
+	data string
+	next *node
+	link bool
 }
 
-// fsStore is the shared backing tree.
+// dirent is a directory: the heads of its file chain and its
+// subdirectory chain, and the link to its next sibling. Entries are
+// pushed at the head; List and Walk sort when they read.
+type dirent struct {
+	path  string
+	files *node
+	dirs  *dirent
+	next  *dirent
+}
+
+// fsStore is the shared backing tree. The maps index every path for
+// point lookups; the dirents make the prefix operations (List, Walk,
+// TreeSize, RemoveAll) cost the subtree rather than the machine.
 type fsStore struct {
 	mu    sync.RWMutex
 	files map[string]*node
-	dirs  map[string]bool
+	dirs  map[string]*dirent
+}
+
+// insert links a new node into its parent directory d.
+func (s *fsStore) insert(d *dirent, n *node) {
+	n.next, d.files = d.files, n
+	s.files[n.path] = n
+}
+
+// unlink removes a node from its parent's chain and from the index.
+func (s *fsStore) unlink(n *node) {
+	for pp := &s.dirs[parentDir(n.path)].files; *pp != nil; pp = &(*pp).next {
+		if *pp == n {
+			*pp = n.next
+			break
+		}
+	}
+	delete(s.files, n.path)
+}
+
+// under calls fn for every file and symlink at or under p.
+func (s *fsStore) under(p string, fn func(*node)) {
+	if n := s.files[p]; n != nil {
+		fn(n)
+	} else if d := s.dirs[p]; d != nil {
+		d.each(fn)
+	}
+}
+
+func (d *dirent) each(fn func(*node)) {
+	for n := d.files; n != nil; n = n.next {
+		fn(n)
+	}
+	for c := d.dirs; c != nil; c = c.next {
+		c.each(fn)
+	}
+}
+
+// clear drops everything beneath d from the index and returns how many
+// files and directories that was; d itself stays.
+func (s *fsStore) clear(d *dirent) int {
+	removed := 0
+	for n := d.files; n != nil; n = n.next {
+		delete(s.files, n.path)
+		removed++
+	}
+	for c := d.dirs; c != nil; c = c.next {
+		removed += s.clear(c) + 1
+		delete(s.dirs, c.path)
+	}
+	d.files, d.dirs = nil, nil
+	return removed
 }
 
 // failurePlan injects deterministic faults for failure-handling tests:
@@ -175,7 +243,7 @@ func (fs *FS) maybeFail(op, path string) error {
 // New creates an empty filesystem with the given latency profile and a
 // fresh meter. The root directory "/" exists.
 func New(lat Latency) *FS {
-	s := &fsStore{files: make(map[string]*node), dirs: map[string]bool{"/": true}}
+	s := &fsStore{files: make(map[string]*node), dirs: map[string]*dirent{"/": {path: "/"}}}
 	return &FS{store: s, lat: lat, meter: NewMeter()}
 }
 
@@ -258,7 +326,9 @@ func (e *PathError) Error() string {
 	return fmt.Sprintf("simfs: %s %s: %s", e.Op, e.Path, e.Msg)
 }
 
-// MkdirAll creates a directory and any missing parents.
+// MkdirAll creates a directory and any missing parents. It finds the
+// deepest existing ancestor and creates downward, so an existing
+// directory costs no allocation.
 func (fs *FS) MkdirAll(p string) error {
 	p = clean(p)
 	if err := fs.maybeFail("mkdir", p); err != nil {
@@ -266,20 +336,26 @@ func (fs *FS) MkdirAll(p string) error {
 	}
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
-	var parts []string
-	for cur := p; cur != "/"; cur = parentDir(cur) {
-		parts = append(parts, cur)
+	cur := p
+	d := fs.store.dirs[cur]
+	for d == nil {
+		if _, isFile := fs.store.files[cur]; isFile {
+			return &PathError{Op: "mkdir", Path: cur, Msg: "is a file"}
+		}
+		cur = parentDir(cur)
+		d = fs.store.dirs[cur]
 	}
 	created := 0
-	for i := len(parts) - 1; i >= 0; i-- {
-		dir := parts[i]
-		if fs.store.dirs[dir] {
-			continue
+	for len(cur) < len(p) {
+		start := len(strings.TrimSuffix(cur, "/")) + 1
+		end := len(p)
+		if j := strings.IndexByte(p[start:], '/'); j >= 0 {
+			end = start + j
 		}
-		if _, isFile := fs.store.files[dir]; isFile {
-			return &PathError{Op: "mkdir", Path: dir, Msg: "is a file"}
-		}
-		fs.store.dirs[dir] = true
+		c := &dirent{path: p[:end], next: d.dirs}
+		d.dirs = c
+		fs.store.dirs[c.path] = c
+		d, cur = c, c.path
 		created++
 	}
 	fs.meter.add("mkdir", fs.lat.Mkdir*time.Duration(created)+fs.lat.Stat)
@@ -294,18 +370,18 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 	}
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
-	if !fs.store.dirs[parentDir(p)] {
+	d := fs.store.dirs[parentDir(p)]
+	if d == nil {
 		return &PathError{Op: "create", Path: p, Msg: "parent directory does not exist"}
 	}
-	if fs.store.dirs[p] {
+	if fs.store.dirs[p] != nil {
 		return &PathError{Op: "create", Path: p, Msg: "is a directory"}
 	}
-	_, existed := fs.store.files[p]
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	fs.store.files[p] = &node{data: buf}
 	cost := fs.lat.Write + fs.lat.PerKBWrite*time.Duration(len(data)/1024+1)
-	if !existed {
+	if n := fs.store.files[p]; n != nil {
+		n.data, n.link = string(data), false
+	} else {
+		fs.store.insert(d, &node{path: p, data: string(data)})
 		cost += fs.lat.Create
 	}
 	fs.meter.add("write", cost)
@@ -321,8 +397,8 @@ func (fs *FS) resolve(p string, depth int) (*node, string, error) {
 	if !ok {
 		return nil, p, &PathError{Op: "open", Path: p, Msg: "no such file"}
 	}
-	if n.symlink != "" {
-		return fs.resolve(clean(n.symlink), depth+1)
+	if n.link {
+		return fs.resolve(clean(n.data), depth+1)
 	}
 	return n, p, nil
 }
@@ -340,8 +416,7 @@ func (fs *FS) ReadFile(p string) ([]byte, error) {
 		fs.meter.add("read", fs.lat.Open)
 		return nil, err
 	}
-	out := make([]byte, len(n.data))
-	copy(out, n.data)
+	out := []byte(n.data)
 	fs.meter.add("read", fs.lat.Open+fs.lat.Read+fs.lat.PerKBRead*time.Duration(len(out)/1024+1))
 	return out, nil
 }
@@ -352,7 +427,7 @@ func (fs *FS) Stat(p string) (exists, isDir bool) {
 	fs.store.mu.RLock()
 	defer fs.store.mu.RUnlock()
 	fs.meter.add("stat", fs.lat.Stat)
-	if fs.store.dirs[p] {
+	if fs.store.dirs[p] != nil {
 		return true, true
 	}
 	_, ok := fs.store.files[p]
@@ -360,7 +435,8 @@ func (fs *FS) Stat(p string) (exists, isDir bool) {
 }
 
 // Symlink creates a symbolic link at newname pointing to oldname. The
-// parent of newname must exist; newname must not.
+// parent of newname must exist; newname must not. An empty oldname makes
+// an empty regular file.
 func (fs *FS) Symlink(oldname, newname string) error {
 	newname = clean(newname)
 	if err := fs.maybeFail("symlink", newname); err != nil {
@@ -368,16 +444,17 @@ func (fs *FS) Symlink(oldname, newname string) error {
 	}
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
-	if !fs.store.dirs[parentDir(newname)] {
+	d := fs.store.dirs[parentDir(newname)]
+	if d == nil {
 		return &PathError{Op: "symlink", Path: newname, Msg: "parent directory does not exist"}
 	}
 	if _, exists := fs.store.files[newname]; exists {
 		return &PathError{Op: "symlink", Path: newname, Msg: "file exists"}
 	}
-	if fs.store.dirs[newname] {
+	if fs.store.dirs[newname] != nil {
 		return &PathError{Op: "symlink", Path: newname, Msg: "is a directory"}
 	}
-	fs.store.files[newname] = &node{symlink: oldname}
+	fs.store.insert(d, &node{path: newname, data: oldname, link: oldname != ""})
 	fs.meter.add("symlink", fs.lat.Symlink)
 	return nil
 }
@@ -392,10 +469,10 @@ func (fs *FS) Readlink(p string) (string, error) {
 	if !ok {
 		return "", &PathError{Op: "readlink", Path: p, Msg: "no such file"}
 	}
-	if n.symlink == "" {
+	if !n.link {
 		return "", &PathError{Op: "readlink", Path: p, Msg: "not a symlink"}
 	}
-	return n.symlink, nil
+	return n.data, nil
 }
 
 // IsSymlink reports whether a path is a symbolic link.
@@ -404,7 +481,7 @@ func (fs *FS) IsSymlink(p string) bool {
 	fs.store.mu.RLock()
 	defer fs.store.mu.RUnlock()
 	n, ok := fs.store.files[p]
-	return ok && n.symlink != ""
+	return ok && n.link
 }
 
 // Rename atomically moves a file or symlink to a new path, replacing any
@@ -418,22 +495,28 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	}
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
-	if fs.store.dirs[oldpath] {
+	if fs.store.dirs[oldpath] != nil {
 		return &PathError{Op: "rename", Path: oldpath, Msg: "is a directory"}
 	}
 	n, ok := fs.store.files[oldpath]
 	if !ok {
 		return &PathError{Op: "rename", Path: oldpath, Msg: "no such file"}
 	}
-	if fs.store.dirs[newpath] {
+	if fs.store.dirs[newpath] != nil {
 		return &PathError{Op: "rename", Path: newpath, Msg: "is a directory"}
 	}
-	if !fs.store.dirs[parentDir(newpath)] {
+	d := fs.store.dirs[parentDir(newpath)]
+	if d == nil {
 		return &PathError{Op: "rename", Path: newpath, Msg: "parent directory does not exist"}
 	}
 	if oldpath != newpath {
-		fs.store.files[newpath] = n
-		delete(fs.store.files, oldpath)
+		fs.store.unlink(n)
+		if t := fs.store.files[newpath]; t != nil {
+			t.data, t.link = n.data, n.link
+		} else {
+			n.path = newpath
+			fs.store.insert(d, n)
+		}
 	}
 	fs.meter.add("rename", fs.lat.Create)
 	return nil
@@ -447,34 +530,39 @@ func (fs *FS) Remove(p string) error {
 	}
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
-	if fs.store.dirs[p] {
+	if fs.store.dirs[p] != nil {
 		return &PathError{Op: "remove", Path: p, Msg: "is a directory"}
 	}
-	if _, ok := fs.store.files[p]; !ok {
+	n, ok := fs.store.files[p]
+	if !ok {
 		return &PathError{Op: "remove", Path: p, Msg: "no such file"}
 	}
-	delete(fs.store.files, p)
+	fs.store.unlink(n)
 	fs.meter.add("remove", fs.lat.Remove)
 	return nil
 }
 
-// RemoveAll deletes a path and everything beneath it. Removing a missing
-// path is not an error.
+// RemoveAll deletes a path and everything beneath it; RemoveAll("/")
+// empties the tree and keeps the root. Removing a missing path is not an
+// error.
 func (fs *FS) RemoveAll(p string) error {
 	p = clean(p)
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
-	prefix := p + "/"
 	removed := 0
-	for f := range fs.store.files {
-		if f == p || strings.HasPrefix(f, prefix) {
-			delete(fs.store.files, f)
-			removed++
-		}
-	}
-	for d := range fs.store.dirs {
-		if d == p || strings.HasPrefix(d, prefix) {
-			delete(fs.store.dirs, d)
+	if n := fs.store.files[p]; n != nil {
+		fs.store.unlink(n)
+		removed = 1
+	} else if d := fs.store.dirs[p]; d != nil {
+		removed = fs.store.clear(d)
+		if p != "/" {
+			for pp := &fs.store.dirs[parentDir(p)].dirs; *pp != nil; pp = &(*pp).next {
+				if *pp == d {
+					*pp = d.next
+					break
+				}
+			}
+			delete(fs.store.dirs, p)
 			removed++
 		}
 	}
@@ -487,66 +575,49 @@ func (fs *FS) List(dir string) ([]string, error) {
 	dir = clean(dir)
 	fs.store.mu.RLock()
 	defer fs.store.mu.RUnlock()
-	if !fs.store.dirs[dir] {
+	d := fs.store.dirs[dir]
+	if d == nil {
 		return nil, &PathError{Op: "list", Path: dir, Msg: "no such directory"}
 	}
 	fs.meter.add("stat", fs.lat.Open+fs.lat.Read)
-	prefix := dir + "/"
-	if dir == "/" {
-		prefix = "/"
+	skip := len(strings.TrimSuffix(dir, "/")) + 1
+	count := 0
+	for n := d.files; n != nil; n = n.next {
+		count++
 	}
-	seen := make(map[string]bool)
-	add := func(p string) {
-		if !strings.HasPrefix(p, prefix) || p == dir {
-			return
-		}
-		rest := strings.TrimPrefix(p, prefix)
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			rest = rest[:i]
-		}
-		if rest != "" {
-			seen[rest] = true
-		}
+	for c := d.dirs; c != nil; c = c.next {
+		count++
 	}
-	for f := range fs.store.files {
-		add(f)
+	out := make([]string, 0, count)
+	for n := d.files; n != nil; n = n.next {
+		out = append(out, n.path[skip:])
 	}
-	for d := range fs.store.dirs {
-		add(d)
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
+	for c := d.dirs; c != nil; c = c.next {
+		out = append(out, c.path[skip:])
 	}
 	sort.Strings(out)
 	return out, nil
 }
 
-// Walk visits every file and symlink under root (sorted), calling fn with
-// the path.
+// Walk visits every file and symlink under root (sorted by full path),
+// calling fn with the path. fn may change the tree: a path removed
+// before its turn is skipped.
 func (fs *FS) Walk(root string, fn func(path string, isSymlink bool) error) error {
 	root = clean(root)
-	fs.store.mu.RLock()
 	var paths []string
-	prefix := root + "/"
-	if root == "/" {
-		prefix = "/"
-	}
-	for f := range fs.store.files {
-		if f == root || strings.HasPrefix(f, prefix) {
-			paths = append(paths, f)
-		}
-	}
+	fs.store.mu.RLock()
+	fs.store.under(root, func(n *node) { paths = append(paths, n.path) })
 	fs.store.mu.RUnlock()
 	sort.Strings(paths)
 	for _, p := range paths {
 		fs.store.mu.RLock()
 		n := fs.store.files[p]
+		link := n != nil && n.link
 		fs.store.mu.RUnlock()
 		if n == nil {
 			continue
 		}
-		if err := fn(p, n.symlink != ""); err != nil {
+		if err := fn(p, link); err != nil {
 			return err
 		}
 	}
@@ -568,20 +639,7 @@ func (fs *FS) TreeSize(p string) int64 {
 	p = clean(p)
 	fs.store.mu.RLock()
 	defer fs.store.mu.RUnlock()
-	prefix := p + "/"
-	if p == "/" {
-		prefix = "/"
-	}
 	var total int64
-	for f, n := range fs.store.files {
-		if f != p && !strings.HasPrefix(f, prefix) {
-			continue
-		}
-		if n.symlink != "" {
-			total += int64(len(n.symlink))
-		} else {
-			total += int64(len(n.data))
-		}
-	}
+	fs.store.under(p, func(n *node) { total += int64(len(n.data)) })
 	return total
 }
