@@ -546,7 +546,7 @@ func cmdLmod(w io.Writer, s *core.Spack, args []string) error {
 			return err
 		}
 	}
-	g := &modules.LmodGenerator{FS: s.FS, Root: "/spack/share", IsMPI: s.IsMPI}
+	g := &modules.Generator{FS: s.FS, Root: "/spack/share", Kind: modules.KindLmod, IsMPI: s.IsMPI}
 	paths, err := g.GenerateAll(s.Store)
 	if err != nil {
 		return err

@@ -55,7 +55,7 @@ func main() {
 
 	// Lmod hierarchy: MPI-dependent tools land under the compiler/mpi
 	// layers; serial libraries under the compiler layer.
-	g := &modules.LmodGenerator{FS: s.FS, Root: "/spack/share", IsMPI: s.IsMPI}
+	g := &modules.Generator{FS: s.FS, Root: "/spack/share", Kind: modules.KindLmod, IsMPI: s.IsMPI}
 	paths, err := g.GenerateAll(s.Store)
 	if err != nil {
 		log.Fatal(err)

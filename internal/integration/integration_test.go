@@ -120,7 +120,7 @@ func TestModulesViewsExtensionsTogether(t *testing.T) {
 		t.Errorf("dotkit files: %v, %v", files, err)
 	}
 	// Lmod hierarchy generates cleanly on the same store.
-	g := &modules.LmodGenerator{FS: s.FS, Root: "/spack/share", IsMPI: s.IsMPI}
+	g := &modules.Generator{FS: s.FS, Root: "/spack/share", Kind: modules.KindLmod, IsMPI: s.IsMPI}
 	luas, err := g.GenerateAll(s.Store)
 	if err != nil || len(luas) != len(files) {
 		t.Errorf("lmod files = %d vs dotkit %d (%v)", len(luas), len(files), err)

@@ -17,17 +17,17 @@ func isMPITest(name string) bool {
 }
 
 func TestLmodHierarchyPath(t *testing.T) {
-	g := &LmodGenerator{FS: simfs.New(simfs.TempFS), Root: "/spack/share", IsMPI: isMPITest}
+	g := &Generator{FS: simfs.New(simfs.TempFS), Root: "/spack/share", Kind: KindLmod, IsMPI: isMPITest}
 
 	// MPI-dependent package: compiler/mpi layers.
 	withMPI := concreteSpec(t, "mpileaks ^mpich")
-	p := g.HierarchyPath(withMPI)
+	p := g.FileName(withMPI)
 	if !strings.Contains(p, "/gcc/4.9.2/mpich/") || !strings.HasSuffix(p, "/mpileaks/2.3.lua") {
 		t.Errorf("MPI hierarchy path = %q", p)
 	}
 	// Serial package: compiler layer only.
 	serial := concreteSpec(t, "zlib")
-	p = g.HierarchyPath(serial)
+	p = g.FileName(serial)
 	if strings.Contains(p, "mpich") || !strings.Contains(p, "/gcc/4.9.2/zlib/") {
 		t.Errorf("serial hierarchy path = %q", p)
 	}
@@ -39,7 +39,7 @@ func TestLmodHierarchyPath(t *testing.T) {
 
 func TestLuaContent(t *testing.T) {
 	s := concreteSpec(t, "libelf")
-	lua := Lua(s, "/opt/libelf")
+	lua := render(KindLmod, s, "/opt/libelf")
 	for _, want := range []string{
 		"whatis(\"Name: libelf\")",
 		"prepend_path(\"PATH\", \"/opt/libelf/bin\")",
@@ -64,7 +64,7 @@ func TestLmodGenerateAll(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := &LmodGenerator{FS: fs, Root: "/spack/share", IsMPI: isMPITest}
+	g := &Generator{FS: fs, Root: "/spack/share", Kind: KindLmod, IsMPI: isMPITest}
 	paths, err := g.GenerateAll(st)
 	if err != nil {
 		t.Fatal(err)

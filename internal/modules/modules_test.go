@@ -25,9 +25,14 @@ func concreteSpec(t *testing.T, expr string) *spec.Spec {
 	return s
 }
 
+// render is the module file body a generator of kind k writes for s.
+func render(k Kind, s *spec.Spec, prefix string) string {
+	return string((&Generator{Kind: k}).body(s, prefix))
+}
+
 func TestDotkitContent(t *testing.T) {
 	s := concreteSpec(t, "libelf")
-	dk := Dotkit(s, "/opt/libelf")
+	dk := render(KindDotkit, s, "/opt/libelf")
 	for _, want := range []string{
 		"#c spack",
 		"#d libelf @0.8.13",
@@ -43,7 +48,7 @@ func TestDotkitContent(t *testing.T) {
 
 func TestTCLContent(t *testing.T) {
 	s := concreteSpec(t, "libelf")
-	m := TCL(s, "/opt/libelf")
+	m := render(KindTCL, s, "/opt/libelf")
 	for _, want := range []string{
 		"#%Module1.0",
 		"module-whatis",
@@ -133,7 +138,7 @@ func TestGenerateAll(t *testing.T) {
 
 func TestApplyDotkit(t *testing.T) {
 	s := concreteSpec(t, "libelf")
-	dk := Dotkit(s, "/opt/libelf")
+	dk := render(KindDotkit, s, "/opt/libelf")
 	env := buildenv.NewEnvironment()
 	env.Set("PATH", "/usr/bin")
 	if err := ApplyDotkit(dk, env); err != nil {
@@ -153,7 +158,7 @@ func TestApplyDotkit(t *testing.T) {
 
 func TestApplyTCL(t *testing.T) {
 	s := concreteSpec(t, "libelf")
-	m := TCL(s, "/opt/libelf")
+	m := render(KindTCL, s, "/opt/libelf")
 	env := buildenv.NewEnvironment()
 	if err := ApplyTCL(m, env); err != nil {
 		t.Fatal(err)

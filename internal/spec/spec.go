@@ -77,6 +77,14 @@ func (c Compiler) String() string {
 	return c.Name
 }
 
+// AppendDir appends the compiler as a directory name: its name, then sep
+// and its version list when it has one ("gcc-4.9.2" for sep '-'). Install
+// layouts, module file names and the Lmod hierarchy ("gcc/4.9.2") all
+// render a compiler this way.
+func (c Compiler) AppendDir(dst []byte, sep byte) []byte {
+	return appendVersions(append(dst, c.Name...), sep, c.Versions)
+}
+
 // Satisfies reports whether c (the more concrete constraint) entails o.
 func (c Compiler) Satisfies(o Compiler) bool {
 	if o.IsZero() {
@@ -215,6 +223,25 @@ func (s *Spec) Dep(name string) *Spec {
 	var found *Spec
 	s.Traverse(func(n *Spec) bool {
 		if n.Name == name {
+			found = n
+			return false
+		}
+		return true
+	})
+	return found
+}
+
+// FirstDep returns the first node below s, in Traverse order, whose name
+// match accepts, or nil when none does or match is nil. Install layouts,
+// the Lmod hierarchy and view templates find a DAG's MPI provider this
+// way.
+func (s *Spec) FirstDep(match func(name string) bool) *Spec {
+	if match == nil {
+		return nil
+	}
+	var found *Spec
+	s.Traverse(func(n *Spec) bool {
+		if n != s && match(n.Name) {
 			found = n
 			return false
 		}
@@ -537,25 +564,12 @@ func (s *Spec) formatNode(b *strings.Builder) {
 func (s *Spec) AppendNode(dst []byte) []byte { return s.appendNode(dst, false) }
 
 func (s *Spec) appendNode(dst []byte, external bool) []byte {
-	dst = appendVersions(append(dst, s.Name...), s.Versions)
+	dst = appendVersions(append(dst, s.Name...), '@', s.Versions)
 	if s.Compiler.Name != "" {
 		dst = append(dst, '%')
-		dst = appendVersions(append(dst, s.Compiler.Name...), s.Compiler.Versions)
+		dst = appendVersions(append(dst, s.Compiler.Name...), '@', s.Compiler.Versions)
 	}
-	var arr [8]string
-	names := arr[:0]
-	for n := range s.Variants {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	for _, n := range names {
-		if s.Variants[n] {
-			dst = append(dst, '+')
-		} else {
-			dst = append(dst, '~')
-		}
-		dst = append(dst, n...)
-	}
+	dst = s.AppendVariants(dst)
 	if s.Arch != "" {
 		dst = append(dst, '=')
 		dst = append(dst, s.Arch...)
@@ -571,10 +585,31 @@ func (s *Spec) appendNode(dst []byte, external bool) []byte {
 	return dst
 }
 
-// appendVersions appends "@" and l's rendering, or nothing for an empty l.
-func appendVersions(dst []byte, l version.List) []byte {
+// AppendVariants appends the node's variant settings in name order, each
+// as its sigil and name ("+debug~shared"). Spec syntax and the install
+// layouts share this rendering.
+func (s *Spec) AppendVariants(dst []byte) []byte {
+	var arr [8]string
+	names := arr[:0]
+	for n := range s.Variants {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	for _, n := range names {
+		if s.Variants[n] {
+			dst = append(dst, '+')
+		} else {
+			dst = append(dst, '~')
+		}
+		dst = append(dst, n...)
+	}
+	return dst
+}
+
+// appendVersions appends sep and l's rendering, or nothing for an empty l.
+func appendVersions(dst []byte, sep byte, l version.List) []byte {
 	n := len(dst)
-	if dst = l.AppendTo(append(dst, '@')); len(dst) == n+1 {
+	if dst = l.AppendTo(append(dst, sep)); len(dst) == n+1 {
 		return dst[:n]
 	}
 	return dst

@@ -9,7 +9,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -28,32 +27,22 @@ type Layout interface {
 	Name() string
 }
 
-// optionsString renders variant settings for path components
-// ("+debug~shared" -> "debug" or "nodebug" style is site-specific; the
-// Spack default uses the +/~ sigils directly).
-func optionsString(s *spec.Spec) string {
-	names := make([]string, 0, len(s.Variants))
-	for n := range s.Variants {
-		names = append(names, n)
+// appendVersion appends a node's concrete version, or its version list
+// when none is pinned.
+func appendVersion(dst []byte, s *spec.Spec) []byte {
+	if v, ok := s.ConcreteVersion(); ok {
+		return append(dst, v.String()...)
 	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		if on, _ := s.Variant(n); on {
-			b.WriteByte('+')
-		} else {
-			b.WriteByte('~')
-		}
-		b.WriteString(n)
-	}
-	return b.String()
+	return s.Versions.AppendTo(dst)
 }
 
-func versionString(s *spec.Spec) string {
-	if v, ok := s.ConcreteVersion(); ok {
-		return v.String()
+// appendOptions appends sep and the spec's variant settings ("+debug~shared"),
+// or nothing when it sets none.
+func appendOptions(dst []byte, sep byte, s *spec.Spec) []byte {
+	if len(s.Variants) == 0 {
+		return dst
 	}
-	return s.Versions.String()
+	return s.AppendVariants(append(dst, sep))
 }
 
 // SpackLayout is the paper's default:
@@ -63,16 +52,13 @@ type SpackLayout struct{}
 func (SpackLayout) Name() string { return "spack" }
 
 func (SpackLayout) RelPath(s *spec.Spec) string {
-	comp := s.Compiler.Name
-	if v := s.Compiler.Versions.String(); v != "" {
-		comp += "-" + v
-	}
-	leaf := s.Name + "-" + versionString(s)
-	if opts := optionsString(s); opts != "" {
-		leaf += "-" + opts
-	}
-	leaf += "-" + s.DAGHash()
-	return s.Arch + "/" + comp + "/" + leaf
+	var buf [128]byte
+	b := append(buf[:0], s.Arch...)
+	b = s.Compiler.AppendDir(append(b, '/'), '-')
+	b = append(append(b, '/'), s.Name...)
+	b = appendVersion(append(b, '-'), s)
+	b = appendOptions(b, '-', s)
+	return string(append(append(b, '-'), s.DAGHash()...))
 }
 
 // LLNLLayout renders /usr/local/tools-style names:
@@ -82,15 +68,14 @@ type LLNLLayout struct{}
 func (LLNLLayout) Name() string { return "llnl" }
 
 func (LLNLLayout) RelPath(s *spec.Spec) string {
-	comp := s.Compiler.Name
-	if v := s.Compiler.Versions.String(); v != "" {
-		comp += "-" + v
+	var buf [128]byte
+	b := append(buf[:0], s.Name...)
+	b = s.Compiler.AppendDir(append(b, '-'), '-')
+	if len(s.Variants) == 0 {
+		b = append(b, "-default"...)
 	}
-	build := optionsString(s)
-	if build == "" {
-		build = "default"
-	}
-	return s.Name + "-" + comp + "-" + build + "-" + versionString(s)
+	b = appendOptions(b, '-', s)
+	return string(appendVersion(append(b, '-'), s))
 }
 
 // ORNLLayout renders /$arch/$package/$version/$build (Table 1, ORNL row).
@@ -99,11 +84,12 @@ type ORNLLayout struct{}
 func (ORNLLayout) Name() string { return "ornl" }
 
 func (ORNLLayout) RelPath(s *spec.Spec) string {
-	build := s.Compiler.Name
-	if opts := optionsString(s); opts != "" {
-		build += "-" + opts
-	}
-	return s.Arch + "/" + s.Name + "/" + versionString(s) + "/" + build
+	var buf [128]byte
+	b := append(buf[:0], s.Arch...)
+	b = append(append(b, '/'), s.Name...)
+	b = appendVersion(append(b, '/'), s)
+	b = append(append(b, '/'), s.Compiler.Name...)
+	return string(appendOptions(b, '-', s))
 }
 
 // TACCLayout renders Lmod-style hierarchies:
@@ -119,22 +105,16 @@ type TACCLayout struct {
 func (TACCLayout) Name() string { return "tacc" }
 
 func (l TACCLayout) RelPath(s *spec.Spec) string {
-	comp := s.Compiler.Name
-	if v := s.Compiler.Versions.String(); v != "" {
-		comp += "-" + v
+	var buf [128]byte
+	b := s.Compiler.AppendDir(buf[:0], '-')
+	if mpi := s.FirstDep(l.IsMPI); mpi != nil {
+		b = append(append(b, '/'), mpi.Name...)
+		b = appendVersion(append(b, '/'), mpi)
+	} else {
+		b = append(b, "/serial/none"...)
 	}
-	mpiName, mpiVer := "serial", "none"
-	if l.IsMPI != nil {
-		s.Traverse(func(n *spec.Spec) bool {
-			if n != s && l.IsMPI(n.Name) {
-				mpiName = n.Name
-				mpiVer = versionString(n)
-				return false
-			}
-			return true
-		})
-	}
-	return comp + "/" + mpiName + "/" + mpiVer + "/" + s.Name + "/" + versionString(s)
+	b = append(append(b, '/'), s.Name...)
+	return string(appendVersion(append(b, '/'), s))
 }
 
 // Origin values record how a configuration got into the store — compiled

@@ -69,17 +69,11 @@ func placeholder(name string, s *spec.Spec, isMPI func(string) bool) (string, bo
 		return s.Compiler.Versions.String(), true
 	case "MPINAME", "MPIVERSION":
 		mpiName, mpiVer := "serial", "none"
-		if isMPI != nil {
-			s.Traverse(func(n *spec.Spec) bool {
-				if n != s && isMPI(n.Name) {
-					mpiName = n.Name
-					if nv, ok := n.ConcreteVersion(); ok {
-						mpiVer = nv.String()
-					}
-					return false
-				}
-				return true
-			})
+		if mpi := s.FirstDep(isMPI); mpi != nil {
+			mpiName = mpi.Name
+			if v, ok := mpi.ConcreteVersion(); ok {
+				mpiVer = v.String()
+			}
 		}
 		if name == "MPINAME" {
 			return mpiName, true
