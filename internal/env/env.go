@@ -296,8 +296,9 @@ type Result struct {
 // Apply installs the plan's delta as ONE journaled transaction: every
 // added DAG's store mutations, the removed roots' record+prefix deletions,
 // the module-file edits, and the view's link delta all commit together.
-// A crash at any point recovers to exactly the pre- or post-state; the
-// lockfile is written only after the commit succeeds.
+// The new lockfile is staged into the same transaction, so a crash at
+// any point recovers store, modules, view and lock to exactly the pre- or
+// the post-state.
 func (e *Environment) Apply(h *Host) (*Result, error) {
 	p, err := e.Plan(h)
 	if err != nil {
@@ -350,12 +351,13 @@ func (e *Environment) Apply(h *Host) (*Result, error) {
 		res.Links = links
 	}
 
-	if err := t.Commit(h.Store.Applier()); err != nil {
+	lock, err := e.lockFor(p).Encode()
+	if err != nil {
 		return nil, err
 	}
-
-	if err := e.writeLockFor(p); err != nil {
-		return res, err
+	t.StageWriteFile(e.LockPath(), lock)
+	if err := t.Commit(h.Store.Applier()); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -383,8 +385,8 @@ func (e *Environment) stageRootRemoval(h *Host, t *txn.Txn, ch Change, res *Resu
 	return nil
 }
 
-// writeLockFor commits the plan's desired state as the new lockfile.
-func (e *Environment) writeLockFor(p *Plan) error {
+// lockFor is the lockfile pinning the plan's desired state.
+func (e *Environment) lockFor(p *Plan) *Lock {
 	l := &Lock{Version: LockVersion, Specs: map[string]json.RawMessage{}}
 	seen := make(map[string]bool)
 	for i, c := range p.Concrete {
@@ -397,12 +399,12 @@ func (e *Environment) writeLockFor(p *Plan) error {
 		data := syntax.EncodeJSON(c)
 		l.Specs[hash] = data
 	}
-	return writeLock(e.fs, e.LockPath(), l)
+	return l
 }
 
-// Uninstall removes everything the lockfile pinned — again as one
-// transaction — prunes this environment's links from the view, and
-// retires the lockfile. The manifest stays, so `env install` can bring
+// Uninstall removes everything the lockfile pinned, prunes this
+// environment's links from the view, and retires the lockfile — again as
+// one transaction. The manifest stays, so `env install` can bring
 // the environment back.
 func (e *Environment) Uninstall(h *Host) (*Result, error) {
 	lock, err := e.ReadLock()
@@ -439,14 +441,9 @@ func (e *Environment) Uninstall(h *Host) (*Result, error) {
 		res.Links = links
 	}
 
+	t.StageRemoveFile(e.LockPath())
 	if err := t.Commit(h.Store.Applier()); err != nil {
 		return nil, err
-	}
-
-	if exists, _ := e.fs.Stat(e.LockPath()); exists {
-		if err := e.fs.Remove(e.LockPath()); err != nil {
-			return res, err
-		}
 	}
 	return res, nil
 }

@@ -52,12 +52,15 @@ func crashEnv(fs *simfs.FS) (*env.Environment, error) {
 
 // crashSnapshot captures everything the transactional guarantee covers:
 // the store index (from a freshly opened store), every file under the
-// install tree and module root, and every view link with its target. The
-// lockfile and manifest are deliberately out of scope — the lock is
-// written after the commit point by design.
+// install tree and module root, every view link with its target, and the
+// lockfile's bytes — garbage collection reads env lockfiles as roots, so
+// the lock must move with the store.
 func crashSnapshot(t *testing.T, fs *simfs.FS, st *store.Store) string {
 	t.Helper()
 	var b strings.Builder
+	if lock, err := fs.ReadFile(crashEnvRoot + "/dev/spack.lock"); err == nil {
+		fmt.Fprintf(&b, "lock %s\n", lock)
+	}
 	for _, r := range st.Select(nil) {
 		fmt.Fprintf(&b, "rec %s %s explicit=%v %s\n",
 			r.Spec.FullHash(), r.Prefix, r.Explicit, store.RecordOrigin(r))

@@ -9,7 +9,6 @@ import (
 	"repro/internal/simfs"
 	"repro/internal/spec"
 	"repro/internal/syntax"
-	"repro/internal/txn"
 )
 
 // LockVersion is the spack.lock schema version this code writes.
@@ -90,12 +89,9 @@ func readLock(fs *simfs.FS, path string) (*Lock, error) {
 	return &l, nil
 }
 
-// writeLock persists a lockfile atomically (temp + rename), so readers
-// never observe a half-written lock.
-func writeLock(fs *simfs.FS, path string, l *Lock) error {
+// Encode renders the lockfile's bytes: indented JSON and a final newline.
+// Every writer of spack.lock stages these bytes into its transaction.
+func (l *Lock) Encode() ([]byte, error) {
 	data, err := json.MarshalIndent(l, "", "  ")
-	if err != nil {
-		return err
-	}
-	return txn.WriteFileAtomic(fs, path, append(data, '\n'))
+	return append(data, '\n'), err
 }

@@ -434,11 +434,11 @@ func (sp *Splicer) stageEnvRewrites(t *txn.Txn, p *Plan, res *Result) error {
 			}
 			delete(lock.Specs, p.OldRootHash)
 			lock.Specs[p.NewRootHash] = specJSON
-			data, err := json.MarshalIndent(lock, "", "  ")
+			data, err := lock.Encode()
 			if err != nil {
 				return err
 			}
-			t.StageWriteFile(e.LockPath(), append(data, '\n'))
+			t.StageWriteFile(e.LockPath(), data)
 			res.Envs++
 		}
 	}

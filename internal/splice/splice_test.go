@@ -113,11 +113,11 @@ func lockEnv(t *testing.T, m *machine, name string, root *spec.Spec) *env.Enviro
 	lock := &env.Lock{Version: env.LockVersion,
 		Roots: []env.LockRoot{{Expr: root.Name, Hash: hash}},
 		Specs: map[string]json.RawMessage{hash: raw}}
-	data, err := json.MarshalIndent(lock, "", "  ")
+	data, err := lock.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := txn.WriteFileAtomic(m.FS, e.LockPath(), append(data, '\n')); err != nil {
+	if err := txn.WriteFileAtomic(m.FS, e.LockPath(), data); err != nil {
 		t.Fatal(err)
 	}
 	return e
