@@ -150,6 +150,9 @@ func (fs *flatFS) Symlink(oldname, newname string) error {
 	if err := fs.maybeFail("symlink", newname); err != nil {
 		return err
 	}
+	if oldname == "" {
+		return &PathError{Op: "symlink", Path: newname, Msg: "empty target"}
+	}
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
 	if !fs.store.dirs[parentDir(newname)] {

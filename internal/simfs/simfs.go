@@ -435,12 +435,15 @@ func (fs *FS) Stat(p string) (exists, isDir bool) {
 }
 
 // Symlink creates a symbolic link at newname pointing to oldname. The
-// parent of newname must exist; newname must not. An empty oldname makes
-// an empty regular file.
+// parent of newname must exist; newname must not. An empty oldname fails,
+// as symlink(2) does with ENOENT.
 func (fs *FS) Symlink(oldname, newname string) error {
 	newname = clean(newname)
 	if err := fs.maybeFail("symlink", newname); err != nil {
 		return err
+	}
+	if oldname == "" {
+		return &PathError{Op: "symlink", Path: newname, Msg: "empty target"}
 	}
 	fs.store.mu.Lock()
 	defer fs.store.mu.Unlock()
@@ -454,7 +457,7 @@ func (fs *FS) Symlink(oldname, newname string) error {
 	if fs.store.dirs[newname] != nil {
 		return &PathError{Op: "symlink", Path: newname, Msg: "is a directory"}
 	}
-	fs.store.insert(d, &node{path: newname, data: oldname, link: oldname != ""})
+	fs.store.insert(d, &node{path: newname, data: oldname, link: true})
 	fs.meter.add("symlink", fs.lat.Symlink)
 	return nil
 }

@@ -1,6 +1,7 @@
 package simfs
 
 import (
+	"errors"
 	"path"
 	"strings"
 	"testing"
@@ -103,6 +104,21 @@ func TestSymlink(t *testing.T) {
 	// Existing destination refuses.
 	if err := fs.Symlink("/x", "/links/ln"); err == nil {
 		t.Error("symlink over existing should fail")
+	}
+}
+
+// TestSymlinkEmptyTarget: symlink(2) refuses an empty target with
+// ENOENT; the simulated call must fail too and leave nothing behind,
+// not an empty regular file.
+func TestSymlinkEmptyTarget(t *testing.T) {
+	fs := New(TempFS)
+	fs.MkdirAll("/links")
+	var pe *PathError
+	if err := fs.Symlink("", "/links/ln"); !errors.As(err, &pe) || pe.Op != "symlink" {
+		t.Fatalf("Symlink with empty target = %v, want a symlink *PathError", err)
+	}
+	if exists, _ := fs.Stat("/links/ln"); exists {
+		t.Error("a failed symlink left a file behind")
 	}
 }
 
