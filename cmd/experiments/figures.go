@@ -99,7 +99,8 @@ func runFig8() error {
 	// The timing sweep runs cache-free so every trial measures a full solve,
 	// matching the paper's methodology; the memo cache is measured separately
 	// below.
-	s := core.MustNew(core.WithRepos(ares.Repo(), synth), core.WithoutConcretizeCache())
+	s := core.MustNew(core.WithRepos(ares.Repo(), synth))
+	s.Concretizer.Cache = nil
 
 	names := s.Repos.Names()
 	fmt.Printf("repository size: %d packages\n", len(names))

@@ -65,7 +65,6 @@ type options struct {
 	noWrappers  bool
 	storeLayout store.Layout
 	jobs        int
-	noCache     bool
 	cacheBE     buildcache.Backend
 	cachePolicy build.CachePolicy
 }
@@ -88,10 +87,6 @@ func WithLayout(l store.Layout) Option { return func(o *options) { o.storeLayout
 
 // WithJobs sets build parallelism.
 func WithJobs(n int) Option { return func(o *options) { o.jobs = n } }
-
-// WithoutConcretizeCache disables concretizer memoization, forcing every
-// Concretize call through a full solve (benchmark baselines).
-func WithoutConcretizeCache() Option { return func(o *options) { o.noCache = true } }
 
 // WithBuildCacheBackend supplies the byte transport the binary build
 // cache uses — share one backend across instances to model several
@@ -130,12 +125,11 @@ func New(opts ...Option) (*Spack, error) {
 	repo.PublishAll(mirror, append(o.repos, builtin)...)
 
 	conc := concretize.New(path, cfg, registry)
-	if !o.noCache {
-		// Memoize concretizations by default: repeated installs of an
-		// identical abstract spec under unchanged repos/config are O(1)
-		// cache hits instead of fresh quadratic solves.
-		conc.Cache = concretize.NewCache(0)
-	}
+	// Memoize concretizations: repeated installs of an identical abstract
+	// spec under unchanged repos/config are O(1) cache hits instead of
+	// fresh solves. A caller that wants every call solved sets
+	// Concretizer.Cache to nil.
+	conc.Cache = concretize.NewCache(0)
 
 	be := o.cacheBE
 	if be == nil {

@@ -540,7 +540,8 @@ func TestConcretizeReuseRequest(t *testing.T) {
 // of them answer the same configuration. The daemon is given a
 // concretizer without a memo cache, so it must install its own.
 func TestConcurrentConcretizeCoalesces(t *testing.T) {
-	s := core.MustNew(core.WithoutConcretizeCache())
+	s := core.MustNew()
+	s.Concretizer.Cache = nil
 	srv := service.NewServer(service.Config{
 		Mirror:      s.Mirror,
 		Concretizer: s.Concretizer,
