@@ -12,6 +12,8 @@ package build
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -139,17 +141,7 @@ func (b *Builder) BuildTxn(root *spec.Spec, t *txn.Txn) (*Result, error) {
 	unpin := b.Store.Pin(hashes...)
 	defer unpin()
 
-	byName := make(map[string]*spec.Spec, len(nodes))
-	indeg := make(map[string]int, len(nodes))
-	dependents := make(map[string][]string, len(nodes))
-	for _, n := range nodes {
-		byName[n.Name] = n
-		deps := n.DirectDeps()
-		indeg[n.Name] = len(deps)
-		for _, d := range deps {
-			dependents[d.Name] = append(dependents[d.Name], n.Name)
-		}
-	}
+	plan := newReadiness(nodes)
 
 	jobs := b.Jobs
 	if jobs < 1 {
@@ -169,14 +161,7 @@ func (b *Builder) BuildTxn(root *spec.Spec, t *txn.Txn) (*Result, error) {
 		err  error
 	}
 	results := make(chan outcome)
-	var ready []string
-	for _, n := range nodes {
-		if indeg[n.Name] == 0 {
-			ready = append(ready, n.Name)
-		}
-	}
-	sort.Strings(ready)
-
+	indeg, ready := plan.start()
 	reports := make(map[string]*Report, len(nodes))
 	running := 0
 	order := 0
@@ -186,7 +171,7 @@ func (b *Builder) BuildTxn(root *spec.Spec, t *txn.Txn) (*Result, error) {
 			for running < jobs && len(ready) > 0 {
 				name := ready[0]
 				ready = ready[1:]
-				n := byName[name]
+				n := plan.byName[name]
 				running++
 				go func() {
 					rep, err := b.buildOne(n, n == root, t)
@@ -208,9 +193,7 @@ func (b *Builder) BuildTxn(root *spec.Spec, t *txn.Txn) (*Result, error) {
 		out.rep.Order = order
 		order++
 		reports[out.name] = out.rep
-		next := dependents[out.name]
-		sort.Strings(next)
-		for _, dep := range next {
+		for _, dep := range plan.dependents[out.name] {
 			indeg[dep]--
 			if indeg[dep] == 0 {
 				ready = append(ready, dep)
@@ -240,31 +223,58 @@ func (b *Builder) BuildTxn(root *spec.Spec, t *txn.Txn) (*Result, error) {
 			res.CacheFallbacks++
 		}
 	}
-	res.WallTime = scheduleMakespan(nodes, durations, jobs)
+	res.WallTime = plan.makespan(durations, jobs)
 	return res, nil
 }
 
-// scheduleMakespan computes the virtual wall time of the DAG on `jobs`
-// workers by deterministic list scheduling: whenever a worker is free the
+// readiness is a DAG's dependency bookkeeping, built once per build and
+// read by both the executor and the makespan schedule: each node's count
+// of direct dependencies, the dependents each node releases when it
+// finishes (name-sorted), and the nodes ready at the start (name-sorted).
+type readiness struct {
+	byName     map[string]*spec.Spec
+	indeg      map[string]int
+	dependents map[string][]string
+	ready      []string
+}
+
+func newReadiness(nodes []*spec.Spec) *readiness {
+	r := &readiness{
+		byName:     make(map[string]*spec.Spec, len(nodes)),
+		indeg:      make(map[string]int, len(nodes)),
+		dependents: make(map[string][]string, len(nodes)),
+	}
+	for _, n := range nodes {
+		r.byName[n.Name] = n
+		deps := n.DirectDeps()
+		r.indeg[n.Name] = len(deps)
+		for _, d := range deps {
+			r.dependents[d.Name] = append(r.dependents[d.Name], n.Name)
+		}
+		if len(deps) == 0 {
+			r.ready = append(r.ready, n.Name)
+		}
+	}
+	for _, ds := range r.dependents {
+		sort.Strings(ds)
+	}
+	sort.Strings(r.ready)
+	return r
+}
+
+// start returns a consumer's own copies of the dependency counts it
+// decrements and of the initial ready queue it consumes.
+func (r *readiness) start() (map[string]int, []string) {
+	return maps.Clone(r.indeg), slices.Clone(r.ready)
+}
+
+// makespan computes the virtual wall time of the DAG on `jobs` workers by
+// deterministic list scheduling: whenever a worker is free the
 // alphabetically-first ready node starts; a node becomes ready when every
 // dependency has finished. With jobs=1 this degenerates to the serial sum;
 // with unbounded jobs it is the critical path.
-func scheduleMakespan(nodes []*spec.Spec, dur map[string]time.Duration, jobs int) time.Duration {
-	indeg := make(map[string]int, len(nodes))
-	dependents := make(map[string][]string, len(nodes))
-	var ready []string
-	for _, n := range nodes {
-		deps := n.DirectDeps()
-		indeg[n.Name] = len(deps)
-		for _, d := range deps {
-			dependents[d.Name] = append(dependents[d.Name], n.Name)
-		}
-		if len(deps) == 0 {
-			ready = append(ready, n.Name)
-		}
-	}
-	sort.Strings(ready)
-
+func (r *readiness) makespan(dur map[string]time.Duration, jobs int) time.Duration {
+	indeg, ready := r.start()
 	type task struct {
 		end  time.Duration
 		name string
@@ -292,9 +302,7 @@ func scheduleMakespan(nodes []*spec.Spec, dur map[string]time.Duration, jobs int
 		if now > makespan {
 			makespan = now
 		}
-		released := dependents[done.name]
-		sort.Strings(released)
-		for _, dep := range released {
+		for _, dep := range r.dependents[done.name] {
 			indeg[dep]--
 			if indeg[dep] == 0 {
 				ready = append(ready, dep)

@@ -2,6 +2,8 @@ package build
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -190,19 +192,138 @@ func TestScheduleMakespanBounds(t *testing.T) {
 		dur[n.Name] = time.Second
 		total += time.Second
 	}
-	if got := scheduleMakespan(nodes, dur, 1); got != total {
+	plan := newReadiness(nodes)
+	if got := plan.makespan(dur, 1); got != total {
 		t.Errorf("jobs=1 makespan %v, want serial %v", got, total)
 	}
 	// Unbounded workers: the critical path is leaf → mid → top = 3s.
-	if got := scheduleMakespan(nodes, dur, len(nodes)); got != 3*time.Second {
+	if got := plan.makespan(dur, len(nodes)); got != 3*time.Second {
 		t.Errorf("unbounded makespan %v, want 3s critical path", got)
 	}
 	// Four workers: 12 leaves take 3 rounds, then mids, then top = 5s.
-	if got := scheduleMakespan(nodes, dur, 4); got != 5*time.Second {
+	if got := plan.makespan(dur, 4); got != 5*time.Second {
 		t.Errorf("jobs=4 makespan %v, want 5s", got)
 	}
-	bounded := scheduleMakespan(nodes, dur, 4)
+	bounded := plan.makespan(dur, 4)
 	if bounded > total || bounded < 3*time.Second {
 		t.Errorf("makespan %v outside [critical path, serial]", bounded)
+	}
+}
+
+// scheduleMakespan is the list scheduler as it stood before the executor
+// and the schedule shared one readiness plan; it builds its own tables
+// from the nodes and is kept as the oracle for readiness.makespan.
+func scheduleMakespan(nodes []*spec.Spec, dur map[string]time.Duration, jobs int) time.Duration {
+	indeg := make(map[string]int, len(nodes))
+	dependents := make(map[string][]string, len(nodes))
+	var ready []string
+	for _, n := range nodes {
+		deps := n.DirectDeps()
+		indeg[n.Name] = len(deps)
+		for _, d := range deps {
+			dependents[d.Name] = append(dependents[d.Name], n.Name)
+		}
+		if len(deps) == 0 {
+			ready = append(ready, n.Name)
+		}
+	}
+	sort.Strings(ready)
+
+	type task struct {
+		end  time.Duration
+		name string
+	}
+	var running []task
+	var now, makespan time.Duration
+	for len(ready) > 0 || len(running) > 0 {
+		for len(running) < jobs && len(ready) > 0 {
+			name := ready[0]
+			ready = ready[1:]
+			running = append(running, task{end: now + dur[name], name: name})
+		}
+		best := 0
+		for i, tk := range running {
+			if tk.end < running[best].end ||
+				(tk.end == running[best].end && tk.name < running[best].name) {
+				best = i
+			}
+		}
+		done := running[best]
+		running = append(running[:best], running[best+1:]...)
+		now = done.end
+		if now > makespan {
+			makespan = now
+		}
+		released := dependents[done.name]
+		sort.Strings(released)
+		for _, dep := range released {
+			indeg[dep]--
+			if indeg[dep] == 0 {
+				ready = append(ready, dep)
+			}
+		}
+		sort.Strings(ready)
+	}
+	return makespan
+}
+
+// randomRepo builds a repository of n packages whose dependency edges
+// are drawn at random (each package may depend on any earlier one), under
+// one root "rtop" that depends on every package nothing else needs.
+func randomRepo(rng *rand.Rand, n int) *repo.Repo {
+	r := repo.NewRepo("test.random")
+	needed := make(map[int]bool)
+	for i := 0; i < n; i++ {
+		p := pkg.New(fmt.Sprintf("r%02d", i)).WithBuild("autotools", 1+rng.Intn(9))
+		for j := 0; j < i; j++ {
+			if rng.Intn(4) == 0 {
+				p.DependsOn(fmt.Sprintf("r%02d", j))
+				needed[j] = true
+			}
+		}
+		p.WithVersion("1.0", fetch.Checksum(p.Name, version.MustParse("1.0")))
+		r.MustAdd(p)
+	}
+	top := pkg.New("rtop").WithBuild("autotools", 2)
+	for i := 0; i < n; i++ {
+		if !needed[i] {
+			top.DependsOn(fmt.Sprintf("r%02d", i))
+		}
+	}
+	top.WithVersion("1.0", fetch.Checksum("rtop", version.MustParse("1.0")))
+	r.MustAdd(top)
+	return r
+}
+
+// TestWallTimeMatchesOracle: on random DAGs at 1–8 jobs, a build's
+// WallTime equals the standalone list scheduler run on the same nodes and
+// per-node times, and so does the shared plan on random durations.
+func TestWallTimeMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 4; trial++ {
+		r := randomRepo(rng, 6+rng.Intn(10))
+		for jobs := 1; jobs <= 8; jobs++ {
+			b, c := newTestBuilder(t, r)
+			b.Jobs = jobs
+			root := concretizeExpr(t, c, "rtop")
+			res, err := b.Build(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := root.TopoOrder()
+			dur := make(map[string]time.Duration, len(nodes))
+			for name, rep := range res.Reports {
+				dur[name] = rep.Time
+			}
+			if want := scheduleMakespan(nodes, dur, jobs); res.WallTime != want {
+				t.Fatalf("trial %d jobs %d: WallTime %v, oracle %v", trial, jobs, res.WallTime, want)
+			}
+			for name := range dur {
+				dur[name] = time.Duration(1+rng.Intn(5)) * time.Second
+			}
+			if got, want := newReadiness(nodes).makespan(dur, jobs), scheduleMakespan(nodes, dur, jobs); got != want {
+				t.Fatalf("trial %d jobs %d: makespan %v, oracle %v", trial, jobs, got, want)
+			}
+		}
 	}
 }
