@@ -244,8 +244,16 @@ func ParseManifest(src string) (*Manifest, error) {
 				case "compiler_order":
 					m.CompilerOrder = cc.scalar
 				case "providers":
-					m.Providers = map[string][]string{}
 					for _, virt := range cc.keys {
+						if m.Providers == nil {
+							m.Providers = map[string][]string{}
+						}
+						for _, name := range cc.mapping[virt].list {
+							// Render writes providers as an inline list.
+							if strings.Contains(name, ",") {
+								return nil, fmt.Errorf("env: %s provider %q is not a package name", virt, name)
+							}
+						}
 						m.Providers[virt] = append([]string(nil), cc.mapping[virt].list...)
 					}
 				default:

@@ -1,6 +1,7 @@
 package env
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -61,8 +62,10 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+const defaultsManifest = "spack:\n  specs:\n  - zlib\n  view:\n    path: /v\n"
+
 func TestManifestDefaults(t *testing.T) {
-	m, err := ParseManifest("spack:\n  specs:\n  - zlib\n  view:\n    path: /v\n")
+	m, err := ParseManifest(defaultsManifest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,20 +77,21 @@ func TestManifestDefaults(t *testing.T) {
 	}
 }
 
+var manifestErrorCases = []struct {
+	name, src, wantErr string
+}{
+	{"no spack section", "specs:\n- zlib\n", "no top-level"},
+	{"unknown section", "spack:\n  stuff:\n  - x\n", "unknown manifest section"},
+	{"unknown view key", "spack:\n  view:\n    pth: /v\n", "unknown view setting"},
+	{"view without path", "spack:\n  view:\n    projection: ${PACKAGE}\n", "view needs a path"},
+	{"bad conflict", "spack:\n  view:\n    path: /v\n    conflict: nobody\n", "conflict policy"},
+	{"tab indent", "spack:\n\tspecs:\n", "tabs"},
+	{"bare text", "spack:\n  specs:\n  - zlib\n  oops\n", "expected `key:`"},
+	{"duplicate key", "spack:\n  specs:\n  - a\n  specs:\n  - b\n", "duplicate key"},
+}
+
 func TestParseManifestErrors(t *testing.T) {
-	cases := []struct {
-		name, src, wantErr string
-	}{
-		{"no spack section", "specs:\n- zlib\n", "no top-level"},
-		{"unknown section", "spack:\n  stuff:\n  - x\n", "unknown manifest section"},
-		{"unknown view key", "spack:\n  view:\n    pth: /v\n", "unknown view setting"},
-		{"view without path", "spack:\n  view:\n    projection: ${PACKAGE}\n", "view needs a path"},
-		{"bad conflict", "spack:\n  view:\n    path: /v\n    conflict: nobody\n", "conflict policy"},
-		{"tab indent", "spack:\n\tspecs:\n", "tabs"},
-		{"bare text", "spack:\n  specs:\n  - zlib\n  oops\n", "expected `key:`"},
-		{"duplicate key", "spack:\n  specs:\n  - a\n  specs:\n  - b\n", "duplicate key"},
-	}
-	for _, tc := range cases {
+	for _, tc := range manifestErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseManifest(tc.src)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -97,12 +101,40 @@ func TestParseManifestErrors(t *testing.T) {
 	}
 }
 
+const inlineManifest = "spack:\n  specs: [zlib, libelf@0.8.13]\n  # trailing comment\n"
+
 func TestInlineListAndComments(t *testing.T) {
-	m, err := ParseManifest("spack:\n  specs: [zlib, libelf@0.8.13]\n  # trailing comment\n")
+	m, err := ParseManifest(inlineManifest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Specs) != 2 || m.Specs[1] != "libelf@0.8.13" {
 		t.Errorf("specs = %v", m.Specs)
 	}
+}
+
+// FuzzParseManifest: no input makes ParseManifest panic, and every
+// manifest it accepts renders back, through Render, to text that parses
+// to an equal Manifest.
+func FuzzParseManifest(f *testing.F) {
+	f.Add(sampleManifest)
+	f.Add(defaultsManifest)
+	f.Add(inlineManifest)
+	for _, tc := range manifestErrorCases {
+		f.Add(tc.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		m, err := ParseManifest(src)
+		if err != nil {
+			return
+		}
+		out := m.Render()
+		back, err := ParseManifest(out)
+		if err != nil {
+			t.Fatalf("rendered manifest does not parse: %v\n--- input ---\n%s\n--- rendered ---\n%s", err, src, out)
+		}
+		if !reflect.DeepEqual(m, back) {
+			t.Fatalf("round trip changed the manifest:\n%#v\n%#v\n--- input ---\n%s\n--- rendered ---\n%s", m, back, src, out)
+		}
+	})
 }
