@@ -11,7 +11,6 @@ package config
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -360,18 +359,4 @@ func (c *Config) ArchDescription(arch string) (*ArchDescription, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Externals lists all registered externals sorted by package name, for
-// reporting.
-func (c *Config) Externals() []External {
-	var out []External
-	all, n := c.scopes()
-	for _, s := range all[:n] {
-		out = append(out, s.externals...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Constraint.Name < out[j].Constraint.Name
-	})
-	return out
 }

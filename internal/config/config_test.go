@@ -178,16 +178,6 @@ func TestLinkRules(t *testing.T) {
 	}
 }
 
-func TestExternalsSorted(t *testing.T) {
-	c := New()
-	c.Site.AddExternal("zlib@1.2.8", "", "/usr")
-	c.Site.AddExternal("bgq-mpi@1.0", "", "/bgsys")
-	exts := c.Externals()
-	if len(exts) != 2 || exts[0].Constraint.Name != "bgq-mpi" {
-		t.Errorf("externals = %v", exts)
-	}
-}
-
 // TestScopeLookupsAllocateNothing: the lookups the concretizer makes for
 // every node on every pass walk the scopes without allocating, whichever
 // scopes are set.
