@@ -245,16 +245,18 @@ func ParseManifest(src string) (*Manifest, error) {
 					m.CompilerOrder = cc.scalar
 				case "providers":
 					for _, virt := range cc.keys {
-						if m.Providers == nil {
-							m.Providers = map[string][]string{}
-						}
-						for _, name := range cc.mapping[virt].list {
-							// Render writes providers as an inline list.
+						names := cc.mapping[virt].list
+						for _, name := range names {
+							// Render writes an inline list, which splits
+							// on commas.
 							if strings.Contains(name, ",") {
 								return nil, fmt.Errorf("env: %s provider %q is not a package name", virt, name)
 							}
 						}
-						m.Providers[virt] = append([]string(nil), cc.mapping[virt].list...)
+						if m.Providers == nil {
+							m.Providers = map[string][]string{}
+						}
+						m.Providers[virt] = append([]string(nil), names...)
 					}
 				default:
 					return nil, fmt.Errorf("env: unknown config setting %q", ck)
