@@ -7,6 +7,7 @@ package repro
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -28,13 +29,7 @@ func oracleOptions(s *spec.Spec) string {
 	for n := range s.Variants {
 		names = append(names, n)
 	}
-	for i := range names {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
+	sort.Strings(names)
 	for _, n := range names {
 		if on, _ := s.Variant(n); on {
 			b.WriteByte('+')
