@@ -60,15 +60,13 @@ type CacheStats struct {
 // an LRU policy. It is safe for concurrent use; ConcretizeAll's worker pool
 // shares one instance.
 //
-// Entries are insulated from callers in both directions: Put stores a deep
-// clone and Get returns a fresh deep clone, so mutating either the spec that
-// was inserted or a returned hit cannot poison the cache.
-//
-// Entries are kept hashed: Put stores a spec.Template, a private copy with
-// every node hashed, and Get's copy of it carries each node's FullHash and
-// canonical-line memos, so a hit is never rehashed. A hit is therefore a concrete DAG that has already
-// been hashed, and spec.Spec's contract applies: do not mutate it; derive
-// a new DAG (Clone, SpliceDep) to change one.
+// Put stores a spec.Template: a private copy of the DAG with every node
+// hashed and frozen, so changing the spec that was inserted cannot
+// poison the cache. Every hit of an entry is that template's own root,
+// shared by all its holders and never copied, and hashing it costs
+// nothing. Because it is shared, a hit is frozen: a mutator called on any
+// of its nodes panics. A holder that needs a changed DAG derives one
+// (Clone, SpliceDep) and changes that.
 type Cache struct {
 	mu      sync.Mutex
 	max     int
@@ -76,13 +74,13 @@ type Cache struct {
 	entries map[Key]*list.Element
 	stats   CacheStats
 	// flight coalesces concurrent misses per key (ConcretizeCached): the
-	// leader solves and stores, and every waiter copies the stored
-	// template.
+	// leader solves and stores, and every waiter shares the stored
+	// template's root.
 	flight singleflight.Group[*spec.Template]
 }
 
-// cacheEntry is one LRU slot: the template, a hashed copy of the stored
-// DAG, that every hit copies.
+// cacheEntry is one LRU slot: the template, a frozen copy of the stored
+// DAG, whose root every hit shares.
 type cacheEntry struct {
 	key  Key
 	tmpl *spec.Template
@@ -106,10 +104,8 @@ func NewCache(max int) *Cache {
 	}
 }
 
-// Get returns a deep clone of the cached concrete DAG for a key, if
-// present. The clone is copied from the entry's spec.Template, without a
-// walk, and carries every node's hash memos: it is a hashed concrete DAG,
-// which its holder must not mutate.
+// Get returns the cached concrete DAG for a key, if present: the root of
+// the entry's spec.Template, shared with every other hit and frozen.
 func (c *Cache) Get(key Key) (*spec.Spec, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[key]
@@ -120,11 +116,9 @@ func (c *Cache) Get(key Key) (*spec.Spec, bool) {
 	}
 	c.order.MoveToFront(el)
 	c.stats.Hits++
-	// An entry is never written once stored, so it is copied outside the
-	// lock.
-	tmpl := el.Value.(*cacheEntry).tmpl
+	root := el.Value.(*cacheEntry).tmpl.Root()
 	c.mu.Unlock()
-	return tmpl.Copy(), true
+	return root, true
 }
 
 // template returns the stored template for a key, if present, without
@@ -140,7 +134,7 @@ func (c *Cache) template(key Key) (*spec.Template, bool) {
 
 // Put stores a deep clone of a concrete DAG under a key, with every node
 // hashed, evicting the least recently used entry when the bound is
-// exceeded. It returns the template that hits of the entry copy.
+// exceeded. It returns the template whose root hits of the entry share.
 func (c *Cache) Put(key Key, concrete *spec.Spec) *spec.Template {
 	entry := &cacheEntry{key: key, tmpl: spec.NewTemplate(concrete)}
 	c.mu.Lock()
@@ -191,7 +185,7 @@ func (c *Cache) Save(w io.Writer) error {
 	var entries []persistEntry
 	for el := c.order.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*cacheEntry)
-		data := syntax.EncodeJSON(e.tmpl.Copy())
+		data := syntax.EncodeJSON(e.tmpl.Root())
 		entries = append(entries, persistEntry{Key: e.key, Concrete: data})
 	}
 	c.mu.Unlock()

@@ -40,8 +40,9 @@ func TestCacheHitReturnsSameResult(t *testing.T) {
 }
 
 // TestCacheHitIsDeepClone verifies the cache is insulated in both
-// directions: mutating a returned DAG must not poison later hits, and
-// mutating the spec that populated the cache must not either.
+// directions: mutating the spec that populated the cache must not poison
+// later hits, and neither must mutating a Clone of a hit (a hit itself is
+// the entry's shared, frozen DAG).
 func TestCacheHitIsDeepClone(t *testing.T) {
 	c, _ := cachedEnv(DefaultCacheSize)
 
@@ -57,8 +58,8 @@ func TestCacheHitIsDeepClone(t *testing.T) {
 	if second.FullHash() != want {
 		t.Fatalf("cache poisoned by mutating the inserted spec:\n%s", second.TreeString())
 	}
-	// Vandalize the hit too; the next hit must still be pristine.
-	second.Dep("callpath").Name = "vandalized"
+	// Vandalize a clone of the hit; the next hit must still be pristine.
+	second.Clone().Dep("callpath").Name = "vandalized"
 	third := mustConcretize(t, c, "mpileaks")
 	if third.FullHash() != want {
 		t.Fatalf("cache poisoned by mutating a returned hit:\n%s", third.TreeString())

@@ -32,41 +32,73 @@ func concurrently(n int, f func(i int)) {
 
 // TestConcurrentMissesCoalesce: 64 concurrent calls for one cold key, from
 // two concretizers sharing a Cache, run one solve. Every caller gets the
-// same DAG, and no two callers share a node.
+// same DAG: the solving caller its own result, and every other caller the
+// cache entry's one frozen DAG, which each hashes at once and none can
+// change; a Clone of it can be changed and leaves the entry as it was.
 func TestConcurrentMissesCoalesce(t *testing.T) {
 	a, _ := cachedEnv(DefaultCacheSize)
 	b := New(a.Path, a.Config, a.Registry)
 	b.Cache = a.Cache
 	const n = 64
 	outs := make([]*spec.Spec, n)
+	cached := make([]bool, n)
 	errs := make([]error, n)
+	hashes := make([]string, n)
 	concurrently(n, func(i int) {
 		c := a
 		if i%2 == 1 {
 			c = b
 		}
-		outs[i], _, errs[i] = c.ConcretizeCached(syntax.MustParse("mpileaks ^mvapich2"))
+		outs[i], cached[i], errs[i] = c.ConcretizeCached(syntax.MustParse("mpileaks ^mvapich2"))
+		if errs[i] == nil {
+			hashes[i] = outs[i].FullHash()
+			for _, node := range outs[i].Nodes() {
+				node.FullHash()
+			}
+		}
 	})
-	owner := make(map[*spec.Spec]int)
+	var shared *spec.Spec
 	for i, out := range outs {
 		if errs[i] != nil {
 			t.Fatalf("call %d: %v", i, errs[i])
 		}
-		if out.FullHash() != outs[0].FullHash() {
-			t.Errorf("call %d: hash %s, call 0 %s", i, out.FullHash(), outs[0].FullHash())
+		if hashes[i] != hashes[0] {
+			t.Errorf("call %d: hash %s, call 0 %s", i, hashes[i], hashes[0])
 		}
-		for _, node := range out.Nodes() {
-			if j, ok := owner[node]; ok {
-				t.Fatalf("calls %d and %d share node %s", j, i, node.Name)
-			}
-			owner[node] = i
+		if !cached[i] {
+			continue
 		}
+		if shared == nil {
+			shared = out
+		} else if out != shared {
+			t.Fatalf("call %d got a DAG of its own: every hit shares the cache entry", i)
+		}
+	}
+	if shared == nil {
+		t.Fatal("no call was a hit")
+	}
+	if !panics(func() { shared.Dep("mvapich2").SetVariant("coalesce-test", true) }) {
+		t.Error("a mutator on a shared hit did not panic")
+	}
+	// A Clone copies no memo, so a second one rehashes the hit's fields.
+	clone := shared.Clone()
+	clone.Dep("mvapich2").SetVariant("coalesce-test", true)
+	if clone.FullHash() == hashes[0] || shared.FullHash() != hashes[0] || shared.Clone().FullHash() != hashes[0] {
+		t.Errorf("changing a clone of the shared hit: clone %s, hit %s, want the hit at %s",
+			clone.FullHash(), shared.FullHash(), hashes[0])
 	}
 	misses := a.Stats.CacheMisses() + b.Stats.CacheMisses()
 	hits := a.Stats.CacheHits() + b.Stats.CacheHits()
 	if misses != 1 || hits != n-1 {
 		t.Errorf("misses = %d, hits = %d; want 1 and %d", misses, hits, n-1)
 	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }
 
 // TestConcurrentUnsatShared: concurrent calls for one unsatisfiable input

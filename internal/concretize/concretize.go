@@ -58,7 +58,8 @@ type Concretizer struct {
 	// Cache, when non-nil, memoizes Concretize results keyed by the
 	// abstract spec plus repository/configuration/compiler fingerprints
 	// (see cache.go). Repeated concretization of an identical abstract
-	// spec then costs one hash and one DAG clone instead of a full solve.
+	// spec then costs one key lookup instead of a full solve, and answers
+	// the entry's shared, frozen DAG.
 	Cache *Cache
 
 	// Reuse, when non-nil, supplies already-built concrete specs (the
@@ -225,8 +226,8 @@ func (e *UnknownVariantError) Error() string {
 //
 // With a Cache attached, a repeated concretization of an identical abstract
 // spec under unchanged repositories, configuration, compilers, and reuse
-// candidates is a cache hit: O(key hash + result clone) instead of a full
-// solve. Failed concretizations are never cached — the error path re-runs
+// candidates is a cache hit: one key lookup instead of a full solve, and
+// the result is shared and frozen (see ConcretizeCached). Failed concretizations are never cached — the error path re-runs
 // so callers always see the current diagnosis.
 func (c *Concretizer) Concretize(abstract *spec.Spec) (*spec.Spec, error) {
 	out, _, err := c.ConcretizeCached(abstract)
@@ -237,15 +238,14 @@ func (c *Concretizer) Concretize(abstract *spec.Spec) (*spec.Spec, error) {
 // result was answered from the memo cache — the per-request hit signal
 // the buildcache service's /v1/concretize counters expose.
 //
-// A hit is a fresh copy of the cached DAG that carries every node's
-// FullHash memo (see Cache.Get), so hashing it costs nothing. Like any
-// hashed concrete DAG it must not be mutated (see spec.Spec): a caller
-// that needs a changed DAG derives one with Clone or SpliceDep.
+// A hit is the cached entry's frozen DAG, shared with every other hit
+// and hashed (see Cache.Get): a mutator on it panics, and a caller that
+// needs a changed DAG derives one with Clone or SpliceDep.
 //
 // Concurrent misses on one key, from any concretizer sharing the Cache,
 // run one solve: the first caller solves and stores the result, and the
-// others wait and get their own copy of it, reported as hits, or share
-// its error. Stats counts that solve as the one miss.
+// others wait and share the stored entry's root, reported as hits, or
+// share its error. Stats counts that solve as the one miss.
 func (c *Concretizer) ConcretizeCached(abstract *spec.Spec) (*spec.Spec, bool, error) {
 	snap, err := c.reuseSnapshot()
 	if err != nil {
@@ -279,9 +279,9 @@ func (c *Concretizer) ConcretizeCached(abstract *spec.Spec) (*spec.Spec, bool, e
 		return nil, false, err
 	}
 	if out == nil {
-		// Another call solved it: a copy of its stored result, as a hit.
+		// Another call solved it: its stored result, as a hit.
 		c.Stats.cacheHits.Add(1)
-		return tmpl.Copy(), true, nil
+		return tmpl.Root(), true, nil
 	}
 	return out, false, nil
 }

@@ -75,13 +75,23 @@ func readLock(fs *simfs.FS, path string) (*Lock, error) {
 	if err != nil {
 		return nil, err
 	}
+	l, err := decodeLock(data)
+	if err != nil {
+		return nil, fmt.Errorf("env: lockfile %s: %w", path, err)
+	}
+	return l, nil
+}
+
+// decodeLock decodes a lockfile's bytes. A lock from a newer version of
+// this tool is refused; the locked specs themselves are decoded only when
+// asked for (Spec).
+func decodeLock(data []byte) (*Lock, error) {
 	var l Lock
 	if err := json.Unmarshal(data, &l); err != nil {
-		return nil, fmt.Errorf("env: corrupt lockfile %s: %w", path, err)
+		return nil, fmt.Errorf("corrupt: %w", err)
 	}
 	if l.Version > LockVersion {
-		return nil, fmt.Errorf("env: lockfile %s has version %d, newer than this tool (%d)",
-			path, l.Version, LockVersion)
+		return nil, fmt.Errorf("version %d, newer than this tool (%d)", l.Version, LockVersion)
 	}
 	if l.Specs == nil {
 		l.Specs = map[string]json.RawMessage{}

@@ -83,6 +83,12 @@ type yamlNode struct {
 	keys    []string // mapping insertion order
 }
 
+// isScalar, isList and isMapping report whether the node can be read as
+// that shape. A node with nothing (an empty section) is every shape.
+func (n *yamlNode) isScalar() bool  { return n.list == nil && n.mapping == nil }
+func (n *yamlNode) isList() bool    { return n.scalar == "" && n.mapping == nil }
+func (n *yamlNode) isMapping() bool { return n.scalar == "" && n.list == nil }
+
 type yamlLine struct {
 	indent int
 	text   string
@@ -199,7 +205,8 @@ func parseYAMLBlock(lines []yamlLine, i, indent int) (*yamlNode, int, error) {
 	return n, i, nil
 }
 
-// ParseManifest parses spack.yaml content.
+// ParseManifest parses spack.yaml content. A section of the wrong shape
+// (`specs: zlib`, a list where a setting takes one value) is an error.
 func ParseManifest(src string) (*Manifest, error) {
 	root, err := parseYAML(src)
 	if err != nil {
@@ -209,15 +216,27 @@ func ParseManifest(src string) (*Manifest, error) {
 	if root.mapping == nil || !ok {
 		return nil, fmt.Errorf("env: manifest has no top-level `spack:` section")
 	}
+	if !top.isMapping() {
+		return nil, fmt.Errorf("env: `spack:` must be a mapping of sections")
+	}
 	m := &Manifest{}
 	for _, key := range top.keys {
 		child := top.mapping[key]
 		switch key {
 		case "specs":
+			if !child.isList() {
+				return nil, fmt.Errorf("env: specs must be a list")
+			}
 			m.Specs = append(m.Specs, child.list...)
 		case "view":
+			if !child.isMapping() {
+				return nil, fmt.Errorf("env: view must be a mapping of settings")
+			}
 			v := &View{}
 			for _, vk := range child.keys {
+				if !child.mapping[vk].isScalar() {
+					return nil, fmt.Errorf("env: view setting %q must be one value", vk)
+				}
 				val := child.mapping[vk].scalar
 				switch vk {
 				case "path":
@@ -238,13 +257,25 @@ func ParseManifest(src string) (*Manifest, error) {
 			}
 			m.View = v
 		case "config":
+			if !child.isMapping() {
+				return nil, fmt.Errorf("env: config must be a mapping of settings")
+			}
 			for _, ck := range child.keys {
 				cc := child.mapping[ck]
 				switch ck {
 				case "compiler_order":
+					if !cc.isScalar() {
+						return nil, fmt.Errorf("env: compiler_order must be one comma-separated value")
+					}
 					m.CompilerOrder = cc.scalar
 				case "providers":
+					if !cc.isMapping() {
+						return nil, fmt.Errorf("env: providers must be a mapping of virtuals")
+					}
 					for _, virt := range cc.keys {
+						if !cc.mapping[virt].isList() {
+							return nil, fmt.Errorf("env: %s providers must be a list", virt)
+						}
 						names := cc.mapping[virt].list
 						for _, name := range names {
 							// Render writes an inline list, which splits

@@ -88,6 +88,18 @@ var manifestErrorCases = []struct {
 	{"tab indent", "spack:\n\tspecs:\n", "tabs"},
 	{"bare text", "spack:\n  specs:\n  - zlib\n  oops\n", "expected `key:`"},
 	{"duplicate key", "spack:\n  specs:\n  - a\n  specs:\n  - b\n", "duplicate key"},
+	// Sections of the wrong shape.
+	{"spack scalar", "spack: zlib\n", "`spack:` must be a mapping"},
+	{"spack list", "spack:\n- zlib\n", "`spack:` must be a mapping"},
+	{"specs scalar", "spack:\n  specs: zlib\n", "specs must be a list"},
+	{"specs mapping", "spack:\n  specs:\n    zlib: 1.2\n", "specs must be a list"},
+	{"view scalar", "spack:\n  view: /v\n", "view must be a mapping"},
+	{"view path list", "spack:\n  view:\n    path: [/a, /b]\n", "view setting \"path\" must be one value"},
+	{"config list", "spack:\n  config:\n  - gcc\n", "config must be a mapping"},
+	{"compiler_order inline list", "spack:\n  config:\n    compiler_order: [gcc, icc]\n", "compiler_order must be one"},
+	{"compiler_order block list", "spack:\n  config:\n    compiler_order:\n    - gcc\n    - icc\n", "compiler_order must be one"},
+	{"providers scalar", "spack:\n  config:\n    providers: mpich\n", "providers must be a mapping"},
+	{"provider scalar", "spack:\n  config:\n    providers:\n      mpi: mpich\n", "mpi providers must be a list"},
 }
 
 func TestParseManifestErrors(t *testing.T) {

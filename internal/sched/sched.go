@@ -211,8 +211,9 @@ type Lease struct {
 	FullHash string `json:"full_hash"`
 	Name     string `json:"name"`
 	Spec     string `json:"spec"`
-	// DAG is the node's concrete subtree (syntax.EncodeJSON); the
-	// worker decodes it and builds bottom-up, pulling archived deps.
+	// DAG is the node's concrete subtree in compact spec JSON
+	// (syntax.AppendJSON); the worker decodes it and builds bottom-up,
+	// pulling archived deps.
 	DAG []byte `json:"dag"`
 	// TTLMS is the lease's time budget between heartbeats.
 	TTLMS int64 `json:"ttl_ms"`
@@ -289,7 +290,7 @@ func (s *Scheduler) Submit(root *spec.Spec) (JobStatus, error) {
 			j.prebuilt++
 			continue
 		}
-		dag := syntax.EncodeJSON(n)
+		dag := syntax.AppendJSON(nil, n, false)
 		nd := &node{
 			hash:        hash,
 			name:        n.Name,

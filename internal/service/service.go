@@ -522,12 +522,12 @@ func (s *Server) handleConcretize(w http.ResponseWriter, r *http.Request) {
 		s.stats.concretize.hits.Add(1)
 	}
 	// The answer is a ConcretizeResponse written by hand, compact, with
-	// the DAG's spec JSON spliced in as syntax.AppendJSON writes it: one
-	// pass over the DAG and no reflection.
+	// the DAG's compact spec JSON appended in place: one pass over the
+	// DAG and no reflection.
 	out := append(make([]byte, 0, 8<<10), `{"spec":`...)
 	out = jsonenc.String(out, concrete.String())
 	out = jsonenc.String(append(out, `,"full_hash":`...), concrete.FullHash())
-	out = syntax.AppendJSON(append(out, `,"dag":`...), concrete)
+	out = syntax.AppendJSON(append(out, `,"dag":`...), concrete, false)
 	out = append(jsonenc.Bool(append(out, `,"cached":`...), cached), "}\n"...)
 	h := w.Header()
 	h.Set("Content-Type", "application/json")

@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"maps"
 	"slices"
 	"strings"
 )
@@ -21,8 +20,8 @@ func (s *Spec) AddDepTyped(d *Spec, t DepType) error {
 		s.SetDep(d, t)
 		return nil
 	}
-	s.depTypes[i] |= t
 	s.forgetHash()
+	s.depTypes[i] |= t
 	return s.deps[i].Constrain(d)
 }
 
@@ -30,21 +29,29 @@ func (s *Spec) AddDepTyped(d *Spec, t DepType) error {
 // t, replacing any edge of that name. Unlike AddDepTyped it merges
 // nothing.
 func (s *Spec) SetDep(d *Spec, t DepType) {
+	s.forgetHash()
 	if i, ok := s.depIndex(d.Name); ok {
 		s.deps[i], s.depTypes[i] = d, t
 	} else {
 		s.deps = slices.Insert(s.deps, i, d)
 		s.depTypes = slices.Insert(s.depTypes, i, t)
 	}
+}
+
+// GrowDeps makes room for n more edges, so that attaching them one
+// SetDep at a time moves s's edge columns at most once.
+func (s *Spec) GrowDeps(n int) {
 	s.forgetHash()
+	s.deps = slices.Grow(s.deps, n)
+	s.depTypes = slices.Grow(s.depTypes, n)
 }
 
 // RemoveDep drops the edge to the direct dependency named name, if any.
 func (s *Spec) RemoveDep(name string) {
 	if i, ok := s.depIndex(name); ok {
+		s.forgetHash()
 		s.deps = slices.Delete(s.deps, i, i+1)
 		s.depTypes = slices.Delete(s.depTypes, i, i+1)
-		s.forgetHash()
 	}
 }
 
@@ -52,8 +59,8 @@ func (s *Spec) RemoveDep(name string) {
 // nothing if s has no edge of that name.
 func (s *Spec) SetDepType(name string, t DepType) {
 	if i, ok := s.depIndex(name); ok {
-		s.depTypes[i] = t
 		s.forgetHash()
+		s.depTypes[i] = t
 	}
 }
 
@@ -289,47 +296,36 @@ func copyPlan(orig []*Spec, off, to []int) []Spec {
 	return nodes
 }
 
-// A Template is a DAG planned once to be copied many times, as the
-// concretizer's memo cache copies an entry for every hit. It holds its
-// own hashed copy of the DAG in one array of nodes, so a copy clones that
-// array in one move, clones each node's variants, and points the edges at
-// the new nodes by index: it scans nothing.
-type Template struct {
-	nodes   []Spec
-	off, to []int
-}
+// A Template is a concrete DAG frozen to be shared, as the concretizer's
+// memo cache shares an entry with every hit. It holds its own copy of
+// the DAG in one array of nodes, each hashed and frozen: reading or
+// hashing the root from many goroutines is safe and costs nothing, and
+// any mutator called on one of its nodes panics (see Spec).
+type Template struct{ nodes []Spec }
 
-// NewTemplate walks s once and takes a copy of it with every node hashed,
-// so every Copy arrives hashed. s itself is left as it is.
+// NewTemplate walks s once and takes a copy of it with every node hashed
+// and frozen. s itself is left as it is.
 func NewTemplate(s *Spec) *Template {
 	orig, off, to := s.plan(nil, nil, nil)
 	nodes := copyPlan(orig, off, to)
 	for i := range nodes {
-		nodes[i].FullHash()
+		n := &nodes[i]
+		n.FullHash()
+		var m nodeMemo
+		if old := n.memo.Load(); old != nil {
+			m = *old
+		} else {
+			// An abstract node memoizes no hash; frozen, its line holds.
+			line, node := n.appendLine(nil)
+			m = nodeMemo{line: string(line), node: node}
+		}
+		m.frozen = true
+		n.memo.Store(&m)
 	}
-	return &Template{nodes: nodes, off: off, to: to}
+	return &Template{nodes: nodes}
 }
 
-// Copy returns a fresh copy of the template's DAG. Each node arrives with
-// its FullHash and canonical line memoized, so hashing the copy costs
-// nothing; the copy falls under Spec's contract: do not mutate it.
-func (t *Template) Copy() *Spec {
-	nodes := slices.Clone(t.nodes)
-	deps := make([]*Spec, len(t.to))
-	types := make([]DepType, len(t.to))
-	for i := range nodes {
-		c := &nodes[i]
-		if c.Variants != nil {
-			c.Variants = maps.Clone(c.Variants)
-		}
-		if k := len(c.deps); k > 0 {
-			o := t.off[i]
-			c.deps, c.depTypes = deps[o:o+k:o+k], types[o:o+k:o+k]
-			copy(c.depTypes, t.nodes[i].depTypes)
-			for j, at := range t.to[o : o+k] {
-				c.deps[j] = &nodes[at]
-			}
-		}
-	}
-	return &nodes[0]
-}
+// Root returns the template's frozen DAG. Every caller gets the same
+// nodes: a holder that needs a changed DAG derives one (Clone,
+// SpliceDep) and changes that.
+func (t *Template) Root() *Spec { return &t.nodes[0] }

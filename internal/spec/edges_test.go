@@ -131,15 +131,15 @@ func TestWalksMatchMapWalks(t *testing.T) {
 	}
 }
 
-// TestCloneMatchesOriginal: Clone and a Template's Copy copy every corpus
+// TestCloneMatchesOriginal: Clone and a Template's root copy every corpus
 // DAG node for node and edge for edge (the cycle included), share no node
 // with the original, keep one copy per shared node, and hash alike; a
-// Template's copy arrives with every memo set.
+// Template's root arrives with every memo set.
 func TestCloneMatchesOriginal(t *testing.T) {
 	for _, s := range walkCorpus(t) {
 		want := spec.FreshFullHash(s)
 		s.FullHash() // memoizes every node's line, and the root's hash, on a concrete DAG
-		for _, c := range []*spec.Spec{s.Clone(), spec.NewTemplate(s).Copy()} {
+		for _, c := range []*spec.Spec{s.Clone(), spec.NewTemplate(s).Root()} {
 			orig, copies := s.Nodes(), c.Nodes()
 			if names(orig) == names(copies) || len(orig) != len(copies) {
 				t.Fatalf("%s: clone has %d nodes, original %d, or shares them", s.Name, len(copies), len(orig))
@@ -169,14 +169,9 @@ func TestCloneMatchesOriginal(t *testing.T) {
 			}
 		}
 		if s.Concrete() {
-			// AllocsPerRun calls f twice and measures the second call.
-			tmpl := spec.NewTemplate(s)
-			copies := []*spec.Spec{tmpl.Copy(), tmpl.Copy()}
-			if allocs := testing.AllocsPerRun(1, func() {
-				copies[0].FullHash()
-				copies = copies[1:]
-			}); allocs != 0 {
-				t.Fatalf("%s: FullHash of a Template copy allocates %v times", s.Name, allocs)
+			root := spec.NewTemplate(s).Root()
+			if allocs := testing.AllocsPerRun(1, func() { root.FullHash() }); allocs != 0 {
+				t.Fatalf("%s: FullHash of a Template's root allocates %v times", s.Name, allocs)
 			}
 		}
 	}

@@ -31,7 +31,9 @@ func (s *Spec) FullHash() string {
 	h := hashOf(canon)
 	if concrete {
 		// appendCanonical has memoized s's line.
-		s.memo.Store(&nodeMemo{line: s.memo.Load().line, hash: h})
+		m := *s.memo.Load()
+		m.hash = h
+		s.memo.Store(&m)
 	}
 	return h
 }
@@ -63,12 +65,26 @@ func hashOf(canon []byte) string {
 }
 
 // nodeMemo is what a concrete node memoizes: its canonical line and, once
-// FullHash has been asked of it, its hash ("" until then).
-type nodeMemo struct{ line, hash string }
+// FullHash has been asked of it, its hash ("" until then). The line
+// starts with the node as AppendNode renders it, node bytes long, so
+// rendering a memoized node copies that part. A frozen memo belongs to a
+// Template's node, which is shared and must never change.
+type nodeMemo struct {
+	line, hash string
+	node       int
+	frozen     bool
+}
 
 // forgetHash drops the node's memoized FullHash and canonical line; every
-// mutator calls it on each node it changes.
-func (s *Spec) forgetHash() { s.memo.Store(nil) }
+// mutator calls it on each node it changes, before changing it. On a
+// frozen node it panics instead: the node is shared by every holder of a
+// Template's root, so the change would reach all of them.
+func (s *Spec) forgetHash() {
+	if m := s.memo.Load(); m != nil && m.frozen {
+		panic("spec: mutating node " + s.Name + " of a frozen DAG (a Template's root, such as a concretizer memo hit); Clone the DAG and change the clone")
+	}
+	s.memo.Store(nil)
+}
 
 // appendCanonical appends the DAG's canonical serialization to dst: one
 // line per node, root first and the rest in name order, each the node in
@@ -91,19 +107,31 @@ func (s *Spec) appendCanonical(dst []byte, memo bool) ([]byte, bool) {
 			continue
 		}
 		start := len(dst)
-		dst = append(n.appendNode(dst, true), " ->"...)
-		for i, d := range n.deps {
-			dst = append(append(dst, ' '), d.Name...)
-			if t := n.depTypes[i]; t != DepDefault {
-				dst = append(append(append(dst, '['), t.String()...), ']')
-			}
-		}
-		dst = append(dst, '\n')
+		var node int
+		dst, node = n.appendLine(dst)
 		if memo && concrete {
-			n.memo.Store(&nodeMemo{line: string(dst[start:])})
+			n.memo.Store(&nodeMemo{line: string(dst[start:]), node: node})
 		}
 	}
 	return dst, concrete
+}
+
+// appendLine appends the node's canonical line, rendered afresh: the
+// node in spec syntax with its external annotation, then its explicit
+// edges. It also returns the length of the line's leading AppendNode
+// part.
+func (s *Spec) appendLine(dst []byte) ([]byte, int) {
+	start := len(dst)
+	dst = s.renderNode(dst)
+	node := len(dst) - start
+	dst = append(s.appendExternal(dst), " ->"...)
+	for i, d := range s.deps {
+		dst = append(append(dst, ' '), d.Name...)
+		if t := s.depTypes[i]; t != DepDefault {
+			dst = append(append(append(dst, '['), t.String()...), ']')
+		}
+	}
+	return append(dst, '\n'), node
 }
 
 // appendSortedNodes appends the DAG's nodes to dst, root first and the

@@ -99,7 +99,8 @@ func TestFullHashMemoMatchesRecompute(t *testing.T) {
 
 // TestMutatorsDropHashMemo: each exported mutator, applied to a hashed
 // concrete node, changes that node's hash to the fresh recompute, which
-// reads no memoized canonical line.
+// reads no memoized canonical line. Applied to a Template's frozen root,
+// it panics and changes nothing.
 func TestMutatorsDropHashMemo(t *testing.T) {
 	const expr = "callpath@1.2%gcc@4.9.2=linux-x86_64 ^mpich@3.1.4%gcc@4.9.2=linux-x86_64"
 	for _, tc := range []struct {
@@ -126,6 +127,13 @@ func TestMutatorsDropHashMemo(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"Constrain external", func(t *testing.T, s *spec.Spec) {
+			o := spec.New("callpath")
+			o.External, o.Path = true, "/usr"
+			if err := s.Constrain(o); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"ConstrainChanged", func(t *testing.T, s *spec.Spec) {
 			changed, err := s.ConstrainChanged(syntax.MustParse("callpath+debug"))
 			if err != nil || !changed {
@@ -146,6 +154,14 @@ func TestMutatorsDropHashMemo(t *testing.T) {
 			}
 			if want := spec.FreshFullHash(s); after != want {
 				t.Errorf("hash %s after %s, fresh recompute %s", after, tc.name, want)
+			}
+
+			frozen := spec.NewTemplate(syntax.MustParse(expr)).Root()
+			if !panics(func() { tc.mutate(t, frozen) }) {
+				t.Errorf("%s on a frozen DAG did not panic", tc.name)
+			}
+			if got := spec.FreshFullHash(frozen); got != before {
+				t.Errorf("%s on a frozen DAG changed its hash to %s, want %s", tc.name, got, before)
 			}
 		})
 	}
@@ -193,10 +209,12 @@ func TestConcurrentFullHash(t *testing.T) {
 }
 
 // TestConcurrentMemoHits: 64 goroutines take memo hits of one key from a
-// concretizer's cache and hash every node at once. Every hit is its own
-// copy, every hash equals a fresh recompute, and since a hit carries the
-// cached entry's memos, FullHash on it allocates nothing. CI runs it with
-// -race -count=10.
+// concretizer's cache and hash every node at once. Every hit is the one
+// frozen DAG of the cache entry, every hash equals a fresh recompute, and
+// since the entry arrives hashed, hashing it allocates nothing. A mutator
+// called on a hit panics and leaves it as it was; a Clone of a hit is an
+// ordinary DAG that can be changed without moving the entry's hash. CI
+// runs it with -race.
 func TestConcurrentMemoHits(t *testing.T) {
 	path := repo.NewPath(ares.Repo(), repo.Builtin())
 	c := concretize.New(path, config.New(), compiler.LLNLRegistry())
@@ -232,28 +250,53 @@ func TestConcurrentMemoHits(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	seen := make(map[*spec.Spec]bool)
-	for _, r := range roots {
-		for _, n := range r.Nodes() {
-			if seen[n] {
-				t.Fatalf("node %s is shared between two hits", n.Name)
-			}
-			seen[n] = true
+	hit := roots[0]
+	for g, r := range roots {
+		if r != hit {
+			t.Fatalf("hits 0 and %d are different DAGs: a hit must share the cache entry", g)
 		}
-	}
-	// AllocsPerRun calls f once more than it measures, so each call hashes
-	// a hit no call has hashed before.
-	var fresh [][]*spec.Spec
-	for i := 0; i < 11; i++ {
-		hit, _, _ := c.ConcretizeCached(abstract)
-		fresh = append(fresh, hit.Nodes())
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		for _, n := range fresh[0] {
+		for _, n := range hit.DirectDeps() {
 			n.FullHash()
 		}
-		fresh = fresh[1:]
+		hit.FullHash()
 	}); allocs != 0 {
-		t.Errorf("hashing every node of a memo hit allocates %v times", allocs)
+		t.Errorf("hashing a memo hit allocates %v times", allocs)
 	}
+
+	entry := hit.FullHash()
+	dep := hit.DirectDeps()[0]
+	for name, mutate := range map[string]func(){
+		"SetVariant on the root": func() { hit.SetVariant("memo-test", true) },
+		"SetDepType on the root": func() { hit.SetDepType(dep.Name, spec.DepBuild) },
+		"RemoveDep on the root":  func() { hit.RemoveDep(dep.Name) },
+		"SetVariant on a dep":    func() { dep.SetVariant("memo-test", true) },
+	} {
+		if !panics(mutate) {
+			t.Errorf("%s of a memo hit did not panic", name)
+		}
+	}
+	if got := spec.FreshFullHash(hit); got != entry {
+		t.Fatalf("a refused mutator changed the memo hit: hash %s, want %s", got, entry)
+	}
+
+	clone := hit.Clone()
+	clone.SetVariant("memo-test", true)
+	clone.DirectDep(dep.Name).SetVariant("memo-test", true)
+	if clone.FullHash() == entry || clone.FullHash() != spec.FreshFullHash(clone) {
+		t.Errorf("changed clone hashes to %s (fresh %s), entry %s", clone.FullHash(), spec.FreshFullHash(clone), entry)
+	}
+	again, cached, err := c.ConcretizeCached(abstract)
+	if err != nil || !cached || again != hit || again.FullHash() != entry || spec.FreshFullHash(again) != entry {
+		t.Errorf("after changing a clone: hit %p (first %p), cached=%v, hash %s, want %s, %v",
+			again, hit, cached, again.FullHash(), entry, err)
+	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }

@@ -141,14 +141,16 @@ func (e *ConflictError) Error() string {
 // SetDep, RemoveDep, SetDepType and Constrain.
 //
 // FullHash memoizes its result on a concrete node, and the node's
-// canonical line (see appendCanonical) beside it. Every mutator drops the
-// memos of each node it changes; with the edges private, no edge write can
-// skip that. The hash also covers the sub-DAG below its node, and a change
-// there drops no ancestor's memo, so do not mutate a concrete DAG once it
-// has been hashed: derive a new one (Clone, SpliceDep) and change that
-// instead. A Template's copy, and so every memo hit of the concretizer's
-// cache (concretize.Cache.Get), arrives hashed: the contract holds for it
-// from the start.
+// canonical line (see appendCanonical) beside it; String and AppendNode
+// copy a memoized node's rendering from that line. Every mutator drops
+// the memos of each node it changes; with the edges private, no edge
+// write can skip that. The hash also covers the sub-DAG below its node,
+// and a change there drops no ancestor's memo, so do not mutate a
+// concrete DAG once it has been hashed: derive a new one (Clone,
+// SpliceDep) and change that instead. A Template's root, and so every
+// memo hit of the concretizer's cache (concretize.Cache.Get), is shared
+// by all its holders and frozen: every mutator called on one of its
+// nodes panics, so the contract is checked there.
 type Spec struct {
 	Name      string
 	Versions  version.List
@@ -182,11 +184,11 @@ func New(name string) *Spec {
 
 // SetVariant records an explicit +name or ~name setting.
 func (s *Spec) SetVariant(name string, on bool) {
+	s.forgetHash()
 	if s.Variants == nil {
 		s.Variants = make(map[string]VariantValue)
 	}
 	s.Variants[name] = VariantValue(on)
-	s.forgetHash()
 }
 
 // Variant returns the setting of a variant and whether it is set.
@@ -288,12 +290,14 @@ func (s *Spec) Concrete() bool {
 }
 
 // constrainNode intersects o's node-level constraints into s (not touching
-// dependencies). It reports whether s changed.
+// dependencies). It reports whether s changed, and drops s's memos before
+// each change it makes (so a frozen s panics before it changes).
 func (s *Spec) constrainNode(o *Spec) (bool, error) {
 	changed := false
-	if s.Name == "" {
+	if s.Name == "" && o.Name != "" {
+		s.forgetHash()
 		s.Name = o.Name
-		changed = o.Name != ""
+		changed = true
 	} else if o.Name != "" && s.Name != o.Name {
 		return false, &ConflictError{Field: "package name", A: s.Name, B: o.Name}
 	}
@@ -306,6 +310,7 @@ func (s *Spec) constrainNode(o *Spec) (bool, error) {
 			}
 		}
 		if merged.String() != s.Versions.String() {
+			s.forgetHash()
 			s.Versions = merged
 			changed = true
 		}
@@ -319,6 +324,7 @@ func (s *Spec) constrainNode(o *Spec) (bool, error) {
 			return false, err
 		}
 		if merged.String() != s.Compiler.String() {
+			s.forgetHash()
 			s.Compiler = merged
 			changed = true
 		}
@@ -347,6 +353,7 @@ func (s *Spec) constrainNode(o *Spec) (bool, error) {
 	}
 	if o.Arch != "" {
 		if s.Arch == "" {
+			s.forgetHash()
 			s.Arch = o.Arch
 			changed = true
 		} else if s.Arch != o.Arch {
@@ -355,6 +362,7 @@ func (s *Spec) constrainNode(o *Spec) (bool, error) {
 	}
 	if o.External {
 		if !s.External {
+			s.forgetHash()
 			s.External = true
 			s.Path = o.Path
 			changed = true
@@ -363,6 +371,7 @@ func (s *Spec) constrainNode(o *Spec) (bool, error) {
 		}
 	}
 	if o.Namespace != "" && s.Namespace == "" {
+		s.forgetHash()
 		s.Namespace = o.Namespace
 	}
 	return changed, nil
@@ -564,6 +573,19 @@ func (s *Spec) formatNode(b *strings.Builder) {
 func (s *Spec) AppendNode(dst []byte) []byte { return s.appendNode(dst, false) }
 
 func (s *Spec) appendNode(dst []byte, external bool) []byte {
+	if m := s.memo.Load(); m != nil {
+		dst = append(dst, m.line[:m.node]...)
+	} else {
+		dst = s.renderNode(dst)
+	}
+	if external {
+		dst = s.appendExternal(dst)
+	}
+	return dst
+}
+
+// renderNode renders AppendNode's bytes afresh, reading no memo.
+func (s *Spec) renderNode(dst []byte) []byte {
 	dst = appendVersions(append(dst, s.Name...), '@', s.Versions)
 	if s.Compiler.Name != "" {
 		dst = append(dst, '%')
@@ -574,15 +596,21 @@ func (s *Spec) appendNode(dst []byte, external bool) []byte {
 		dst = append(dst, '=')
 		dst = append(dst, s.Arch...)
 	}
-	if external && s.External {
-		dst = append(dst, " [external"...)
-		if s.Path != "" {
-			dst = append(dst, ':')
-			dst = append(dst, s.Path...)
-		}
-		dst = append(dst, ']')
-	}
 	return dst
+}
+
+// appendExternal appends the external annotation (" [external:path]")
+// of an external node, and nothing for any other.
+func (s *Spec) appendExternal(dst []byte) []byte {
+	if !s.External {
+		return dst
+	}
+	dst = append(dst, " [external"...)
+	if s.Path != "" {
+		dst = append(dst, ':')
+		dst = append(dst, s.Path...)
+	}
+	return append(dst, ']')
 }
 
 // AppendVariants appends the node's variant settings in name order, each
@@ -620,14 +648,13 @@ func appendVersions(dst []byte, sep byte, l version.List) []byte {
 // dependency-name order. The rendering is canonical: equal DAGs produce
 // equal strings.
 func (s *Spec) String() string {
-	var b strings.Builder
-	s.formatNode(&b)
-	var buf [inlineNodes]*Spec
-	for _, n := range s.appendSortedNodes(buf[:0])[1:] {
-		b.WriteString(" ^")
-		n.formatNode(&b)
+	var buf [4096]byte
+	dst := s.appendNode(buf[:0], true)
+	var nodes [inlineNodes]*Spec
+	for _, n := range s.appendSortedNodes(nodes[:0])[1:] {
+		dst = n.appendNode(append(dst, " ^"...), true)
 	}
-	return b.String()
+	return string(dst)
 }
 
 // TreeString renders the DAG as an indented tree for human inspection, the

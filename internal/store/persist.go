@@ -58,7 +58,7 @@ func encodeEntries(dst []byte, entries []Record) []byte {
 		b = append(b, `{"spec":`...)
 		b = jsonenc.String(b, e.Spec.String())
 		b = append(b, `,"spec_json":`...)
-		b = syntax.AppendJSON(b, e.Spec)
+		b = syntax.AppendJSON(b, e.Spec, true)
 		b = append(b, `,"prefix":`...)
 		b = jsonenc.String(b, e.Prefix)
 		b = append(b, `,"explicit":`...)

@@ -10,42 +10,44 @@ import (
 	"repro/internal/spec"
 )
 
-// EncodeJSON serializes a spec DAG with full edge fidelity.
-func EncodeJSON(s *spec.Spec) []byte { return AppendJSON(nil, s) }
+// EncodeJSON serializes a spec DAG with full edge fidelity, indented:
+// the bytes the store, the journal and the buildcache keep.
+func EncodeJSON(s *spec.Spec) []byte { return AppendJSON(nil, s, true) }
 
-// AppendJSON appends EncodeJSON's encoding of s to dst. The bytes are
-// exactly json.MarshalIndent(specJSON, "", "  "): keys sorted, two-space
-// indentation, empty optional maps omitted. They are written by hand
+// AppendJSON appends the spec JSON of s to dst. With indent, the bytes
+// are EncodeJSON's, exactly json.MarshalIndent(specJSON, "", "  "): keys
+// sorted, two-space indentation, empty optional maps omitted. Without,
+// they are the same document with no whitespace (json.Compact of it),
+// the form the daemon sends on the wire. They are written by hand
 // because every install encodes its spec into the provenance file, the
 // journal and the index, and the reflection encoder dominated that cost.
-func AppendJSON(dst []byte, s *spec.Spec) []byte {
+func AppendJSON(dst []byte, s *spec.Spec, indent bool) []byte {
 	// The nodes Traverse visits (each name once), sorted by name.
 	nodes := s.Nodes()
 	slices.SortFunc(nodes, func(a, b *spec.Spec) int { return strings.Compare(a.Name, b.Name) })
-	dst = append(dst, "{\n  \"root\": "...)
+	dst = appendKey(append(dst, '{'), 0, indent, 2, "root")
 	dst = jsonenc.String(dst, s.Name)
-	dst = append(dst, ",\n  \"nodes\": {"...)
+	dst = append(appendKey(dst, 1, indent, 2, "nodes"), '{')
 	for i, n := range nodes {
-		dst = appendKey(dst, i, 4, n.Name)
+		dst = appendKey(dst, i, indent, 4, n.Name)
 		dst = append(dst, '"')
 		start := len(dst)
 		dst = append(jsonenc.Escape(n.AppendNode(dst), start), '"')
 	}
-	dst = closeObject(dst, len(nodes), 2)
+	dst = closeObject(dst, len(nodes), indent, 2)
 
-	dst = appendSection(dst, nodes, "edges", func(n *spec.Spec) bool { return len(n.DirectDeps()) > 0 },
+	dst = appendSection(dst, nodes, indent, "edges", func(n *spec.Spec) bool { return len(n.DirectDeps()) > 0 },
 		func(dst []byte, n *spec.Spec) []byte {
 			dst = append(dst, '[')
 			for i, d := range n.DirectDeps() {
 				if i > 0 {
 					dst = append(dst, ',')
 				}
-				dst = append(dst, "\n      "...)
-				dst = jsonenc.String(dst, d.Name)
+				dst = jsonenc.String(newline(dst, indent, 6), d.Name)
 			}
-			return append(dst, "\n    ]"...)
+			return append(newline(dst, indent, 4), ']')
 		})
-	dst = appendSection(dst, nodes, "edgetypes",
+	dst = appendSection(dst, nodes, indent, "edgetypes",
 		func(n *spec.Spec) bool {
 			for _, d := range n.DirectDeps() {
 				if n.EdgeType(d.Name) != spec.DepDefault {
@@ -59,50 +61,58 @@ func AppendJSON(dst []byte, s *spec.Spec) []byte {
 			k := 0
 			n.EachDep(func(d *spec.Spec, t spec.DepType) {
 				if t != spec.DepDefault {
-					dst = appendKey(dst, k, 6, d.Name)
+					dst = appendKey(dst, k, indent, 6, d.Name)
 					dst = jsonenc.String(dst, t.String())
 					k++
 				}
 			})
-			return append(dst, "\n    }"...)
+			return append(newline(dst, indent, 4), '}')
 		})
-	dst = appendSection(dst, nodes, "external", func(n *spec.Spec) bool { return n.External },
+	dst = appendSection(dst, nodes, indent, "external", func(n *spec.Spec) bool { return n.External },
 		func(dst []byte, n *spec.Spec) []byte { return jsonenc.String(dst, n.Path) })
-	dst = appendSection(dst, nodes, "namespace", func(n *spec.Spec) bool { return n.Namespace != "" },
+	dst = appendSection(dst, nodes, indent, "namespace", func(n *spec.Spec) bool { return n.Namespace != "" },
 		func(dst []byte, n *spec.Spec) []byte { return jsonenc.String(dst, n.Namespace) })
-	return append(dst, "\n}"...)
+	return append(newline(dst, indent, 0), '}')
 }
 
-// appendKey opens the i-th member of an indented object: a separator,
-// a newline, indent spaces and the quoted key.
-func appendKey(dst []byte, i, indent int, key string) []byte {
+// newline appends, with indent, a newline and depth spaces, and nothing
+// without.
+func newline(dst []byte, indent bool, depth int) []byte {
+	if !indent {
+		return dst
+	}
+	dst = append(dst, '\n')
+	for ; depth > 0; depth-- {
+		dst = append(dst, ' ')
+	}
+	return dst
+}
+
+// appendKey opens the i-th member of an object: a separator, the
+// newline and indentation of depth, and the quoted key.
+func appendKey(dst []byte, i int, indent bool, depth int, key string) []byte {
 	if i > 0 {
 		dst = append(dst, ',')
 	}
-	dst = append(dst, '\n')
-	for ; indent > 0; indent-- {
-		dst = append(dst, ' ')
+	dst = jsonenc.String(newline(dst, indent, depth), key)
+	if indent {
+		return append(dst, ": "...)
 	}
-	dst = jsonenc.String(dst, key)
-	return append(dst, ": "...)
+	return append(dst, ':')
 }
 
-// closeObject closes an indented object of n members whose closing brace
-// sits at indent.
-func closeObject(dst []byte, n, indent int) []byte {
+// closeObject closes an object of n members whose closing brace sits at
+// depth.
+func closeObject(dst []byte, n int, indent bool, depth int) []byte {
 	if n == 0 {
 		return append(dst, '}')
 	}
-	dst = append(dst, '\n')
-	for ; indent > 0; indent-- {
-		dst = append(dst, ' ')
-	}
-	return append(dst, '}')
+	return append(newline(dst, indent, depth), '}')
 }
 
 // appendSection appends an optional top-level map (omitted when empty)
 // with one member per node that has, rendered by value.
-func appendSection(dst []byte, nodes []*spec.Spec, key string, has func(*spec.Spec) bool,
+func appendSection(dst []byte, nodes []*spec.Spec, indent bool, key string, has func(*spec.Spec) bool,
 	value func([]byte, *spec.Spec) []byte) []byte {
 	k := 0
 	for _, n := range nodes {
@@ -110,15 +120,13 @@ func appendSection(dst []byte, nodes []*spec.Spec, key string, has func(*spec.Sp
 			continue
 		}
 		if k == 0 {
-			dst = append(dst, ",\n  \""...)
-			dst = append(dst, key...)
-			dst = append(dst, "\": {"...)
+			dst = append(appendKey(dst, 1, indent, 2, key), '{')
 		}
-		dst = value(appendKey(dst, k, 4, n.Name), n)
+		dst = value(appendKey(dst, k, indent, 4, n.Name), n)
 		k++
 	}
 	if k > 0 {
-		dst = closeObject(dst, k, 2)
+		dst = closeObject(dst, k, indent, 2)
 	}
 	return dst
 }
@@ -139,12 +147,19 @@ const (
 // member is one name: value pair of a top-level map. For nodes, external
 // and namespace, value is the decoded string (empty for null); for edges
 // and edgetypes it is the raw JSON of the array or object, validated and
-// read again when the edges are attached.
-type member struct{ name, value []byte }
+// read again when the edges are attached, and for edges n counts the
+// array's elements.
+type member struct {
+	name, value []byte
+	n           int
+}
 
 // DecodeJSON reconstructs a spec DAG serialized by EncodeJSON. It reads
 // the document once with a jsonenc.Reader and builds no map: each
 // top-level map is kept as its members, sorted by name, and searched.
+// The nodes share one allocation, and a node string in the canonical
+// shape EncodeJSON writes is read by a direct scanner (scanNode); any
+// other string is parsed.
 //
 // It accepts what encoding/json accepts when it unmarshals the document
 // into its six typed fields, with the same result: unknown keys are
@@ -180,12 +195,31 @@ func DecodeJSON(data []byte) (*spec.Spec, error) {
 		maps[f] = lastByName(maps[f])
 	}
 	members := maps[fieldNodes]
+	// One string holds every node string, so the nodes' names, versions
+	// and architectures are substrings of it.
+	size := 0
+	for _, m := range members {
+		size += len(m.value)
+	}
+	var text strings.Builder
+	text.Grow(size)
+	for _, m := range members {
+		text.Write(m.value)
+	}
+	all := text.String()
+	slab := make([]spec.Spec, len(members))
 	nodes := make([]*spec.Spec, len(members))
-	var ns string // the last namespace read: most nodes share one
+	var nss []string // the namespaces read so far: a DAG spans few
+	var comp scannedCompiler
 	for i, m := range members {
-		n, err := Parse(string(m.value))
-		if err != nil {
-			return nil, fmt.Errorf("syntax: node %s: %w", m.name, err)
+		str := all[:len(m.value)]
+		all = all[len(m.value):]
+		n := &slab[i]
+		if !scanNode(n, str, &comp) {
+			var err error
+			if n, err = Parse(str); err != nil {
+				return nil, fmt.Errorf("syntax: node %s: %w", m.name, err)
+			}
 		}
 		if n.Name != string(m.name) {
 			return nil, fmt.Errorf("syntax: node key %q renders as %q", m.name, n.Name)
@@ -195,10 +229,12 @@ func DecodeJSON(data []byte) (*spec.Spec, error) {
 			n.Path = string(maps[fieldExternal][j].value)
 		}
 		if j, ok := search(maps[fieldNamespace], m.name); ok {
-			if v := maps[fieldNamespace][j].value; string(v) != ns {
-				ns = string(v)
+			v := maps[fieldNamespace][j].value
+			k := slices.IndexFunc(nss, func(ns string) bool { return ns == string(v) })
+			if k < 0 {
+				k, nss = len(nss), append(nss, string(v))
 			}
-			n.Namespace = ns
+			n.Namespace = nss[k]
 		}
 		nodes[i] = n
 	}
@@ -215,6 +251,7 @@ func DecodeJSON(data []byte) (*spec.Spec, error) {
 		if er.Null() || !er.Array() {
 			continue
 		}
+		nodes[i].GrowDeps(m.n)
 		for er.Elem() {
 			var d []byte
 			if !er.Null() {
@@ -259,6 +296,7 @@ func readMap(r *jsonenc.Reader, dst []member, f int) []member {
 				if !r.Null() {
 					r.Str()
 				}
+				m.n++
 			}
 			m.value = r.Since(start)
 		case f == fieldEdgeTypes:

@@ -19,7 +19,7 @@ import (
 
 // solvedDAGs concretizes every package of the 245-package Fig. 8
 // repository and the 36 ARES Table 3 configurations.
-func solvedDAGs(t *testing.T) []*spec.Spec {
+func solvedDAGs(t testing.TB) []*spec.Spec {
 	t.Helper()
 	var out []*spec.Spec
 	synth := repo.NewRepo("synthetic")
@@ -112,6 +112,30 @@ func TestEncodeJSONMatchesOracle(t *testing.T) {
 		}
 	}
 	t.Logf("%d encodings match the oracle; sections %v", encodings, sections)
+}
+
+// TestCompactJSONMatchesIndented: the compact spec JSON the daemon sends
+// is the indented encoding with its whitespace removed, byte for byte,
+// for every node's sub-DAG of every Fig. 8 and ARES DAG, as solved and
+// decorated; and a solved DAG's compact encoding decodes to its hash.
+func TestCompactJSONMatchesIndented(t *testing.T) {
+	for _, s := range solvedDAGs(t) {
+		for _, d := range []*spec.Spec{s, decorate(s)} {
+			for _, n := range d.Nodes() {
+				var want bytes.Buffer
+				if err := json.Compact(&want, syntax.EncodeJSON(n)); err != nil {
+					t.Fatal(err)
+				}
+				if got := syntax.AppendJSON(nil, n, false); !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("%s: compact encoding\n%s\nwant\n%s", n.Name, got, want.Bytes())
+				}
+			}
+		}
+		back, err := syntax.DecodeJSON(syntax.AppendJSON(nil, s, false))
+		if err != nil || back.FullHash() != s.FullHash() {
+			t.Fatalf("%s: compact round trip: %v", s.Name, err)
+		}
+	}
 }
 
 // addJSONSeeds seeds a spec-JSON fuzz target: the encoding of every spec

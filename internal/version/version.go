@@ -47,8 +47,28 @@ func MustParse(s string) Version {
 	return Parse(s)
 }
 
+// segmentize splits s into its numeric and word runs; separators start
+// no run. The slice is sized by a first count of the runs, so it is
+// allocated once.
 func segmentize(s string) []segment {
-	var segs []segment
+	runs, kind := 0, 0 // kind of the previous byte: 0 separator, 1 digit, 2 letter
+	for i := 0; i < len(s); i++ {
+		k := 0
+		switch c := s[i]; {
+		case c >= '0' && c <= '9':
+			k = 1
+		case isAlpha(c):
+			k = 2
+		}
+		if k != 0 && k != kind {
+			runs++
+		}
+		kind = k
+	}
+	if runs == 0 {
+		return nil
+	}
+	segs := make([]segment, 0, runs)
 	i := 0
 	for i < len(s) {
 		c := s[i]
@@ -370,7 +390,7 @@ func ListOf(ranges ...Range) List {
 }
 
 // ExactList returns the list containing only the point range of v.
-func ExactList(v Version) List { return ListOf(SingleRange(v)) }
+func ExactList(v Version) List { return List{ranges: []Range{SingleRange(v)}} }
 
 // IsAny reports whether the list is unconstrained.
 func (l List) IsAny() bool {
